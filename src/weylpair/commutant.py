@@ -28,6 +28,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_GUARD = 256
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
+_CENTER_SEED = 20240502
 
 
 @dataclass(eq=False)
@@ -74,20 +75,20 @@ class RepGens:
 
 @dataclass(eq=False)
 class AlgebraSummary:
-    commutant_dim: int
-    center_dim: int
-    is_factor: bool
-    is_irreducible: bool
-    commutant_basis: list = field(repr=False, default_factory=list)
-    bicommutant_dim: int | None = None
+    """Orthonormal bases of the commutant and of its centre."""
+
+    commutant_basis: list = field(repr=False)
+    center_basis: list = field(repr=False)
+
+    def __post_init__(self):
+        self.commutant_dim = len(self.commutant_basis)
+        self.center_dim = len(self.center_basis)
+        self.is_factor = self.center_dim == 1
+        self.is_irreducible = self.commutant_dim == 1
 
     def to_json(self) -> dict:
-        return {
-            "commutant_dim": self.commutant_dim,
-            "center_dim": self.center_dim,
-            "is_factor": self.is_factor,
-            "is_irreducible": self.is_irreducible,
-        }
+        return {key: getattr(self, key) for key in (
+            "commutant_dim", "center_dim", "is_factor", "is_irreducible")}
 
 
 def _adjoint_closed_maps(a_list, b_list):
@@ -278,28 +279,58 @@ def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
     return sylvester_nullspace(rep.gens, rep.gens, tol)
 
 
+def opnorm_exceeds(x, tol: float) -> bool:
+    """Whether ||x||_2 > tol; the SVD runs only when ||x||_F > tol."""
+    return bool(np.linalg.norm(x) > tol and np.linalg.norm(x, 2) > tol)
+
+
+def check_central(elements, cbasis, tol: float = DEFAULT_TOL):
+    """Raise CheckFailed unless every element commutes with every C_i."""
+    for z in elements:
+        for m in cbasis:
+            comm = z @ m - m @ z
+            if opnorm_exceeds(comm, tol):
+                raise CheckFailed(
+                    "centre element fails to commute with the commutant "
+                    f"(commutator {np.linalg.norm(comm, 2):.2e})")
+
+
+def center_basis(cbasis, tol: float = DEFAULT_TOL):
+    """Orthonormal basis of the centre of the commutant spanned by ``cbasis``.
+
+    The centre is solved in commutant coordinates: Z = sum x_j C_j must
+    commute with two generic commutant elements G and their adjoints, which
+    generate the commutant.  The kernel of that (4 n^2) x c system gives x;
+    every solution is then checked against every C_i, so a draw that fails
+    to generate raises CheckFailed instead of returning a larger centre.
+    """
+    c = len(cbasis)
+    if c <= 1:
+        return list(cbasis)
+    stack = np.stack(cbasis)
+    rng = np.random.default_rng(_CENTER_SEED)
+    blocks = []
+    for coeff in rng.standard_normal((2, c)) + 1j * rng.standard_normal((2, c)):
+        g = np.tensordot(coeff, stack, axes=1)
+        for x in (g, g.conj().T):
+            blocks.append((stack @ x - x @ stack).reshape(c, -1).T)
+    kern = _kernel_cols(np.vstack(blocks), tol)
+    center = list(np.tensordot(kern.T, stack, axes=1))
+    check_central(center, cbasis, tol)
+    return center
+
+
 def summarize(rep: RepGens, tol: float = DEFAULT_TOL,
               guard: int = DEFAULT_GUARD) -> AlgebraSummary:
-    """Commutant and centre dimensions plus factor/irreducibility flags.
+    """Commutant and centre of the algebra generated by ``rep``.
 
-    The centre of the generated von Neumann algebra is the commutant of the
-    generators together with their commutant, which equals the intersection
-    of commutant and bicommutant; the explicit bicommutant is solved as well
-    on small instances.
+    The centre of the generated von Neumann algebra equals the centre of its
+    commutant, so it is solved inside the commutant basis by
+    ``center_basis``.  Dimensions and the factor and irreducibility flags
+    are read off the two bases.
     """
     cbasis = commutant_basis(rep, tol, guard)
-    center = sylvester_nullspace(rep.gens + cbasis, rep.gens + cbasis, tol)
-    bdim = None
-    if rep.dim <= 32 and cbasis:
-        bdim = len(sylvester_nullspace(cbasis, cbasis, tol))
-    return AlgebraSummary(
-        commutant_dim=len(cbasis),
-        center_dim=len(center),
-        is_factor=len(center) == 1,
-        is_irreducible=len(cbasis) == 1,
-        commutant_basis=cbasis,
-        bicommutant_dim=bdim,
-    )
+    return AlgebraSummary(cbasis, center_basis(cbasis, tol))
 
 
 def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,

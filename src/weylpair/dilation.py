@@ -2,12 +2,16 @@
 
 A pair with commuting range projections splits into canonical components
 (one upward-invariant set with a constant fiber multiplicity per minimal
-central projection of the generated algebra).  Its minimal unitary dilation
-is realised concretely: the window is extended downward by the depth, each
-component support grows to every point from which a budget shift re-enters
-the component, and the dilated generators are the block shifts of the
-enlarged supports.  Inside the declared budget every dilation identity
-holds exactly; outside it nothing is claimed.
+central projection of the generated algebra).  The minimal central
+projections are the eigenprojections of one generic Hermitian element of
+the centre that ``commutant.summarize`` returns.
+
+The minimal unitary dilation of such a pair is realised concretely: the
+window is extended downward by the depth, each component support grows to
+every point from which a budget shift re-enters the component, and the
+dilated generators are the block shifts of the enlarged supports.  Inside
+the declared budget every dilation identity holds exactly; outside it
+nothing is claimed.
 
 The module also carries the covariant projection family E_x (projections
 onto shifted copies of the embedded base space), integration of test
@@ -22,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import RepGens, commutant_basis, unitarily_equivalent
+from .commutant import (AlgebraSummary, RepGens, opnorm_exceeds, summarize,
+                        unitarily_equivalent)
 from .errors import (
     BudgetExceeded,
     DepthZeroDegenerate,
@@ -113,76 +118,38 @@ class Decomposition:
     reassembled_index: dict = field(repr=False, default_factory=dict)
 
 
-def _orbit_support(start, ops, dim):
-    """Smallest subspace containing ``start`` and invariant under ``ops``."""
-    basis = start
-    for _ in range(2 * dim):
-        grown = np.hstack([basis] + [op @ basis for op in ops])
-        u, sv, _ = np.linalg.svd(grown, full_matrices=False)
-        keep = u[:, sv > 1e-8 * sv[0]]
-        if keep.shape[1] == basis.shape[1]:
-            return keep
-        basis = keep
-    raise FiberMismatch("invariant-subspace closure did not stabilise")
+def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
+                                 seed=20240501):
+    """Minimal central projections of the algebra generated by ``rep``.
 
-
-def _minimal_central_projections(gens, cbasis, dim, seed=20240501):
-    """Minimal central projections of the algebra generated by ``gens``.
-
-    A generic Hermitian element of the commutant separates the factor
-    blocks: growing each of its eigenclusters into an invariant subspace of
-    both the algebra and the commutant yields the central support of the
-    cluster, and the distinct supports are the minimal central projections.
+    They are the eigenprojections of one generic Hermitian element of the
+    centre (Murota, Kanno, Kojima and Kojima 2010): a generic element of a
+    c-dimensional commutative *-algebra has exactly c eigenvalue clusters,
+    so any other count raises FiberMismatch.  The projections are checked
+    to sum to one, to be idempotent and to commute with the generators and
+    the commutant.
     """
-    if len(cbasis) == 1:
-        return [np.eye(dim, dtype=complex)]
     rng = np.random.default_rng(seed)
-
-    def generic_commutant_element():
-        z = np.zeros((dim, dim), dtype=complex)
-        for m in cbasis:
-            z += rng.standard_normal() * 0.5 * (m + m.conj().T)
-            z += rng.standard_normal() * (m - m.conj().T) / 2j
-        return z
-
-    verify_ops = []
-    for m in list(gens) + list(cbasis):
-        verify_ops.append(m)
-        verify_ops.append(m.conj().T)
-    for _ in range(20):
-        # a handful of generic commutant elements replaces the full basis in
-        # the closure; the verification below catches unlucky draws
-        ops = []
-        for m in list(gens) + [generic_commutant_element() for _ in range(2)]:
-            ops.append(m)
-            ops.append(m.conj().T)
-        z = generic_commutant_element()
-        vals, vecs = np.linalg.eigh(z)
-        spread = max(vals[-1] - vals[0], 1.0)
-        groups = []
-        cur = [0]
-        for i in range(1, len(vals)):
-            if vals[i] - vals[i - 1] > 1e-6 * spread:
-                groups.append(cur)
-                cur = []
-            cur.append(i)
-        groups.append(cur)
-        projs = []
-        for g in groups:
-            span = _orbit_support(vecs[:, g], ops, dim)
-            p = span @ span.conj().T
-            if not any(np.linalg.norm(p - q, 2) < 1e-8 for q in projs):
-                projs.append(p)
-        total = sum(projs)
-        ok = np.linalg.norm(total - np.eye(dim), 2) <= RANGE_TOL
-        for p in projs:
-            if not ok:
-                break
-            ok = np.linalg.norm(p @ p - p, 2) <= RANGE_TOL and all(
-                np.linalg.norm(p @ x - x @ p, 2) <= 1e-8 for x in verify_ops)
-        if ok:
-            return projs
-    raise FiberMismatch("could not isolate minimal central projections")
+    c = summary.center_dim
+    coeff = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+    z = np.tensordot(coeff, np.stack(summary.center_basis), axes=1)
+    vals, vecs = np.linalg.eigh(z + z.conj().T)
+    spread = max(vals[-1] - vals[0], 1.0)
+    cuts = np.nonzero(np.diff(vals) > 1e-6 * spread)[0] + 1
+    if len(cuts) + 1 != c:
+        raise FiberMismatch(
+            f"generic central element has {len(cuts) + 1} eigenvalue "
+            f"clusters for a centre of dimension {c}")
+    projs = [v @ v.conj().T for v in np.split(vecs, cuts, axis=1)]
+    ops = list(rep.gens) + list(summary.commutant_basis)
+    ops += [m.conj().T for m in ops]
+    bad = opnorm_exceeds(sum(projs) - np.eye(rep.dim), RANGE_TOL)
+    for p in projs:
+        bad = bad or opnorm_exceeds(p @ p - p, RANGE_TOL) or any(
+            opnorm_exceeds(p @ x - x @ p, 1e-8) for x in ops)
+    if bad:
+        raise FiberMismatch("could not isolate minimal central projections")
+    return projs
 
 
 def decompose_full(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
@@ -200,8 +167,7 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
         raise NonCommutingRanges(
             f"range projections fail to commute (max commutator {worst:.3e})")
     rep = RepGens.from_pair(pair)
-    cbasis = commutant_basis(rep, tol, guard)
-    projs = _minimal_central_projections(rep.gens, cbasis, pair.dim)
+    projs = _minimal_central_projections(rep, summarize(rep, tol, guard))
 
     comps = []
     for p in projs:
@@ -306,7 +272,6 @@ class DilationBundle:
 
     def safe_indices(self, shifts) -> np.ndarray:
         """Blocks that stay inside their component under all given shifts."""
-        shifted_ok = []
         supports = [set(s) for s in self.supports]
 
         def pred(ci, p):

@@ -53,3 +53,17 @@ def brute_force_upsets(window):
 
 def opnorm(m):
     return float(np.linalg.norm(m, 2))
+
+
+def fiber_mixing_unitary(pair, rng):
+    """Block-diagonal unitary with one random unitary per position block.
+
+    Conjugating by it scrambles the fiber bases but keeps the grading.
+    """
+    q = np.zeros((pair.dim, pair.dim), dtype=complex)
+    for p, _ in pair.fibers:
+        s = pair.block_slice(p)
+        k = s.stop - s.start
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        q[s, s], _ = np.linalg.qr(g)
+    return q

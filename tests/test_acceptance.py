@@ -261,7 +261,7 @@ def test_criterion_06_character_extension():
 
 
 def test_criterion_07_field_monotone():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ev = EvaluationPoint.default()
     grid = GridSpec(10, 4.0)
     rng = np.random.default_rng(20240707)
@@ -270,7 +270,7 @@ def test_criterion_07_field_monotone():
         parts = int(rng.integers(4, 7))
         fam = random_family(6, parts, parts, seed=int(rng.integers(1, 10 ** 6)))
         worst = max(worst, check_increasing(fam, ev, grid))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed <= 60.0
     report(7, "projection-field-increasing", ok,
            f"max violation {worst:.3e} tol 1e-12, elapsed {elapsed:.1f}s cap 60s")

@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 
-from weylpair import LatticeWindow, build_pspace_pair
+import weylpair
+from weylpair import LatticeWindow, build_pspace_pair, direct_sum
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import pair_to_json, pset_to_json
 
@@ -188,3 +191,30 @@ def test_run_scenario_seed_override(tmp_path):
         "seed": 3})
     report, code = run_scenario("pspace-enum", sc, out=str(tmp_path), seed=9)
     assert code == 0 and report["seed"] == 9
+
+
+def test_reports_do_not_depend_on_thread_count(tmp_path):
+    # BLAS thread pools may reorder floating-point sums; the reports must
+    # not show it
+    w = LatticeWindow((0,), (7,))
+    pair = direct_sum([build_pspace_pair(tail(w, 0), 2),
+                       build_pspace_pair(tail(w, 3), 1)])
+    pair_doc = pair_to_json(pair)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylpair.__file__)))
+    for command in ("commutant", "decompose"):
+        sc = write_scenario(tmp_path, f"{command}.json",
+                            {"command": command, "pair": pair_doc})
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, WEYLPAIR_THREADS=threads, PYTHONPATH=src)
+            # WEYLPAIR_THREADS only fills these in when they are unset
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env.pop(var, None)
+            proc = subprocess.run(
+                [sys.executable, "-m", "weylpair.cli", command, "--scenario",
+                 sc, "--out", str(tmp_path)],
+                env=env, capture_output=True, text=True, check=True)
+            reports.append(proc.stdout)
+        assert json.loads(reports[0])["ok"]
+        assert reports[0] == reports[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylpair import (
+    CheckFailed,
     DimensionGuard,
     LabelMismatch,
     LatticeWindow,
@@ -18,9 +19,9 @@ from weylpair import (
     translate_pset,
     unitarily_equivalent,
 )
-from weylpair.commutant import residual, span_distance
+from weylpair.commutant import check_central, residual, span_distance
 
-from conftest import opnorm, tail
+from conftest import fiber_mixing_unitary, opnorm, tail, upset_from
 
 
 def kron_nullspace_dim(gens, tol=1e-8):
@@ -107,20 +108,44 @@ def test_summarize_reducible_center(chain8):
     assert not s.is_irreducible
 
 
-def test_summarize_center_equals_commutant_cap_bicommutant():
+def test_summarize_center_equals_commutant_cap_bicommutant(square4):
     w = LatticeWindow((0,), (4,))
-    pair = direct_sum([build_pspace_pair(tail(w, 0), 1),
-                       build_pspace_pair(tail(w, 2), 2)])
-    rep = RepGens.from_pair(pair)
-    s = summarize(rep)
-    cbasis = s.commutant_basis
-    bicom = sylvester_nullspace(cbasis, cbasis)
-    # explicit intersection through stacked projections
-    center_alt = sylvester_nullspace(rep.gens + cbasis, rep.gens + cbasis)
-    for z in center_alt:
-        assert span_distance(cbasis, z) < 1e-8
-        assert span_distance(bicom, z) < 1e-8
-    assert s.center_dim == len(center_alt)
+    mixed = direct_sum([build_pspace_pair(tail(w, 0), 2),
+                        build_pspace_pair(tail(w, 3), 3)])
+    q = fiber_mixing_unitary(mixed, np.random.default_rng(7))
+    # every input has two components, so a two-dimensional centre
+    reps = [
+        RepGens.from_pair(direct_sum([build_pspace_pair(tail(w, 0), 1),
+                                      build_pspace_pair(tail(w, 2), 2)])),
+        RepGens.from_pair(mixed),
+        RepGens.from_pair(direct_sum([
+            build_pspace_pair(upset_from(square4, [(2, 2)]), 2),
+            build_pspace_pair(upset_from(square4, [(1, 3), (3, 1)]), 1)])),
+        RepGens(mixed.dim, [q @ g @ q.conj().T
+                            for g in RepGens.from_pair(mixed).gens]),
+    ]
+    for rep in reps:
+        s = summarize(rep)
+        cbasis = s.commutant_basis
+        bicom = sylvester_nullspace(cbasis, cbasis)
+        # reference centre: the commutant of the generators and the commutant
+        center_alt = sylvester_nullspace(rep.gens + cbasis, rep.gens + cbasis)
+        for z in center_alt:
+            assert span_distance(cbasis, z) < 1e-8
+            assert span_distance(bicom, z) < 1e-8
+        assert s.center_dim == len(center_alt) == 2
+        assert subspace_gap(s.center_basis, center_alt) <= 1e-8
+
+
+def test_center_check_rejects_non_central_element():
+    w = LatticeWindow((0,), (4,))
+    s = summarize(RepGens.from_pair(build_pspace_pair(tail(w, 1), 2)))
+    check_central(s.center_basis, s.commutant_basis)
+    # the first fiber coordinate of every block: in the commutant, not central
+    off = np.kron(np.eye(4), np.diag([1.0, 0.0]))
+    assert span_distance(s.commutant_basis, off) < 1e-8
+    with pytest.raises(CheckFailed):
+        check_central([off], s.commutant_basis)
 
 
 def test_intertwiners_contain_identity(chain8):

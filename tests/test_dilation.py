@@ -30,10 +30,10 @@ from weylpair import (
     unitarily_equivalent,
     unitary_u,
 )
-from weylpair.commutant import span_distance
-from weylpair.dilation import decompose_full
+from weylpair.commutant import AlgebraSummary, span_distance, summarize
+from weylpair.dilation import _minimal_central_projections, decompose_full
 
-from conftest import opnorm, tail, upset_from
+from conftest import fiber_mixing_unitary, opnorm, tail, upset_from
 
 
 @pytest.fixture
@@ -373,13 +373,7 @@ def test_decompose_survives_fiber_mixing(chain8):
     # preserves the grading; the components must come back unchanged
     pair = direct_sum([build_pspace_pair(tail(chain8, 0), 2),
                        build_pspace_pair(tail(chain8, 2), 1)])
-    rng = np.random.default_rng(23)
-    q = np.zeros((pair.dim, pair.dim), dtype=complex)
-    for p, _ in pair.fibers:
-        s = pair.block_slice(p)
-        k = s.stop - s.start
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q[s, s], _ = np.linalg.qr(g)
+    q = fiber_mixing_unitary(pair, np.random.default_rng(23))
     mixed = WeylPair(pair.window, dict(pair.fibers),
                      [q @ g @ q.conj().T for g in pair.gens])
     comps = decompose(mixed)
@@ -413,6 +407,20 @@ def test_decompose_rejects_nonisometric_component():
     pair = WeylPair(w, {(0,): 1, (1,): 1}, [g])
     with pytest.raises(FiberMismatch):
         decompose(pair)
+
+
+def test_central_projections_reject_incomplete_centre(chain8):
+    # a generic element of a proper subspace of the centre still splits
+    # into as many clusters as the full centre has dimensions
+    pair = direct_sum([build_pspace_pair(tail(chain8, a), 1) for a in (0, 2, 5)])
+    rep = RepGens.from_pair(pair)
+    s = summarize(rep)
+    assert len(_minimal_central_projections(rep, s)) == s.center_dim == 3
+    for drop in range(s.center_dim):
+        kept = s.center_basis[:drop] + s.center_basis[drop + 1:]
+        with pytest.raises(FiberMismatch):
+            _minimal_central_projections(
+                rep, AlgebraSummary(s.commutant_basis, kept))
 
 
 def test_restriction_isomorphism_dims(chain8):
