@@ -38,10 +38,10 @@ pair = build_pspace_pair(tail2, k=1)
 print(f"canonical pair on {{2..7}}: dim {pair.dim}")
 
 # the defining relation U_theta V_a = exp(i theta.a) V_a U_theta holds to
-# roundoff on the safe blocks, for every dual-grid angle
+# roundoff on the safe blocks, for every dual-grid angle (passed as one stack)
 safe = SafeRegion(3)
-worst = max(weyl_defect(pair, theta, (a,), safe)
-            for theta in dual_grid(window) for a in range(4))
+thetas = np.array(dual_grid(window))
+worst = max(weyl_defect(pair, thetas, (a,), safe) for a in range(4))
 print(f"worst commutation defect over the dual grid: {worst:.2e}")
 print(f"range projections commute: max commutator "
       f"{check_commuting_ranges(pair):.2e}")

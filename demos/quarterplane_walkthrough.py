@@ -7,6 +7,9 @@ range projections refuse to commute, its commutant is the family
 commutant, and its spectral support forgets the family entirely.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from weylpair import (
@@ -47,7 +50,8 @@ for (m, n) in [(0, 0), (1, 0), (2, 2)]:
 rows = [(float(s), float(t),
          float(np.trace(cell_projection(family, ev, s, t)).real))
         for s in grid.values() for t in grid.values()]
-path = export_heatmap(rows, "field_rank.csv")
+path = export_heatmap(rows,
+                      os.path.join(tempfile.mkdtemp(), "field_rank.csv"))
 print(f"rank heatmap written to {path}")
 
 # the represented pair: fibers are the field ranges, generators the

@@ -142,13 +142,10 @@ def _cmd_pair_check(doc, out, seed, tol):
     margin = int(doc.get("margin", 2))
     safe = pr.SafeRegion(margin)
     checks = _Checks()
-    worst_defect = 0.0
-    shifts = [a for a in itertools.product(range(margin + 1),
-                                           repeat=pair.window.dim)]
-    for theta in pr.dual_grid(pair.window):
-        for a in shifts:
-            worst_defect = max(worst_defect, pr.weyl_defect(pair, theta, a, safe))
-    checks.add("weak-weyl-defect", worst_defect, tol)
+    shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
+    thetas = np.array(pr.dual_grid(pair.window))
+    checks.add("weak-weyl-defect",
+               max(pr.weyl_defect(pair, thetas, a, safe) for a in shifts), tol)
     worst_iso = max(pr.isometry_defect(pair, a, safe) for a in shifts)
     checks.add("isometry-on-safe-region", worst_iso, tol)
     checks.add("commuting-range-projections",
@@ -241,9 +238,14 @@ def _cmd_counterexample(doc, out, seed, tol):
         else fp.EvaluationPoint.default()
     if "grid" in doc:
         grid = ser.grid_from_json(doc["grid"])
-    else:
+    elif sub == "pair":
         # represented pairs grow with the grid; default to integer steps there
-        grid = fp.GridSpec(1, 4.0) if sub == "pair" else fp.GridSpec(10, 4.0)
+        grid = fp.GridSpec(1, 4.0)
+    elif sub == "transfer":
+        # the commutant transfer needs every step projection sampled
+        grid = fp.GridSpec(2, max(family.np_count, family.nq_count) + 1)
+    else:
+        grid = fp.GridSpec(10, 4.0)
     checks = _Checks()
     artifacts = []
     data = {"sub": sub, "kappa": family.kappa}
@@ -282,10 +284,9 @@ def _cmd_counterexample(doc, out, seed, tol):
             checks.add("noncommuting-witness", witness, 0.1, larger_ok=True)
         margin = int(doc.get("margin", 1))
         safe = pr.SafeRegion(margin)
-        worst = 0.0
-        for theta in [np.array([0.3, 0.7]), np.array([1.1, 0.2])]:
-            for a in itertools.product(range(margin + 1), repeat=2):
-                worst = max(worst, pr.weyl_defect(pair, theta, a, safe))
+        thetas = np.array([[0.3, 0.7], [1.1, 0.2]])
+        worst = max(pr.weyl_defect(pair, thetas, a, safe)
+                    for a in itertools.product(range(margin + 1), repeat=2))
         checks.add("weak-weyl-defect", worst, tol)
     elif sub == "transfer":
         dim_e, dim_f, equal = fp.commutant_transfer_check(family, ev, grid)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from weylpair import LatticeWindow, SetKind, validate_pset
+from weylpair import LatticeWindow, SetKind, isometry_v, validate_pset
+from weylpair.errors import MarginTooSmall
 
 
 @pytest.fixture
@@ -67,3 +68,29 @@ def fiber_mixing_unitary(pair, rng):
         g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         q[s, s], _ = np.linalg.qr(g)
     return q
+
+
+def dense_weyl_defect(pair, theta, a, safe):
+    """Oracle: one angle vector, dense V_a and one SVD of the whole defect.
+
+    The norm of U V_a - exp(i theta.a) V_a U compressed to the safe blocks,
+    computed from the full matrices with no use of the grading.
+    """
+    avec = tuple(int(c) for c in a)
+    if any(c > safe.margin for c in avec):
+        raise MarginTooSmall(f"shift {avec} exceeds safe margin {safe.margin}")
+    th = np.asarray(theta, dtype=float)
+    u = pair.position_phases(th)
+    v = isometry_v(pair, avec)
+    phase = np.exp(1j * float(th @ np.asarray(avec)))
+    diff = u[:, None] * v - phase * (v * u[None, :])
+    idx = pair.safe_indices(safe)
+    if idx.size == 0:
+        return 0.0
+    return opnorm(diff[np.ix_(idx, idx)])
+
+
+def dense_grid_defect(pair, thetas, shifts, safe):
+    """Oracle maximum over every angle vector and shift, one SVD each."""
+    return max(dense_weyl_defect(pair, theta, a, safe)
+               for theta in thetas for a in shifts)

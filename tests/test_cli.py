@@ -4,7 +4,8 @@ import subprocess
 import sys
 
 import weylpair
-from weylpair import LatticeWindow, build_pspace_pair, direct_sum
+from weylpair import (LatticeWindow, SetKind, build_pspace_pair, direct_sum,
+                      validate_pset)
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import pair_to_json, pset_to_json
 
@@ -136,6 +137,18 @@ def test_counterexample_subcommands(tmp_path, capsys):
     report = json.loads(out)
     assert code == 0 and report["data"]["equal"]
 
+    # with no grid, transfer samples every step projection of the family
+    sc = write_scenario(tmp_path, "tr_default.json", {
+        "command": "counterexample", "sub": "transfer",
+        "family": {"kind": "demo", "kappa": 6}})
+    code, out = run(capsys, ["counterexample", "--scenario", sc,
+                             "--out", str(tmp_path)])
+    report = json.loads(out)
+    assert code == 0
+    assert (report["data"]["sampled_commutant_dim"],
+            report["data"]["family_commutant_dim"],
+            report["data"]["equal"]) == (1, 1, True)
+
     sc = write_scenario(tmp_path, "sp.json",
                         dict(base, command="counterexample", sub="spec"))
     code, out = run(capsys, ["counterexample", "--scenario", sc,
@@ -199,11 +212,19 @@ def test_reports_do_not_depend_on_thread_count(tmp_path):
     w = LatticeWindow((0,), (7,))
     pair = direct_sum([build_pspace_pair(tail(w, 0), 2),
                        build_pspace_pair(tail(w, 3), 1)])
-    pair_doc = pair_to_json(pair)
+    square = LatticeWindow((0, 0), (7, 7))
+    full = validate_pset(list(square.points()), square, SetKind.PSPACE)
+    scenarios = {
+        "commutant": {"pair": pair_to_json(pair)},
+        "decompose": {"pair": pair_to_json(pair)},
+        # dim 128: the whole dual grid against every shift up to the margin
+        "pair-check": {"pair": pair_to_json(build_pspace_pair(full, 2)),
+                       "margin": 2},
+    }
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylpair.__file__)))
-    for command in ("commutant", "decompose"):
+    for command, doc in scenarios.items():
         sc = write_scenario(tmp_path, f"{command}.json",
-                            {"command": command, "pair": pair_doc})
+                            dict(doc, command=command))
         reports = []
         for threads in ("1", "2"):
             env = dict(os.environ, WEYLPAIR_THREADS=threads, PYTHONPATH=src)

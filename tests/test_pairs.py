@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from weylpair import (
+    EvaluationPoint,
+    GridSpec,
     LatticeWindow,
     MarginTooSmall,
     NonCommutingGenerators,
@@ -13,8 +15,10 @@ from weylpair import (
     WeylPair,
     WindowMismatch,
     build_pspace_pair,
+    build_r2_pair,
     canonical_defect_sweep,
     check_commuting_ranges,
+    demo_family,
     direct_sum,
     dual_grid,
     enumerate_pspaces,
@@ -28,7 +32,8 @@ from weylpair import (
 )
 from weylpair.serialize import pair_from_json, pair_to_json
 
-from conftest import opnorm, tail, upset_from
+from conftest import (dense_grid_defect, dense_weyl_defect, opnorm, tail,
+                      upset_from)
 
 
 def full_pair(k=1):
@@ -120,11 +125,60 @@ def test_weyl_defect_zero_angle_exact(chain8):
 
 def test_weyl_defect_corrupted(chain8):
     pair = build_pspace_pair(tail(chain8, 0), 1)
+    fibers = {p: 1 for p in tail(chain8, 0).points}
     g = pair.gens[0].copy()
     g[3, 0] = 0.5  # off-grade leak inside the safe region
+    bad = WeylPair(chain8, fibers, [g], validate=False)
+    assert weyl_defect(bad, (np.pi / 2,), (1,), SafeRegion(4)) > 0.1
+
+    # with one more stray entry, below GRADING_TOL, the value stays an upper
+    # bound, above the dense defect by at most ||C o R||_F
+    both = g.copy()
+    both[1, 3] = 1e-11
+    stray = pair.gens[0].copy()
+    stray[1, 3] = 1e-11
+    safe = SafeRegion(4)
+    idx = pair.safe_indices(safe)
+    off_grade = np.ones((8, 8), dtype=bool)
+    off_grade[np.arange(1, 8), np.arange(7)] = False
+    for leaky in (WeylPair(chain8, fibers, [both], validate=False),
+                  WeylPair(chain8, fibers, [stray])):
+        for theta in dual_grid(chain8) + [np.array([0.3])]:
+            u = leaky.position_phases(theta)
+            c = u[:, None] - np.exp(1j * theta[0]) * u[None, :]
+            r = np.where(off_grade, leaky.gens[0], 0.0)
+            bound = np.linalg.norm((c * r)[np.ix_(idx, idx)])
+            oracle = dense_weyl_defect(leaky, theta, (1,), safe)
+            value = weyl_defect(leaky, theta, (1,), safe)
+            assert oracle - 1e-15 <= value <= oracle + bound + 1e-15
+
+
+def test_weyl_defect_stack_matches_single_angle(chain8):
+    g = build_pspace_pair(tail(chain8, 0), 1).gens[0].copy()
+    g[3, 0] = 0.5
     bad = WeylPair(chain8, {p: 1 for p in tail(chain8, 0).points}, [g],
                    validate=False)
-    assert weyl_defect(bad, (np.pi / 2,), (1,), SafeRegion(4)) > 0.1
+    safe = SafeRegion(3)
+    for pair in (full_pair(2), bad):
+        for theta in dual_grid(chain8):
+            for a in [(0,), (1,), (3,)]:
+                assert (weyl_defect(pair, theta, a, safe)
+                        == weyl_defect(pair, theta[None, :], a, safe))
+        stack = np.array(dual_grid(chain8))
+        assert weyl_defect(pair, stack, (1,), safe) == max(
+            weyl_defect(pair, theta, (1,), safe) for theta in stack)
+
+
+def test_weyl_defect_stack_detects_noncommuting_generators(square4):
+    a = validate_pset(list(square4.points()), square4, SetKind.PSPACE)
+    pair = build_pspace_pair(a, 1)
+    g1 = pair.gens[1].copy()
+    mask = np.abs(g1) > 0  # distinct phases per entry break commutation
+    g1[mask] *= 1j ** np.arange(int(mask.sum()))
+    bad = WeylPair(square4, dict(pair.fibers), [pair.gens[0], g1],
+                   validate=False)
+    with pytest.raises(NonCommutingGenerators):
+        weyl_defect(bad, np.array(dual_grid(square4)), (1, 1), SafeRegion(1))
 
 
 def test_weyl_defect_margin_guard(chain8):
@@ -143,10 +197,9 @@ def test_sweep_matches_dense_defect():
         a = psets[rng.integers(len(psets))]
         k = int(rng.integers(1, 3))
         pair = build_pspace_pair(a, k)
-        dense = max(
-            weyl_defect(pair, theta, av, safe)
-            for theta in dual_grid(w)
-            for av in itertools.product(range(margin + 1), repeat=2))
+        dense = dense_grid_defect(
+            pair, dual_grid(w),
+            list(itertools.product(range(margin + 1), repeat=2)), safe)
         sweep = canonical_defect_sweep(a, k, margin)
         assert abs(dense - sweep) < 1e-13
 
@@ -158,10 +211,8 @@ def test_sweep_matches_dense_defect_chain(chain8):
         a = tail(chain8, start)
         for k in (1, 2):
             pair = build_pspace_pair(a, k)
-            dense = max(
-                weyl_defect(pair, theta, (s,), safe)
-                for theta in dual_grid(chain8)
-                for s in range(margin + 1))
+            dense = dense_grid_defect(pair, dual_grid(chain8),
+                                      [(s,) for s in range(margin + 1)], safe)
             sweep = canonical_defect_sweep(a, k, margin)
             assert abs(dense - sweep) < 1e-13
             if start + margin > 7:  # no block of the tail is safe
@@ -209,6 +260,28 @@ def test_commuting_ranges_chain_always(chain8):
     for start in (0, 3):
         pair = build_pspace_pair(tail(chain8, start), 2)
         assert check_commuting_ranges(pair) < 1e-12
+
+
+def test_commuting_ranges_match_all_svd_loop(chain8, square4):
+    def all_svd(pair, probe):
+        projs = [range_projection(pair, a) for a in probe]
+        return max(opnorm(p @ q - q @ p)
+                   for p, q in itertools.combinations(projs, 2))
+
+    box = LatticeWindow((0, 0, 0), (2, 2, 2))
+    canonical = [build_pspace_pair(tail(chain8, 1), 2),
+                 build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 1),
+                 build_pspace_pair(upset_from(box, [(1, 0, 0), (0, 1, 1)]), 2)]
+    for pair in canonical:
+        probe = [p for p in itertools.product(range(3), repeat=pair.window.dim)
+                 if any(p)]
+        assert check_commuting_ranges(pair, probe) == all_svd(pair, probe) == 0.0
+    quarter = build_r2_pair(demo_family(6), EvaluationPoint.default(),
+                            GridSpec(1, 7.0))
+    probe = [(1, 0), (0, 1), (2, 0), (0, 2)]
+    witness = check_commuting_ranges(quarter, probe)
+    assert witness > 0.1
+    assert witness == all_svd(quarter, probe)
 
 
 def test_graded_shift_property(chain8):
