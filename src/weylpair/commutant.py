@@ -2,14 +2,23 @@
 
 Everything reduces to one primitive: the joint nullspace of the maps
 T -> T A_i - B_i T (with the adjoint maps always included, so the result
-is adjoint closed).  Stacking the vectorised maps and taking an SVD kernel
-works but squares the dimension, so the solver first seeds the search with
-the exact kernel of a well-chosen Hermitian map - eigenvectors with equal
-eigenvalues give a factored basis u v* of that kernel - and then refines
-the seed through the remaining maps with thin SVDs.  Seeds from diagonal
-matrices (position observables) keep every intermediate object sparse, and
-the refinement prunes rows that are structurally zero, which is what makes
-position-graded problems with a few hundred dimensions tractable.
+is adjoint closed).  Two solvers compute it.
+
+Represented pairs take the graded solve.  Their generators include the
+position observable, so every solution is block diagonal, T = sum T_y with
+T_y from the fiber of y in one pair to the fiber of y in the other.  Where
+a generator block B of the second pair from y to y + e_i is injective, the
+relation T_{y+e_i} A = B T_y gives T_y = B^+ T_{y+e_i} A.  Walking the
+points downward from the top corner of the window, every T_y is fixed by
+the few "free" fibers that have no injective outgoing block - the matrix
+form of the Morita equivalence behind the classification.  All block
+relations are then imposed on the free entries alone, so the kernel SVD
+has as many columns as the free fibers have entries, not n^2.
+
+Every other generator list goes to ``sylvester_nullspace``: it seeds the
+search with the exact kernel of a well-chosen Hermitian map (eigenvectors
+with equal eigenvalues give a factored basis u v* of that kernel) and
+refines the seed through the remaining maps with thin SVDs.
 
 Kernel detection uses a relative singular-value cutoff (default 1e-8),
 which cleanly separates true kernels from roundoff at the dimensions the
@@ -23,21 +32,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckFailed, DimensionGuard, LabelMismatch
+from .lattice import _add
 
 DEFAULT_TOL = 1e-8
 DEFAULT_GUARD = 256
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
 _CENTER_SEED = 20240502
+#: A generator block propagates the graded solve when sigma_min exceeds
+#: this fraction of sigma_max.
+_INJECTIVE_TOL = 1e-8
 
 
 @dataclass(eq=False)
 class RepGens:
-    """A finite generator list; solves close it under adjoints implicitly."""
+    """A finite generator list; solves close it under adjoints implicitly.
+
+    ``pair`` is the represented pair the list was read from, if any; the
+    solvers then use its grading.
+    """
 
     dim: int
     gens: list
     labels: list[str] | None = None
+    pair: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.gens = [np.asarray(g, dtype=complex) for g in self.gens]
@@ -49,6 +67,9 @@ class RepGens:
             self.labels = [f"g{i}" for i in range(len(self.gens))]
         if len(self.labels) != len(self.gens):
             raise LabelMismatch("one label per generator required")
+        if self.pair is not None and self.pair.dim != self.dim:
+            raise DimensionGuard(
+                f"pair dim {self.pair.dim} does not match dim {self.dim}")
 
     @classmethod
     def from_pair(cls, pair, dual_samples: bool = False) -> "RepGens":
@@ -70,7 +91,7 @@ class RepGens:
             labels = ["pos"]
         gens += list(pair.gens)
         labels += [f"V{i}" for i in range(pair.window.dim)]
-        return cls(pair.dim, gens, labels)
+        return cls(pair.dim, gens, labels, pair)
 
 
 @dataclass(eq=False)
@@ -257,6 +278,128 @@ def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
     return basis
 
 
+def _injective_pinvs(blocks: dict) -> dict:
+    """Pseudo-inverse of every injective block, None for the others.
+
+    A block is injective when it has full column rank with sigma_min >
+    ``_INJECTIVE_TOL`` sigma_max.  One stacked SVD serves every block: each
+    is padded with zero rows and columns to a common shape, which appends
+    zero singular values and leaves its own singular triplets in place.
+    """
+    out = dict.fromkeys(blocks)
+    tall = [key for key, blk in blocks.items() if blk.shape[0] >= blk.shape[1]]
+    if not tall:
+        return out
+    rows = max(blocks[key].shape[0] for key in tall)
+    cols = max(blocks[key].shape[1] for key in tall)
+    stack = np.zeros((len(tall), rows, cols), dtype=complex)
+    for i, key in enumerate(tall):
+        m, n = blocks[key].shape
+        stack[i, :m, :n] = blocks[key]
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    for i, key in enumerate(tall):
+        m, n = blocks[key].shape
+        sk = s[i, :n]
+        if sk[0] > 0.0 and sk[-1] > _INJECTIVE_TOL * sk[0]:
+            out[key] = (vh[i, :n, :n].conj().T / sk) @ u[i, :m, :n].conj().T
+    return out
+
+
+def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
+    """Orthonormal basis of the intertwiners of two represented pairs.
+
+    Solves T V_i = W_i T and T V_i* = W_i* T for the generators V_i of
+    ``pair_a`` and W_i of ``pair_b``, with T block diagonal (T maps the
+    fiber of y in ``pair_a`` to the fiber of y in ``pair_b``): the same
+    space ``sylvester_nullspace`` finds for the lists of ``RepGens.from_pair``.
+    Points are walked in reverse lexicographic order; T_y = B^+ T_{y+e_i} A
+    through the first axis whose ``pair_b`` block B is injective, and the
+    entries of every other T_y are the unknowns.  Both relations of every
+    block of every axis are then imposed on the unknowns, and the kernel is
+    taken by ``_kernel_cols`` at ``tol``.
+
+    Returns None when the pairs live on different windows or a generator
+    has an entry outside its graded blocks.
+    """
+    if pair_a is None or pair_b is None or pair_a.window != pair_b.window:
+        return None
+    steps = pair_a.window.generators()
+    blocks_a, blocks_b = [], []
+    for pair, blocks in ((pair_a, blocks_a), (pair_b, blocks_b)):
+        for axis in range(len(steps)):
+            found, stray = pair.graded_blocks(axis)
+            if stray > 0.0:
+                return None
+            blocks.append(found)
+    ka, kb = dict(pair_a.fibers), dict(pair_b.fibers)
+    shared = sorted(ka.keys() & kb.keys(), reverse=True)
+    pinvs = _injective_pinvs({(axis, y): found[y]
+                              for axis, found in enumerate(blocks_b)
+                              for y in shared if y in found})
+    route, free, n_free = {}, {}, 0
+    for y in shared:
+        axis = next((i for i in range(len(steps))
+                     if pinvs.get((i, y)) is not None), None)
+        if axis is None:
+            free[y] = n_free
+            n_free += kb[y] * ka[y]
+        else:
+            route[y] = axis
+    if n_free == 0:
+        return []
+
+    def block(blocks, sizes, axis, y):
+        q = _add(y, steps[axis])
+        found = blocks[axis].get(y)
+        if found is None:
+            return np.zeros((sizes.get(q, 0), sizes.get(y, 0)), dtype=complex)
+        return found
+
+    # param[y][j] is T_y for the j-th unit vector of unknowns
+    param = {}
+
+    def t(y):
+        if y in param:
+            return param[y]
+        return np.zeros((n_free, kb.get(y, 0), ka.get(y, 0)), dtype=complex)
+
+    for y in shared:
+        size = kb[y] * ka[y]
+        if y in free:
+            unit = np.zeros((n_free, size), dtype=complex)
+            unit[free[y]:free[y] + size] = np.eye(size)
+            param[y] = unit.reshape(n_free, kb[y], ka[y])
+        else:
+            axis = route[y]
+            param[y] = pinvs[(axis, y)] @ t(_add(y, steps[axis])) \
+                @ block(blocks_a, ka, axis, y)
+    rows = [np.zeros((n_free, 0), dtype=complex)]
+    for y in sorted(ka.keys() | kb.keys()):
+        for axis, e in enumerate(steps):
+            q = _add(y, e)
+            if q not in ka and q not in kb:
+                continue
+            a = block(blocks_a, ka, axis, y)
+            b = block(blocks_b, kb, axis, y)
+            rows.append((t(q) @ a - b @ t(y)).reshape(n_free, -1))
+            rows.append((t(y) @ a.conj().T - b.conj().T @ t(q))
+                        .reshape(n_free, -1))
+    kern = _kernel_cols(np.hstack(rows).T, tol)
+    if kern.shape[1] == 0:
+        return []
+    # orthonormalise in the Frobenius norm over the block entries alone
+    entries = np.hstack([param[y].reshape(n_free, -1) for y in shared]).T
+    ortho, _ = np.linalg.qr(entries @ kern)
+    out = np.zeros((kern.shape[1], pair_b.dim, pair_a.dim), dtype=complex)
+    start = 0
+    for y in shared:
+        size = kb[y] * ka[y]
+        out[:, pair_b.block_slice(y), pair_a.block_slice(y)] = \
+            ortho[start:start + size].T.reshape(-1, kb[y], ka[y])
+        start += size
+    return list(out)
+
+
 def residual(basis, a_list, b_list) -> float:
     """Largest relative intertwining residual of a basis, for verification."""
     worst = 0.0
@@ -269,13 +412,20 @@ def residual(basis, a_list, b_list) -> float:
 
 def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
                     guard: int = DEFAULT_GUARD):
-    """Orthonormal basis of the commutant of a *-closed generator list."""
+    """Orthonormal basis of the commutant of a *-closed generator list.
+
+    Lists read from a represented pair take the graded solve when the pair
+    has no entry outside its graded blocks; all others the dense solver.
+    """
     if rep.dim > guard:
         raise DimensionGuard(f"dimension {rep.dim} exceeds guard {guard}")
     if not rep.gens:
         eye = np.eye(rep.dim, dtype=complex)
         return [np.outer(eye[:, i], eye[:, j].conj())
                 for i in range(rep.dim) for j in range(rep.dim)]
+    basis = _graded_nullspace(rep.pair, rep.pair, tol)
+    if basis is not None:
+        return basis
     return sylvester_nullspace(rep.gens, rep.gens, tol)
 
 
@@ -314,7 +464,10 @@ def center_basis(cbasis, tol: float = DEFAULT_TOL):
         g = np.tensordot(coeff, stack, axes=1)
         for x in (g, g.conj().T):
             blocks.append((stack @ x - x @ stack).reshape(c, -1).T)
-    kern = _kernel_cols(np.vstack(blocks), tol)
+    system = np.vstack(blocks)
+    # rows zero for every element (off the blocks of a graded commutant)
+    # change no singular value
+    kern = _kernel_cols(system[np.any(system != 0.0, axis=1)], tol)
     center = list(np.tensordot(kern.T, stack, axes=1))
     check_central(center, cbasis, tol)
     return center
@@ -335,11 +488,18 @@ def summarize(rep: RepGens, tol: float = DEFAULT_TOL,
 
 def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
                  guard: int = DEFAULT_GUARD):
-    """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned."""
+    """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned.
+
+    Two lists read from pairs on one window take the graded solve when
+    neither pair has an entry outside its graded blocks.
+    """
     if ra.labels != rb.labels:
         raise LabelMismatch(f"generator labels differ: {ra.labels} vs {rb.labels}")
     if max(ra.dim, rb.dim) > guard:
         raise DimensionGuard(f"dimension exceeds guard {guard}")
+    basis = _graded_nullspace(ra.pair, rb.pair, tol)
+    if basis is not None:
+        return basis
     return sylvester_nullspace(ra.gens, rb.gens, tol)
 
 
@@ -389,18 +549,19 @@ def span_distance(basis, m) -> float:
 
 
 def subspace_gap(basis_a, basis_b) -> float:
-    """Operator-norm distance between the two spanned subspaces.
+    """Operator-norm distance ||P_a - P_b||_2 between two orthonormal spans.
 
-    Zero (up to the principal-angle tolerance) exactly when the spans
-    coincide.
+    Spans of different dimension are at distance 1.  Otherwise the distance
+    is the sine of the largest principal angle, the norm of V_b - V_a (V_a*
+    V_b): the part of one basis outside the other span, formed from the
+    c x c overlap of the bases.  Reading the sines from that residual keeps
+    full precision near zero, where the cosines (the singular values of the
+    overlap) lose half the digits.
     """
-    if not basis_a and not basis_b:
+    if len(basis_a) != len(basis_b):
+        return 1.0
+    if not basis_a:
         return 0.0
-    dim = basis_a[0].size if basis_a else basis_b[0].size
-    va = np.stack([b.ravel() for b in basis_a], axis=1) if basis_a else \
-        np.zeros((dim, 0), dtype=complex)
-    vb = np.stack([b.ravel() for b in basis_b], axis=1) if basis_b else \
-        np.zeros((dim, 0), dtype=complex)
-    pa = va @ va.conj().T
-    pb = vb @ vb.conj().T
-    return float(np.linalg.norm(pa - pb, 2))
+    va = np.stack([b.ravel() for b in basis_a], axis=1)
+    vb = np.stack([b.ravel() for b in basis_b], axis=1)
+    return float(np.linalg.norm(vb - va @ (va.conj().T @ vb), 2))

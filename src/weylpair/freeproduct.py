@@ -126,6 +126,34 @@ def _check_coincidence(ev: EvaluationPoint, grid: GridSpec):
                 f"grid value {v} puts a cell boundary on the evaluation point")
 
 
+def _check_reach(family: ProjectionFamily, ev: EvaluationPoint,
+                 grid: GridSpec):
+    """Reject a grid on which the field selects a projection past the family.
+
+    The field picks step projection (m, 0) or (0, n) on the axes, so a grid
+    value whose index passes the last projection of its sequence raises
+    IndexBeyondFamily whenever the other coordinate selects 0.  The message
+    states the largest extent this family and evaluation point admit at the
+    grid's denominator and offset.  The selection is separable, so one pass
+    over the grid values decides both axes.
+    """
+    vals = grid.values()
+    picks = np.array([_select_index(ev, v, v) for v in vals]).reshape(-1, 2)
+    for axis, (count, row) in enumerate([(family.np_count, "first"),
+                                         (family.nq_count, "second")]):
+        over = np.nonzero(picks[:, axis] > count)[0]
+        if over.size and np.any(picks[:, 1 - axis] == 0):
+            bound = count + 1 - ev.p0[axis]
+            reach = grid.offset + grid.step * math.ceil(
+                (bound - grid.offset) * grid.denominator)
+            raise IndexBeyondFamily(
+                f"grid value {vals[over[0]]:g} selects index "
+                f"{picks[over[0], axis]} beyond the {count} {row}-row "
+                f"projections; this family and evaluation point admit grid "
+                f"values below {bound:g}, an extent of at most {reach} at "
+                f"denominator {grid.denominator}")
+
+
 def step_projection(family: ProjectionFamily, m: int, n: int) -> np.ndarray:
     """The four-branch step projection indexed by a lattice point.
 
@@ -201,6 +229,8 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
     zero up to roundoff.
     """
     _check_coincidence(ev, grid)
+    if f_lookup is None:
+        _check_reach(family, ev, grid)
     vals, table = _selection_table(ev, grid)
     n = len(vals)
     ids = sorted({table[i, j] for i in range(n) for j in range(n)})
@@ -331,6 +361,7 @@ def coordinate_family(kappa: int, p_coords, q_coords) -> ProjectionFamily:
 def _field_bases(family, ev, grid):
     """Per grid point: orthonormal basis of the range of the field value."""
     _check_coincidence(ev, grid)
+    _check_reach(family, ev, grid)
     vals = grid.values()
     bases = {}
     ranks = {}
@@ -406,6 +437,7 @@ def commutant_transfer_check(family: ProjectionFamily, ev: EvaluationPoint,
         raise GridTooSmall(
             f"grid extent {grid.extent} does not cover the family axes")
     _check_coincidence(ev, grid)
+    _check_reach(family, ev, grid)
     vals, table = _selection_table(ev, grid)
     n = len(vals)
     seen = {table[i, j] for i in range(n) for j in range(n)}
@@ -431,6 +463,7 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
     spectral support cannot separate pairs without commuting ranges.
     """
     _check_coincidence(ev, grid)
+    _check_reach(family, ev, grid)
     out = []
     for s in grid.values():
         for t in grid.values():
@@ -478,6 +511,7 @@ def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,
     fullness over those safe points.
     """
     _check_coincidence(ev, grid)
+    _check_reach(family, ev, grid)
     vals = grid.values()
     n = len(vals)
     worst = 0.0

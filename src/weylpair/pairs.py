@@ -83,19 +83,31 @@ class WeylPair:
             self._check_grading()
 
     def _check_grading(self):
-        for axis, g in enumerate(self.gens):
-            e = self.window.generators()[axis]
-            allowed = np.zeros((self.dim, self.dim), dtype=bool)
-            for p, (off, k) in self.offsets.items():
-                q = _add(p, e)
-                if q in self.offsets:
-                    qoff, qk = self.offsets[q]
-                    allowed[qoff:qoff + qk, off:off + k] = True
-            stray = np.abs(np.where(allowed, 0.0, g)).max() if self.dim else 0.0
+        for axis in range(self.window.dim):
+            _, stray = self.graded_blocks(axis)
             if stray > GRADING_TOL:
                 raise PairInvariantViolation(
                     f"generator {axis} leaks outside the graded blocks "
                     f"(max stray entry {stray:.3e})")
+
+    def graded_blocks(self, axis: int) -> tuple[dict, float]:
+        """Blocks of generator ``axis`` and the largest entry outside them.
+
+        The block of y maps the fiber of y into the fiber of y + e_i; it is
+        listed for every y whose shifted point carries a fiber.
+        """
+        e = self.window.generators()[axis]
+        g = self.gens[axis]
+        blocks = {}
+        rest = g.copy()
+        for p, (off, k) in self.offsets.items():
+            q = _add(p, e)
+            if q in self.offsets:
+                qoff, qk = self.offsets[q]
+                cut = (slice(qoff, qoff + qk), slice(off, off + k))
+                blocks[p] = g[cut]
+                rest[cut] = 0.0
+        return blocks, float(np.abs(rest).max(initial=0.0))
 
     @property
     def points(self) -> tuple[Point, ...]:

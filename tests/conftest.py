@@ -94,3 +94,15 @@ def dense_grid_defect(pair, thetas, shifts, safe):
     """Oracle maximum over every angle vector and shift, one SVD each."""
     return max(dense_weyl_defect(pair, theta, a, safe)
                for theta in thetas for a in shifts)
+
+
+def dense_subspace_gap(basis_a, basis_b):
+    """Oracle: ||P_a - P_b||_2 from the two n^2 x n^2 projectors."""
+    if not basis_a and not basis_b:
+        return 0.0
+    dim = basis_a[0].size if basis_a else basis_b[0].size
+    va = np.stack([b.ravel() for b in basis_a], axis=1) if basis_a else \
+        np.zeros((dim, 0), dtype=complex)
+    vb = np.stack([b.ravel() for b in basis_b], axis=1) if basis_b else \
+        np.zeros((dim, 0), dtype=complex)
+    return opnorm(va @ va.conj().T - vb @ vb.conj().T)

@@ -45,6 +45,7 @@ from weylpair import (
     unitary_u,
 )
 from weylpair.dilation import compress_to_base, decompose_full
+from weylpair.freeproduct import coordinate_family
 
 from conftest import opnorm, tail, upset_from
 
@@ -303,10 +304,26 @@ def test_criterion_09_commutant_transfer():
     dim_e, dim_f, equal = commutant_transfer_check(demo, ev, grid, tol=1e-8)
     pair = build_r2_pair(demo, ev, GridSpec(1, 7.0))
     pair_comm = len(commutant_basis(RepGens.from_pair(pair), guard=300))
-    ok = all_equal and (dim_e, dim_f, equal) == (1, 1, True) and pair_comm == 1
+    # families with a non-trivial commutant: the pair commutant is the
+    # family commutant, one matrix block per atom of the joint partition
+    coord = []
+    for fam, pair_grid, atoms in [
+            (coordinate_family(4, [[0], [1], [2], [3]], [[0], [1], [2], [3]]),
+             GridSpec(1, 5.0), 4),
+            (coordinate_family(6, [[0, 1], [2, 3], [4, 5]],
+                               [[0], [1, 2, 3], [4, 5]]),
+             GridSpec(1, 4.0), 1 + 1 + 4 + 4)]:
+        fam_comm = len(commutant_basis(RepGens(fam.kappa,
+                                               fam.plist + fam.qlist)))
+        coord_pair = build_r2_pair(fam, ev, pair_grid)
+        coord.append((len(commutant_basis(RepGens.from_pair(coord_pair))),
+                      fam_comm, atoms))
+    ok = all_equal and (dim_e, dim_f, equal) == (1, 1, True) and pair_comm == 1 \
+        and all(p == f == a for p, f, a in coord)
     report(9, "commutant-transfer-and-irreducibility", ok,
            f"5 seeded families equal {all_equal}, demo dims ({dim_e},{dim_f}), "
-           f"pair commutant dim {pair_comm}")
+           f"pair commutant dim {pair_comm}, coordinate families "
+           f"(pair, family) {[(p, f) for p, f, _ in coord]}")
 
 
 def test_criterion_10_noncommuting_witness():

@@ -4,10 +4,12 @@ import subprocess
 import sys
 
 import weylpair
-from weylpair import (LatticeWindow, SetKind, build_pspace_pair, direct_sum,
-                      validate_pset)
+import weylpair.commutant as commutant
+from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
+                      SetKind, build_pspace_pair, build_r2_pair, demo_family,
+                      direct_sum, validate_pset)
 from weylpair.cli import export_heatmap, main, run_scenario
-from weylpair.serialize import pair_to_json, pset_to_json
+from weylpair.serialize import matrix_to_json, pair_to_json, pset_to_json
 
 from conftest import tail
 
@@ -149,6 +151,18 @@ def test_counterexample_subcommands(tmp_path, capsys):
             report["data"]["family_commutant_dim"],
             report["data"]["equal"]) == (1, 1, True)
 
+    # a grid past the family is rejected with the largest extent it admits
+    sc = write_scenario(tmp_path, "tr_over.json", {
+        "command": "counterexample", "sub": "transfer",
+        "family": {"kind": "demo", "kappa": 6},
+        "grid": {"denominator": 2, "extent": 8.0}})
+    code, out = run(capsys, ["counterexample", "--scenario", sc,
+                             "--out", str(tmp_path)])
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "IndexBeyondFamily"
+    assert "index 7 beyond the 6" in report["error"]
+    assert "extent of at most 7.0 at denominator 2" in report["error"]
+
     sc = write_scenario(tmp_path, "sp.json",
                         dict(base, command="counterexample", sub="spec"))
     code, out = run(capsys, ["counterexample", "--scenario", sc,
@@ -206,6 +220,35 @@ def test_run_scenario_seed_override(tmp_path):
     assert code == 0 and report["seed"] == 9
 
 
+def test_commutant_of_a_generator_list_takes_the_dense_solver(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    dense = commutant.sylvester_nullspace
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(commutant, "sylvester_nullspace", spy)
+    w = LatticeWindow((0,), (7,))
+    pair = direct_sum([build_pspace_pair(tail(w, 0), 2),
+                       build_pspace_pair(tail(w, 3), 1)])
+    gens = RepGens.from_pair(pair).gens
+    reports = []
+    for name, doc in [("pair", {"pair": pair_to_json(pair)}),
+                      ("gens", {"gens": [matrix_to_json(g) for g in gens]})]:
+        sc = write_scenario(tmp_path, f"{name}.json",
+                            dict(doc, command="commutant"))
+        code, out = run(capsys, ["commutant", "--scenario", sc,
+                                 "--out", str(tmp_path)])
+        assert code == 0
+        reports.append(json.loads(out)["data"])
+        assert len(calls) == (name == "gens")
+    assert reports[0] == reports[1] == {"commutant_dim": 5, "center_dim": 2,
+                                        "is_factor": False,
+                                        "is_irreducible": False}
+
+
 def test_reports_do_not_depend_on_thread_count(tmp_path):
     # BLAS thread pools may reorder floating-point sums; the reports must
     # not show it
@@ -214,12 +257,22 @@ def test_reports_do_not_depend_on_thread_count(tmp_path):
                        build_pspace_pair(tail(w, 3), 1)])
     square = LatticeWindow((0, 0), (7, 7))
     full = validate_pset(list(square.points()), square, SetKind.PSPACE)
+
+    def quarter(seed):
+        pair = build_r2_pair(demo_family(6, seed=seed),
+                             EvaluationPoint.default(), GridSpec(1, 5.0))
+        assert pair.dim == 116
+        return pair
+
     scenarios = {
         "commutant": {"pair": pair_to_json(pair)},
         "decompose": {"pair": pair_to_json(pair)},
         # dim 128: the whole dual grid against every shift up to the margin
         "pair-check": {"pair": pair_to_json(build_pspace_pair(full, 2)),
                        "margin": 2},
+        # two inequivalent quarter-plane pairs of dim 116
+        "equiv": {"pair_a": pair_to_json(quarter(20240601)),
+                  "pair_b": pair_to_json(quarter(99))},
     }
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylpair.__file__)))
     for command, doc in scenarios.items():

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+import weylpair.commutant as commutant
 from weylpair import (
     CheckFailed,
     DimensionGuard,
+    EvaluationPoint,
+    GridSpec,
     LabelMismatch,
     LatticeWindow,
     PSet,
     RepGens,
     SetKind,
+    WeylPair,
     build_pspace_pair,
+    build_r2_pair,
     commutant_basis,
+    decompose,
+    demo_family,
     direct_sum,
     intertwiners,
     subspace_gap,
@@ -21,7 +28,8 @@ from weylpair import (
 )
 from weylpair.commutant import check_central, residual, span_distance
 
-from conftest import fiber_mixing_unitary, opnorm, tail, upset_from
+from conftest import (dense_subspace_gap, fiber_mixing_unitary, opnorm, tail,
+                      upset_from)
 
 
 def kron_nullspace_dim(gens, tol=1e-8):
@@ -184,10 +192,12 @@ def test_label_mismatch():
         intertwiners(rep1, rep2)
 
 
-def test_dimension_guard():
+def test_dimension_guard(chain8):
     rep = RepGens(3, [np.eye(3)])
     with pytest.raises(DimensionGuard):
         commutant_basis(rep, guard=2)
+    with pytest.raises(DimensionGuard):
+        RepGens(3, [np.eye(3)], pair=build_pspace_pair(tail(chain8, 0), 1))
 
 
 def test_unitarily_equivalent_self(chain8):
@@ -255,3 +265,93 @@ def test_schur_consistency(chain8):
     t = basis[0]
     s = np.linalg.svd(t, compute_uv=False)
     assert (s.max() - s.min()) < 1e-10  # scalar multiple of a unitary
+
+
+def test_subspace_gap_matches_projector_oracle(chain8):
+    pair = direct_sum([build_pspace_pair(tail(chain8, 0), 2),
+                       build_pspace_pair(tail(chain8, 5), 1)])
+    basis = commutant_basis(RepGens.from_pair(pair))
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    u, _ = np.linalg.qr(g)
+    rotated = list(np.tensordot(u, np.stack(basis), axes=1))
+    tilted = [basis[0] * np.cos(0.3) + basis[1] * np.sin(0.3)] + basis[2:] \
+        + [basis[1] * np.cos(0.3) - basis[0] * np.sin(0.3)]
+    unit = np.zeros_like(basis[0])
+    unit[0, -1] = 1.0  # off the blocks: orthogonal to the commutant
+    cases = [(basis, rotated), (basis, tilted), (basis[:4], basis[1:]),
+             (basis, basis[:3]), (basis[:2], [basis[0], unit]), ([], []),
+             ([], basis[:1]), (basis, [])]
+    expected = [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+    for (a, b), want in zip(cases, expected):
+        gap = subspace_gap(a, b)
+        assert abs(gap - dense_subspace_gap(a, b)) <= 1e-12
+        assert abs(gap - want) <= 1e-12
+    # a tilt by an angle t inside the first two elements: the gap is sin t
+    half = [basis[0] * np.cos(0.3) + basis[2] * np.sin(0.3)] + basis[1:2]
+    assert abs(subspace_gap(basis[:2], half) - np.sin(0.3)) <= 1e-12
+    assert abs(subspace_gap(basis[:2], half)
+               - dense_subspace_gap(basis[:2], half)) <= 1e-12
+
+
+def test_graded_inputs_never_reach_the_dense_solver(monkeypatch, chain8, square4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solver called on a graded input")
+
+    monkeypatch.setattr(commutant, "sylvester_nullspace", refuse)
+    pair = direct_sum([build_pspace_pair(tail(chain8, 0), 2),
+                       build_pspace_pair(tail(chain8, 3), 1)])
+    q = fiber_mixing_unitary(pair, np.random.default_rng(5))
+    twin = WeylPair(chain8, dict(pair.fibers),
+                    [q @ g @ q.conj().T for g in pair.gens])
+    ra, rb = RepGens.from_pair(pair), RepGens.from_pair(twin)
+    s = summarize(ra)
+    assert (s.commutant_dim, s.center_dim) == (5, 2)
+    assert len(commutant_basis(RepGens.from_pair(pair, dual_samples=True))) == 5
+    assert len(intertwiners(ra, rb)) == 5
+    ok, witness = unitarily_equivalent(ra, rb)
+    assert ok
+    assert opnorm(witness @ ra.gens[1] @ witness.conj().T - rb.gens[1]) < 1e-8
+    assert [(c.translation, c.multiplicity) for c in decompose(twin)] == \
+        [((0,), 2), ((3,), 1)]
+    square = build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 2)
+    assert summarize(RepGens.from_pair(square)).commutant_dim == 4
+    quarter = build_r2_pair(demo_family(4), EvaluationPoint.default(),
+                            GridSpec(1, 5.0))
+    assert len(commutant_basis(RepGens.from_pair(quarter))) == 1
+
+
+def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
+    calls = []
+    dense = commutant.sylvester_nullspace
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(commutant, "sylvester_nullspace", spy)
+    clean = build_pspace_pair(tail(chain8, 1), 2)
+    graded = commutant_basis(RepGens.from_pair(clean))
+    assert len(graded) == 4 and not calls
+
+    # an entry outside the graded blocks, below the grading tolerance
+    single = build_pspace_pair(tail(chain8, 1), 1)
+    g = single.gens[0].copy()
+    g[0, -1] = 1e-11
+    stray = WeylPair(chain8, dict(single.fibers), [g], validate=False)
+    got = commutant_basis(RepGens.from_pair(stray))
+    assert len(calls) == 1
+    want = commutant_basis(RepGens.from_pair(single))
+    assert len(got) == len(want) == 1 and subspace_gap(got, want) <= 1e-8
+
+    # the same blocks on a wider window: same positions, different windows
+    wide = WeylPair(LatticeWindow((0,), (9,)), dict(clean.fibers), clean.gens)
+    got = intertwiners(RepGens.from_pair(clean), RepGens.from_pair(wide))
+    assert len(calls) == 2
+    assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8
+
+    # a generator list with no pair
+    rep = RepGens.from_pair(clean)
+    got = commutant_basis(RepGens(rep.dim, rep.gens, rep.labels))
+    assert len(calls) == 3
+    assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8

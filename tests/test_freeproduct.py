@@ -268,6 +268,21 @@ def test_commutant_transfer_grid_guard():
         commutant_transfer_check(fam, EV, GridSpec(2, 3.0))
 
 
+def test_build_pair_rejects_grid_past_the_family():
+    fam = coordinate_family(4, [[0], [1], [2], [3]], [[0], [1], [2], [3]])
+    assert build_r2_pair(fam, EV, GridSpec(1, 5.0)).dim == 84
+    with pytest.raises(IndexBeyondFamily,
+                       match=r"below 4\.65, an extent of at most 5\.0 at "
+                             r"denominator 1"):
+        build_r2_pair(fam, EV, GridSpec(1, 7.0))
+    # the second sequence bounds the second axis
+    short = coordinate_family(4, [[0], [1], [2], [3]], [[0, 1], [2, 3]])
+    with pytest.raises(IndexBeyondFamily, match="2 second-row projections"):
+        build_r2_pair(short, EV, GridSpec(1, 5.0))
+    # past the family only inside the open quadrant: nothing to reject
+    assert len(spec_support(fam, EV, GridSpec(2, 7.0, offset=1.0))) == 144
+
+
 def test_spec_support_family_independent():
     grid = GridSpec(2, 3.5)
     ev = EV
