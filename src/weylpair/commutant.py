@@ -48,14 +48,14 @@ _INJECTIVE_TOL = 1e-8
 class RepGens:
     """A finite generator list; solves close it under adjoints implicitly.
 
-    ``pair`` is the represented pair the list was read from, if any; the
-    solvers then use its grading.
+    ``pair`` is set by ``from_pair`` to the represented pair the list was
+    read from; the solvers then use its grading.
     """
 
     dim: int
     gens: list
     labels: list[str] | None = None
-    pair: object = field(default=None, repr=False)
+    pair: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.gens = [np.asarray(g, dtype=complex) for g in self.gens]
@@ -67,9 +67,6 @@ class RepGens:
             self.labels = [f"g{i}" for i in range(len(self.gens))]
         if len(self.labels) != len(self.gens):
             raise LabelMismatch("one label per generator required")
-        if self.pair is not None and self.pair.dim != self.dim:
-            raise DimensionGuard(
-                f"pair dim {self.pair.dim} does not match dim {self.dim}")
 
     @classmethod
     def from_pair(cls, pair, dual_samples: bool = False) -> "RepGens":
@@ -91,7 +88,9 @@ class RepGens:
             labels = ["pos"]
         gens += list(pair.gens)
         labels += [f"V{i}" for i in range(pair.window.dim)]
-        return cls(pair.dim, gens, labels, pair)
+        rep = cls(pair.dim, gens, labels)
+        rep.pair = pair
+        return rep
 
 
 @dataclass(eq=False)
@@ -464,10 +463,7 @@ def center_basis(cbasis, tol: float = DEFAULT_TOL):
         g = np.tensordot(coeff, stack, axes=1)
         for x in (g, g.conj().T):
             blocks.append((stack @ x - x @ stack).reshape(c, -1).T)
-    system = np.vstack(blocks)
-    # rows zero for every element (off the blocks of a graded commutant)
-    # change no singular value
-    kern = _kernel_cols(system[np.any(system != 0.0, axis=1)], tol)
+    kern = _kernel_cols(np.vstack(blocks), tol)
     center = list(np.tensordot(kern.T, stack, axes=1))
     check_central(center, cbasis, tol)
     return center

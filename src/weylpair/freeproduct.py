@@ -117,27 +117,30 @@ class GridSpec:
         return self.offset + np.arange(count) * self.step
 
 
-def _check_coincidence(ev: EvaluationPoint, grid: GridSpec):
+def _check_grid(family: ProjectionFamily, ev: EvaluationPoint,
+                grid: GridSpec, f_lookup=None):
+    """Reject a grid the field of ``family`` cannot be sampled on.
+
+    A grid value that puts a cell boundary on the evaluation point raises
+    BoundaryCoincidence.  Unless ``f_lookup`` replaces the step-projection
+    table, a grid on which the field selects a projection past the family
+    raises IndexBeyondFamily: the field picks step projection (m, 0) or
+    (0, n) on the axes, so a grid value whose index passes the last
+    projection of its sequence is reached whenever the other coordinate
+    selects 0.  The message states the largest extent this family and
+    evaluation point admit at the grid's denominator and offset.  The
+    selection is separable, so one pass over the grid values decides both
+    axes.
+    """
     p, q = ev.p0
-    for v in grid.values():
+    vals = grid.values()
+    for v in vals:
         r = math.floor(v) + 1.0 - v
         if min(abs(r - p), abs(r - q)) < 1e-12:
             raise BoundaryCoincidence(
                 f"grid value {v} puts a cell boundary on the evaluation point")
-
-
-def _check_reach(family: ProjectionFamily, ev: EvaluationPoint,
-                 grid: GridSpec):
-    """Reject a grid on which the field selects a projection past the family.
-
-    The field picks step projection (m, 0) or (0, n) on the axes, so a grid
-    value whose index passes the last projection of its sequence raises
-    IndexBeyondFamily whenever the other coordinate selects 0.  The message
-    states the largest extent this family and evaluation point admit at the
-    grid's denominator and offset.  The selection is separable, so one pass
-    over the grid values decides both axes.
-    """
-    vals = grid.values()
+    if f_lookup is not None:
+        return
     picks = np.array([_select_index(ev, v, v) for v in vals]).reshape(-1, 2)
     for axis, (count, row) in enumerate([(family.np_count, "first"),
                                          (family.nq_count, "second")]):
@@ -228,9 +231,7 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
     zero.  Distinct index pairs are compared once; an honest family yields
     zero up to roundoff.
     """
-    _check_coincidence(ev, grid)
-    if f_lookup is None:
-        _check_reach(family, ev, grid)
+    _check_grid(family, ev, grid, f_lookup)
     vals, table = _selection_table(ev, grid)
     n = len(vals)
     ids = sorted({table[i, j] for i in range(n) for j in range(n)})
@@ -264,7 +265,7 @@ def plateau(family: ProjectionFamily, ev: EvaluationPoint, m: int, n: int,
             grid: GridSpec, f_lookup=None) -> list[tuple[float, float]]:
     """Grid points of the unit cell at (m, n) where the field equals the
     step projection of (m, n)."""
-    _check_coincidence(ev, grid)
+    _check_grid(family, ev, grid, f_lookup)
     lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
     target = lookup(m, n)
     out = []
@@ -360,8 +361,6 @@ def coordinate_family(kappa: int, p_coords, q_coords) -> ProjectionFamily:
 
 def _field_bases(family, ev, grid):
     """Per grid point: orthonormal basis of the range of the field value."""
-    _check_coincidence(ev, grid)
-    _check_reach(family, ev, grid)
     vals = grid.values()
     bases = {}
     ranks = {}
@@ -436,8 +435,7 @@ def commutant_transfer_check(family: ProjectionFamily, ev: EvaluationPoint,
     if grid.extent < family.np_count + 1 or grid.extent < family.nq_count + 1:
         raise GridTooSmall(
             f"grid extent {grid.extent} does not cover the family axes")
-    _check_coincidence(ev, grid)
-    _check_reach(family, ev, grid)
+    _check_grid(family, ev, grid)
     vals, table = _selection_table(ev, grid)
     n = len(vals)
     seen = {table[i, j] for i in range(n) for j in range(n)}
@@ -462,8 +460,7 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
     evaluation data and the grid: inequivalent families share it, so
     spectral support cannot separate pairs without commuting ranges.
     """
-    _check_coincidence(ev, grid)
-    _check_reach(family, ev, grid)
+    _check_grid(family, ev, grid)
     out = []
     for s in grid.values():
         for t in grid.values():
@@ -475,6 +472,7 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
 
 def ambient_field_projection(family, ev, grid) -> np.ndarray:
     """Block-diagonal field projection on the ambient grid space."""
+    _check_grid(family, ev, grid)
     vals = grid.values()
     n = len(vals)
     kappa = family.kappa
@@ -510,8 +508,7 @@ def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,
     the whole coefficient space; the defect is the worst distance from
     fullness over those safe points.
     """
-    _check_coincidence(ev, grid)
-    _check_reach(family, ev, grid)
+    _check_grid(family, ev, grid)
     vals = grid.values()
     n = len(vals)
     worst = 0.0

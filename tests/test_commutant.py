@@ -192,12 +192,10 @@ def test_label_mismatch():
         intertwiners(rep1, rep2)
 
 
-def test_dimension_guard(chain8):
+def test_dimension_guard():
     rep = RepGens(3, [np.eye(3)])
     with pytest.raises(DimensionGuard):
         commutant_basis(rep, guard=2)
-    with pytest.raises(DimensionGuard):
-        RepGens(3, [np.eye(3)], pair=build_pspace_pair(tail(chain8, 0), 1))
 
 
 def test_unitarily_equivalent_self(chain8):

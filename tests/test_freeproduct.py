@@ -279,6 +279,12 @@ def test_build_pair_rejects_grid_past_the_family():
     short = coordinate_family(4, [[0], [1], [2], [3]], [[0, 1], [2, 3]])
     with pytest.raises(IndexBeyondFamily, match="2 second-row projections"):
         build_r2_pair(short, EV, GridSpec(1, 5.0))
+    # every entry point that evaluates the family checks the grid first
+    for build in (lambda g: plateau(fam, EV, 0, 0, g),
+                  lambda g: ambient_field_projection(fam, EV, g)):
+        with pytest.raises(IndexBeyondFamily,
+                           match=r"admit grid values below 4\.65"):
+            build(GridSpec(1, 7.0))
     # past the family only inside the open quadrant: nothing to reject
     assert len(spec_support(fam, EV, GridSpec(2, 7.0, offset=1.0))) == 144
 
