@@ -84,7 +84,6 @@ from .dilation import (
     compress_to_base,
     decompose,
     extend_u,
-    indicator_projection,
     integrate_family,
     joint_spectrum,
     minimal_dilation,

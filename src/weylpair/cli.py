@@ -157,7 +157,6 @@ def _cmd_dilate(doc, out, seed, tol):
     pair = _resolve_pair(doc, "pair")
     depth = int(doc.get("depth", 2))
     bundle = dila.minimal_dilation(pair, depth)
-    rep = dila.CovariantRep.from_bundle(bundle)
     checks = _Checks()
     embed = bundle.embed
     checks.add("embed-isometry",
@@ -176,19 +175,16 @@ def _cmd_dilate(doc, out, seed, tol):
     checks.add("exhaustion-defect",
                float(np.linalg.norm(np.eye(bundle.dim)
                                     - span @ span.conj().T, 2)), tol)
-    box = dila.budget_box(bundle)
-    worst_mono = 0.0
-    worst_comm = 0.0
-    pts = sorted(box.points())
-    for x in pts:
-        ex = rep.e(x)
-        for y in pts:
-            ey = rep.e(y)
-            if all(a <= b for a, b in zip(x, y)):
-                lam = np.linalg.eigvalsh(ex - ey)[0]
-                worst_mono = max(worst_mono, -float(lam))
-            worst_comm = max(worst_comm,
-                             float(np.linalg.norm(ex @ ey - ey @ ex, 2)))
+    # E_x is diagonal: monotone means d_y <= d_x for x <= y, and two
+    # members commute when the products d_x d_y and d_y d_x agree
+    pts = list(dila.budget_box(bundle).points())
+    diags = np.array([dila.e_diagonal(bundle, x) for x in pts])
+    box = np.array(pts)
+    worst_mono = worst_comm = 0.0
+    for x, dx in zip(box, diags):
+        above = np.all(x <= box, axis=1)
+        worst_mono = max(worst_mono, float((diags[above] - dx).max()))
+        worst_comm = max(worst_comm, float(np.abs(dx * diags - diags * dx).max()))
     checks.add("family-monotone", worst_mono, tol)
     checks.add("family-commuting", worst_comm, tol)
     path = os.path.join(out, doc.get("file", "bundle.json"))

@@ -22,7 +22,9 @@ refines the seed through the remaining maps with thin SVDs.
 
 Kernel detection uses a relative singular-value cutoff (default 1e-8),
 which cleanly separates true kernels from roundoff at the dimensions the
-guard admits.
+guard admits.  ``sylvester_nullspace`` measures it against one scale for
+all of its refinement steps, max_i ||A_i|| + ||B_i||, which bounds every
+map it restricts to the seed.
 """
 
 from __future__ import annotations
@@ -247,6 +249,15 @@ def _kernel_cols(a, tol):
     return vh[rank:].conj().T
 
 
+def _kernel_below(a, cutoff):
+    """Right singular vectors of ``a`` with singular value at most ``cutoff``."""
+    m, r = a.shape
+    if m == 0 or r == 0:
+        return np.eye(r, dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=(m < r))
+    return vh[int(np.sum(s > cutoff)):].conj().T
+
+
 def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
     """Orthonormal basis of {T : T A_i = B_i T and T A_i* = B_i* T}.
 
@@ -260,6 +271,12 @@ def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
     same = all(a is b for a, b in zip(a_list, b_list)) and len(a_list) == len(b_list)
     maps = _adjoint_closed_maps(a_list, b_list)
     lefts, rights = _spectral_seed(maps, n_b, n_a, same)
+    # one cutoff for every step: ||T A - B T||_F <= (||A|| + ||B||) ||T||_F
+    # bounds each map on the Frobenius-orthonormal seed, whereas the largest
+    # singular value of a map restricted to the near-kernel of the steps
+    # before it can be roundoff, and true solutions would fall below it
+    cutoff = tol * max((np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
+                        for a, b in maps), default=0.0)
     coeff = None  # None stands for the identity on the seed space
     for a, b in maps:
         if coeff is not None and coeff.shape[1] == 0:
@@ -267,7 +284,7 @@ def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
         w = a.conj().T @ rights
         z = b @ lefts
         stacked = _stacked_map(lefts, w, z, rights, n_a)
-        kern = _kernel_cols(stacked if coeff is None else stacked @ coeff, tol)
+        kern = _kernel_below(stacked if coeff is None else stacked @ coeff, cutoff)
         coeff = kern if coeff is None else coeff @ kern
     if coeff is None:
         coeff = np.eye(lefts.shape[1], dtype=complex)

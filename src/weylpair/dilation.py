@@ -11,12 +11,15 @@ window is extended downward by the depth, each component support grows to
 every point from which a budget shift re-enters the component, and the
 dilated generators are the block shifts of the enlarged supports.  Inside
 the declared budget every dilation identity holds exactly; outside it
-nothing is claimed.
+nothing is claimed.  The reassembled sum of a decomposition and the dilated
+sum are both ``pairs.canonical_sum``, and every W_x is the same
+``pairs.block_shift`` on the dilated layout.
 
 The module also carries the covariant projection family E_x (projections
-onto shifted copies of the embedded base space), integration of test
-functions against it, the joint spectrum of the commuting family, and the
-extension of the base character unitaries to the dilation space.
+onto shifted copies of the embedded base space, read off as diagonals),
+integration of test functions against it, the joint spectrum of the
+commuting family, and the extension of the base character unitaries to the
+dilation space.
 """
 
 from __future__ import annotations
@@ -39,52 +42,10 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _leq, _sub, translate_pset
-from .pairs import WeylPair, check_commuting_ranges, unitary_u
+from .pairs import (WeylPair, block_shift, canonical_sum, check_commuting_ranges,
+                    unitary_u)
 
 RANGE_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# graded sums with explicit layout bookkeeping
-
-
-def _graded_sum(window: LatticeWindow, comps):
-    """Direct sum of canonical pairs with a recorded block layout.
-
-    ``comps`` is a list of (point tuple set, multiplicity).  Returns the
-    summed pair and an index map (component, point) -> first coordinate of
-    that component's fiber inside the block of the point.
-    """
-    fibers: dict[Point, int] = {}
-    for pts, k in comps:
-        for p in pts:
-            fibers[p] = fibers.get(p, 0) + k
-    order = sorted(fibers)
-    start = {}
-    off = 0
-    for p in order:
-        start[p] = off
-        off += fibers[p]
-    total = off
-    idx: dict[tuple[int, Point], int] = {}
-    cursor = dict(start)
-    for ci, (pts, k) in enumerate(comps):
-        for p in sorted(pts):
-            idx[(ci, p)] = cursor[p]
-            cursor[p] += k
-    gens = []
-    for e in window.generators():
-        g = np.zeros((total, total), dtype=complex)
-        for ci, (pts, k) in enumerate(comps):
-            members = set(pts)
-            for p in members:
-                q = _add(p, e)
-                if q in members:
-                    r0, c0 = idx[(ci, q)], idx[(ci, p)]
-                    g[r0:r0 + k, c0:c0 + k] = np.eye(k)
-        gens.append(g)
-    pair = WeylPair(window, fibers, gens, label="gradedsum")
-    return pair, idx
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +162,8 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
         comps.append((raw, mult))
 
     comps.sort(key=lambda c: (c[0].points, c[1]))
-    reassembled, reasm_idx = _graded_sum(pair.window,
-                                         [(c[0].points, c[1]) for c in comps])
+    reassembled, reasm_idx = canonical_sum(
+        pair.window, [(c[0].points, c[1]) for c in comps], "gradedsum")
     if all(np.abs(x - y).max() <= 1e-12
            for x, y in zip(pair.gens, reassembled.gens)):
         # the input already is the canonical sum in canonical layout
@@ -292,16 +253,8 @@ class DilationBundle:
                     "depth-zero dilation supports forward shifts only")
             if max(abs(c) for c in xv) > self.budget:
                 raise BudgetExceeded(f"shift {xv} exceeds budget {self.budget}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ci, (comp, supp) in enumerate(zip(self.components, self.supports)):
-            k = comp[1]
-            members = set(supp)
-            for p in supp:
-                q = _add(p, xv)
-                if q in members:
-                    r0, c0 = self.index[(ci, q)], self.index[(ci, p)]
-                    out[r0:r0 + k, c0:c0 + k] = np.eye(k)
-        return out
+        comps = [(supp, k) for supp, (_, k) in zip(self.supports, self.components)]
+        return block_shift(self.dim, comps, self.index, xv)
 
 
 def _extended_support(raw: PSet, wext: LatticeWindow, depth: int):
@@ -328,7 +281,8 @@ def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
                          window.weight)
     comps = [(c.raw, c.multiplicity) for c in dec.components]
     supports = [_extended_support(raw, wext, depth) for raw, _ in comps]
-    dilated, idx = _graded_sum(wext, [(s, k) for s, (_, k) in zip(supports, comps)])
+    dilated, idx = canonical_sum(
+        wext, [(s, k) for s, (_, k) in zip(supports, comps)], "gradedsum")
     iota = np.zeros((dilated.dim, dec.reassembled.dim), dtype=complex)
     for ci, (raw, k) in enumerate(comps):
         for p in raw.points:
@@ -343,28 +297,37 @@ def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
     )
 
 
-def project_e(bundle: DilationBundle, x) -> np.ndarray:
-    """Projection onto the shifted copy W_x(embedded base space).
+def e_diagonal(bundle: DilationBundle, x) -> np.ndarray:
+    """Diagonal of E_x, the projection onto W_x(embedded base space).
 
     Computed from the model: the block of y belongs to the range exactly
-    when y - x dominates a minimal element of the component.  These
-    projections are diagonal, mutually commuting, decreasing in x and
-    covariant under the dilated shifts inside the budget.
+    when y - x dominates a minimal element of the component.
     """
     xv = tuple(int(c) for c in x)
     if xv and max(abs(c) for c in xv) > bundle.budget:
         raise BudgetExceeded(f"shift {xv} exceeds budget {bundle.budget}")
-    out = np.zeros((bundle.dim, bundle.dim), dtype=complex)
+    gens = bundle.base.window.generators()
+    out = np.zeros(bundle.dim)
     for ci, ((raw, k), supp) in enumerate(zip(bundle.components, bundle.supports)):
+        members = set(raw.points)
         minimals = [p for p in raw.points
-                    if not any(_sub(p, e) in set(raw.points)
-                               for e in bundle.base.window.generators())]
+                    if not any(_sub(p, e) in members for e in gens)]
         for p in supp:
             shifted = _sub(p, xv)
             if any(_leq(m, shifted) for m in minimals):
                 r0 = bundle.index[(ci, p)]
-                out[r0:r0 + k, r0:r0 + k] = np.eye(k)
+                out[r0:r0 + k] = 1.0
     return out
+
+
+def project_e(bundle: DilationBundle, x) -> np.ndarray:
+    """Projection E_x onto the shifted copy W_x(embedded base space).
+
+    It is the diagonal matrix of :func:`e_diagonal`.  These projections
+    are mutually commuting, decreasing in x and covariant under the dilated
+    shifts inside the budget.
+    """
+    return np.diag(e_diagonal(bundle, x).astype(complex))
 
 
 def budget_box(bundle: DilationBundle) -> LatticeWindow:
@@ -400,11 +363,6 @@ class CovariantRep:
         if xv not in self.efamily:
             raise BudgetExceeded(f"{xv} outside the family box")
         return self.efamily[xv]
-
-
-def indicator_projection(rep: CovariantRep, x) -> np.ndarray:
-    """The projection the covariant calculus assigns to a shifted origin cell."""
-    return rep.e(x)
 
 
 def integrate_family(rep: CovariantRep, f) -> np.ndarray:

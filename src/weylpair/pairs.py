@@ -173,21 +173,69 @@ def build_pspace_pair(pspace: PSet, k: int, label: str = "") -> WeylPair:
         raise PairInvariantViolation("canonical pairs require a PSPACE set")
     if k < 1:
         raise PairInvariantViolation("fiber multiplicity must be positive")
-    window = pspace.window
-    fibers = {p: k for p in pspace.points}
-    dim = k * len(pspace)
-    offset = {p: i * k for i, p in enumerate(pspace.points)}
-    members = set(pspace.points)
-    gens = []
-    for e in window.generators():
-        g = np.zeros((dim, dim), dtype=complex)
-        for p in pspace.points:
-            q = _add(p, e)
+    pair, _ = canonical_sum(pspace.window, [(pspace.points, k)],
+                            label or f"canonical{pspace.points[0]}x{k}")
+    return pair
+
+
+def sum_layout(parts) -> tuple[dict, int, dict]:
+    """Block layout of a direct sum of position-graded summands.
+
+    ``parts`` lists each summand's (point, fiber dimension) items.  Returns
+    the summed fibers, the total dimension and the index (summand, point)
+    -> first coordinate of that summand's fiber inside the block of the
+    point.  Blocks follow lexicographic point order, and inside a block the
+    summands follow list order.
+    """
+    fibers: dict[Point, int] = {}
+    for items in parts:
+        for p, k in items:
+            fibers[p] = fibers.get(p, 0) + k
+    cursor = {}
+    dim = 0
+    for p in sorted(fibers):
+        cursor[p] = dim
+        dim += fibers[p]
+    index: dict[tuple[int, Point], int] = {}
+    for si, items in enumerate(parts):
+        for p, k in items:
+            index[(si, p)] = cursor[p]
+            cursor[p] += k
+    return fibers, dim, index
+
+
+def block_shift(dim: int, comps, index: dict, x) -> np.ndarray:
+    """Shift by ``x`` on a direct sum of canonical summands.
+
+    ``comps`` lists (points, multiplicity) per summand and ``index`` is its
+    :func:`sum_layout` index.  The block of (summand, y) goes identically
+    onto the block of (summand, y + x) whenever both points lie in the
+    summand, and to zero otherwise.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    for ci, (pts, k) in enumerate(comps):
+        members = set(pts)
+        for p in pts:
+            q = _add(p, x)
             if q in members:
-                g[offset[q]:offset[q] + k, offset[p]:offset[p] + k] = np.eye(k)
-        gens.append(g)
-    return WeylPair(window, fibers, gens,
-                    label=label or f"canonical{pspace.points[0]}x{k}")
+                rows.extend(range(index[(ci, q)], index[(ci, q)] + k))
+                cols.extend(range(index[(ci, p)], index[(ci, p)] + k))
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, cols] = 1.0
+    return out
+
+
+def canonical_sum(window: LatticeWindow, comps, label: str):
+    """Direct sum of canonical pairs, one per (points, multiplicity).
+
+    Returns the pair and its :func:`sum_layout` index (summand, point) ->
+    first coordinate; the generators are the :func:`block_shift` of each
+    axis generator.
+    """
+    fibers, dim, index = sum_layout([[(p, k) for p in pts] for pts, k in comps])
+    gens = [block_shift(dim, comps, index, e) for e in window.generators()]
+    return WeylPair(window, fibers, gens, label=label), index
 
 
 def unitary_u(pair: WeylPair, theta) -> np.ndarray:
@@ -339,28 +387,10 @@ def direct_sum(pairs: list[WeylPair], label: str = "") -> WeylPair:
     for p in pairs[1:]:
         if p.window != window:
             raise WindowMismatch("direct summands live on different windows")
-    fibers: dict[Point, int] = {}
-    for p in pairs:
-        for pt, k in p.fibers:
-            fibers[pt] = fibers.get(pt, 0) + k
-    order = sorted(fibers)
-    offsets = {}
-    off = 0
-    for pt in order:
-        offsets[pt] = off
-        off += fibers[pt]
-    total = off
-    injections = []
-    for p in pairs:
-        inj = np.empty(p.dim, dtype=int)
-        cursor = dict(offsets)
-        for pt, k in p.fibers:
-            s = p.block_slice(pt)
-            inj[s] = np.arange(cursor[pt], cursor[pt] + k)
-            cursor[pt] += k
-        injections.append(inj)
-        for pt, k in p.fibers:
-            offsets[pt] += k
+    fibers, total, index = sum_layout([p.fibers for p in pairs])
+    injections = [np.concatenate([np.arange(index[(si, pt)], index[(si, pt)] + k)
+                                  for pt, k in p.fibers])
+                  for si, p in enumerate(pairs)]
     gens = []
     for axis in range(window.dim):
         g = np.zeros((total, total), dtype=complex)

@@ -91,14 +91,6 @@ def bundle_to_json(bundle) -> dict:
     return doc
 
 
-def family_to_json(family) -> dict:
-    return {
-        "kappa": family.kappa,
-        "P": [matrix_to_json(p) for p in family.plist],
-        "Q": [matrix_to_json(q) for q in family.qlist],
-    }
-
-
 def family_from_json(doc):
     from .freeproduct import ProjectionFamily
 
@@ -111,10 +103,6 @@ def family_from_json(doc):
     if "kappa" in doc and int(doc["kappa"]) != fam.kappa:
         raise ScenarioParseError("family kappa field disagrees with matrices")
     return fam
-
-
-def evaluation_to_json(ev) -> dict:
-    return {"a": ev.a, "b": ev.b, "c": ev.c, "d": ev.d, "p0": list(ev.p0)}
 
 
 def evaluation_from_json(doc):

@@ -5,6 +5,7 @@ import sys
 
 import weylpair
 import weylpair.commutant as commutant
+import weylpair.dilation as dilation
 from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
                       SetKind, build_pspace_pair, build_r2_pair, demo_family,
                       direct_sum, validate_pset)
@@ -71,6 +72,23 @@ def test_pair_check_failure_names_invariant(tmp_path, capsys):
     report = json.loads(out)
     assert not report["ok"]
     assert report["first_failure"] == "weak-weyl-defect"
+
+
+def test_dilate_reads_the_family_it_builds(tmp_path, capsys, monkeypatch):
+    w = LatticeWindow((0,), (7,))
+    sc = write_scenario(tmp_path, "d.json", {
+        "command": "dilate", "depth": 3,
+        "pair": pair_to_json(build_pspace_pair(tail(w, 1), 1))})
+    built = dilation.e_diagonal
+    # E_{-x} in place of E_x: the family increases along the window
+    monkeypatch.setattr(dilation, "e_diagonal",
+                        lambda bundle, x: built(bundle, tuple(-c for c in x)))
+    code, out = run(capsys, ["dilate", "--scenario", sc, "--out", str(tmp_path)])
+    report = json.loads(out)
+    checks = {c["name"]: c["value"] for c in report["checks"]}
+    assert code == 1 and report["first_failure"] == "family-monotone"
+    assert checks["family-monotone"] == 1.0
+    assert checks["family-commuting"] == 0.0
 
 
 def test_dilate_decompose_commutant_equiv(tmp_path, capsys):

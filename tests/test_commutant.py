@@ -332,24 +332,28 @@ def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
     graded = commutant_basis(RepGens.from_pair(clean))
     assert len(graded) == 4 and not calls
 
-    # an entry outside the graded blocks, below the grading tolerance
-    single = build_pspace_pair(tail(chain8, 1), 1)
-    g = single.gens[0].copy()
-    g[0, -1] = 1e-11
-    stray = WeylPair(chain8, dict(single.fibers), [g], validate=False)
-    got = commutant_basis(RepGens.from_pair(stray))
-    assert len(calls) == 1
-    want = commutant_basis(RepGens.from_pair(single))
-    assert len(got) == len(want) == 1 and subspace_gap(got, want) <= 1e-8
+    # an entry outside the graded blocks, below the grading tolerance; for
+    # k > 1 the kernel cutoff must not follow the map restricted to the
+    # near-kernel of the V step, or the V* step drops every solution
+    for k in (1, 2, 3):
+        canonical = build_pspace_pair(tail(chain8, 1), k)
+        g = canonical.gens[0].copy()
+        g[0, -1] = 1e-11
+        stray = WeylPair(chain8, dict(canonical.fibers), [g], validate=False)
+        got = commutant_basis(RepGens.from_pair(stray))
+        assert len(calls) == k
+        want = commutant_basis(RepGens.from_pair(canonical))
+        assert len(got) == len(want) == k * k
+        assert subspace_gap(got, want) <= 1e-8
 
     # the same blocks on a wider window: same positions, different windows
     wide = WeylPair(LatticeWindow((0,), (9,)), dict(clean.fibers), clean.gens)
     got = intertwiners(RepGens.from_pair(clean), RepGens.from_pair(wide))
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8
 
     # a generator list with no pair
     rep = RepGens.from_pair(clean)
     got = commutant_basis(RepGens(rep.dim, rep.gens, rep.labels))
-    assert len(calls) == 3
+    assert len(calls) == 5
     assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8

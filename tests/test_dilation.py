@@ -20,7 +20,6 @@ from weylpair import (
     decompose,
     direct_sum,
     extend_u,
-    indicator_projection,
     integrate_family,
     isometry_v,
     joint_spectrum,
@@ -172,7 +171,6 @@ def test_integrate_family_delta_and_linearity(bundle8):
     box = rep.box
     f = TestFunction.delta(box, (0,))
     assert opnorm(integrate_family(rep, f) - rep.e((0,))) < 1e-13
-    assert opnorm(indicator_projection(rep, (-1,)) - rep.e((-1,))) == 0.0
     g = TestFunction.delta(box, (-2,), 0.5 - 0.25j)
     lhs = integrate_family(rep, f + g)
     rhs = integrate_family(rep, f) + integrate_family(rep, g)

@@ -30,6 +30,7 @@ from weylpair import (
     validate_pset,
     weyl_defect,
 )
+from weylpair.pairs import canonical_sum
 from weylpair.serialize import pair_from_json, pair_to_json
 
 from conftest import (dense_grid_defect, dense_weyl_defect, opnorm, tail,
@@ -308,6 +309,19 @@ def test_direct_sum_fibers_add(chain8):
     s = direct_sum([a, b])
     fib = dict(s.fibers)
     assert fib[(0,)] == 1 and fib[(2,)] == 3 and s.dim == a.dim + b.dim
+
+
+def test_canonical_sum_is_the_direct_sum_of_canonical_pairs(square4):
+    sets = [upset_from(square4, [(0, 0)]), upset_from(square4, [(1, 2)]),
+            upset_from(square4, [(2, 0), (0, 3)])]
+    comps = [(ps.points, k) for ps, k in zip(sets, (1, 3, 2))]
+    got, index = canonical_sum(square4, comps, "sum")
+    want = direct_sum([build_pspace_pair(ps, k) for ps, k in zip(sets, (1, 3, 2))])
+    assert got.fibers == want.fibers and got.offsets == want.offsets
+    assert all(np.array_equal(a, b) for a, b in zip(got.gens, want.gens))
+    # the block of (3, 3) holds the three summands in list order
+    assert [index[(ci, (3, 3))] for ci in range(3)] == [
+        want.offsets[(3, 3)][0] + c for c in (0, 1, 4)]
 
 
 def test_direct_sum_window_mismatch(chain8):
