@@ -17,7 +17,6 @@ from weylpair import (
     GridSpec,
     RepGens,
     build_r2_pair,
-    cell_projection,
     check_commuting_ranges,
     check_increasing,
     commutant_basis,
@@ -27,6 +26,7 @@ from weylpair import (
     spec_support,
 )
 from weylpair.cli import export_heatmap
+from weylpair.freeproduct import sample_field
 
 family = demo_family(kappa=6)
 ev = EvaluationPoint.default()
@@ -47,9 +47,11 @@ for (m, n) in [(0, 0), (1, 0), (2, 2)]:
     frac = len(plateau(family, ev, m, n, grid)) / 100.0
     print(f"plateau fraction of cell ({m},{n}): {frac:.2f}")
 
-rows = [(float(s), float(t),
-         float(np.trace(cell_projection(family, ev, s, t)).real))
-        for s in grid.values() for t in grid.values()]
+# the field is sampled once: one trace per distinct step projection
+vals, ids, _, mats = sample_field(family, ev, grid)
+ranks = [float(np.trace(e).real) for e in mats]
+rows = [(float(vals[i]), float(vals[j]), ranks[k])
+        for (i, j), k in np.ndenumerate(ids)]
 path = export_heatmap(rows,
                       os.path.join(tempfile.mkdtemp(), "field_rank.csv"))
 print(f"rank heatmap written to {path}")

@@ -175,18 +175,28 @@ def _cmd_dilate(doc, out, seed, tol):
     checks.add("exhaustion-defect",
                float(np.linalg.norm(np.eye(bundle.dim)
                                     - span @ span.conj().T, 2)), tol)
-    # E_x is diagonal: monotone means d_y <= d_x for x <= y, and two
-    # members commute when the products d_x d_y and d_y d_x agree
+    # E_x is diagonal: monotone means d_y <= d_x for x <= y, and covariant
+    # means W_e E_x W_e* = E_{x+e}, read on the coordinates (rows, cols)
+    # that W_e carries; W_{-e} carries the same pairs backwards, so the
+    # steps e = +e_i cover -e_i as well
     pts = list(dila.budget_box(bundle).points())
     diags = np.array([dila.e_diagonal(bundle, x) for x in pts])
     box = np.array(pts)
-    worst_mono = worst_comm = 0.0
+    worst_mono = worst_cov = 0.0
     for x, dx in zip(box, diags):
         above = np.all(x <= box, axis=1)
         worst_mono = max(worst_mono, float((diags[above] - dx).max()))
-        worst_comm = max(worst_comm, float(np.abs(dx * diags - diags * dx).max()))
+    at = dict(zip(pts, diags))
+    comps = [(supp, k) for supp, (_, k) in zip(bundle.supports, bundle.components)]
+    for e in pair.window.generators():
+        rows, cols = pr.shift_map(comps, bundle.index, e)
+        for x in pts:
+            y = tuple(a + b for a, b in zip(x, e))
+            if y in at:
+                worst_cov = max(worst_cov, float(np.abs(
+                    at[x][cols] - at[y][rows]).max(initial=0.0)))
     checks.add("family-monotone", worst_mono, tol)
-    checks.add("family-commuting", worst_comm, tol)
+    checks.add("family-covariant", worst_cov, tol)
     path = os.path.join(out, doc.get("file", "bundle.json"))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ser.bundle_to_json(bundle), fh, sort_keys=True, indent=1)
@@ -248,9 +258,10 @@ def _cmd_counterexample(doc, out, seed, tol):
     if sub == "increasing":
         violation = fp.check_increasing(family, ev, grid)
         checks.add("field-increasing", violation, 1e-12)
-        rows = [(float(s), float(t),
-                 float(np.trace(fp.cell_projection(family, ev, s, t)).real))
-                for s in grid.values() for t in grid.values()]
+        vals, ids, _, mats = fp.sample_field(family, ev, grid)
+        ranks = [float(np.trace(e).real) for e in mats]
+        rows = [(float(vals[i]), float(vals[j]), ranks[k])
+                for (i, j), k in np.ndenumerate(ids)]
         path = os.path.join(out, doc.get("heatmap", "field_rank.csv"))
         export_heatmap(rows, path)
         artifacts.append(path)

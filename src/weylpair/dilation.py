@@ -41,11 +41,14 @@ from .errors import (
     PatternNotYSet,
     WellDefinednessViolation,
 )
-from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _leq, _sub, translate_pset
+from .lattice import (LatticeWindow, PSet, Point, SetKind, _add, _extremal_points,
+                      _leq, _sub, translate_pset)
 from .pairs import (WeylPair, block_shift, canonical_sum, check_commuting_ranges,
                     unitary_u)
 
 RANGE_TOL = 1e-10
+#: Largest disagreement between two evaluation routes of ``extend_u``.
+ROUTE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +116,8 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
     return projs
 
 
-def decompose_full(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
-                   probe=None) -> Decomposition:
+def decompose_full(pair: WeylPair, tol: float = 1e-8,
+                   guard: int = 256) -> Decomposition:
     """Split a commuting-range position-graded pair into canonical parts.
 
     Steps: verify commuting ranges, compute the commutant and centre of the
@@ -123,7 +126,7 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
     verify that the direct sum of the canonical models is unitarily
     equivalent to the input.
     """
-    worst = check_commuting_ranges(pair, probe)
+    worst = check_commuting_ranges(pair)
     if worst > RANGE_TOL:
         raise NonCommutingRanges(
             f"range projections fail to commute (max commutator {worst:.3e})")
@@ -185,10 +188,10 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
     return Decomposition(results, witness, reassembled, reasm_idx)
 
 
-def decompose(pair: WeylPair, tol: float = 1e-8, guard: int = 256,
-              probe=None) -> list[ComponentResult]:
+def decompose(pair: WeylPair, tol: float = 1e-8,
+              guard: int = 256) -> list[ComponentResult]:
     """Canonical components of a commuting-range pair (orbit normalised)."""
-    return decompose_full(pair, tol, guard, probe).components
+    return decompose_full(pair, tol, guard).components
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +309,9 @@ def e_diagonal(bundle: DilationBundle, x) -> np.ndarray:
     xv = tuple(int(c) for c in x)
     if xv and max(abs(c) for c in xv) > bundle.budget:
         raise BudgetExceeded(f"shift {xv} exceeds budget {bundle.budget}")
-    gens = bundle.base.window.generators()
     out = np.zeros(bundle.dim)
     for ci, ((raw, k), supp) in enumerate(zip(bundle.components, bundle.supports)):
-        members = set(raw.points)
-        minimals = [p for p in raw.points
-                    if not any(_sub(p, e) in members for e in gens)]
+        minimals = _extremal_points(raw)
         for p in supp:
             shifted = _sub(p, xv)
             if any(_leq(m, shifted) for m in minimals):
@@ -425,13 +425,13 @@ def joint_spectrum(rep: CovariantRep):
 # extending the character unitaries to the dilation space
 
 
-def extend_u(bundle: DilationBundle, theta, u_on_h: np.ndarray | None = None,
-             route_tol: float = 1e-8) -> np.ndarray:
+def extend_u(bundle: DilationBundle, theta,
+             u_on_h: np.ndarray | None = None) -> np.ndarray:
     """Extend a base character unitary to the dilation space.
 
     On the block of y the extension acts by the base unitary pulled back
     through any budget shift that re-enters the component; all admissible
-    routes must agree within ``route_tol``, otherwise the input is not
+    routes must agree within ``ROUTE_TOL``, otherwise the input is not
     covariant and WellDefinednessViolation is raised.  The extension
     restricts to the base unitary on the embedded space exactly and
     intertwines the dilated shifts with the character phase inside the
@@ -464,12 +464,12 @@ def extend_u(bundle: DilationBundle, theta, u_on_h: np.ndarray | None = None,
                 raise BudgetExceeded(
                     f"block {p} unreachable within budget {bundle.budget}")
             for other in routes[1:]:
-                if np.linalg.norm(other - routes[0], 2) > route_tol:
+                if np.linalg.norm(other - routes[0], 2) > ROUTE_TOL:
                     raise WellDefinednessViolation(
                         f"evaluation routes disagree at block {p}")
             r0 = bundle.index[(ci, p)]
             out[r0:r0 + k, r0:r0 + k] = routes[0]
-    if np.abs(stray).max(initial=0.0) > route_tol:
+    if np.abs(stray).max(initial=0.0) > ROUTE_TOL:
         raise WellDefinednessViolation(
             "base unitary does not preserve the position grading")
     return out

@@ -10,6 +10,12 @@ not commute, and whose commutant is controlled by the family alone.  The
 support of the sampled field depends only on the evaluation data, not on
 the family, which is the working form of the spectral-support rigidity
 statement.
+
+The field is sampled once per grid: :func:`sample_field` checks the grid,
+reads the selection per axis and evaluates each distinct step projection
+once, and every consumer below (monotonicity, plateaus, support, commutant
+transfer, the represented pair, the ambient projection, minimality) reads
+that sample.  :func:`cell_projection` is the per-point definition.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     PairInvariantViolation,
 )
 from .lattice import LatticeWindow
-from .pairs import WeylPair
+from .pairs import WeylPair, sum_layout
 
 PROJ_TOL = 1e-12
 PLATEAU_TOL = 1e-12
@@ -117,46 +123,6 @@ class GridSpec:
         return self.offset + np.arange(count) * self.step
 
 
-def _check_grid(family: ProjectionFamily, ev: EvaluationPoint,
-                grid: GridSpec, f_lookup=None):
-    """Reject a grid the field of ``family`` cannot be sampled on.
-
-    A grid value that puts a cell boundary on the evaluation point raises
-    BoundaryCoincidence.  Unless ``f_lookup`` replaces the step-projection
-    table, a grid on which the field selects a projection past the family
-    raises IndexBeyondFamily: the field picks step projection (m, 0) or
-    (0, n) on the axes, so a grid value whose index passes the last
-    projection of its sequence is reached whenever the other coordinate
-    selects 0.  The message states the largest extent this family and
-    evaluation point admit at the grid's denominator and offset.  The
-    selection is separable, so one pass over the grid values decides both
-    axes.
-    """
-    p, q = ev.p0
-    vals = grid.values()
-    for v in vals:
-        r = math.floor(v) + 1.0 - v
-        if min(abs(r - p), abs(r - q)) < 1e-12:
-            raise BoundaryCoincidence(
-                f"grid value {v} puts a cell boundary on the evaluation point")
-    if f_lookup is not None:
-        return
-    picks = np.array([_select_index(ev, v, v) for v in vals]).reshape(-1, 2)
-    for axis, (count, row) in enumerate([(family.np_count, "first"),
-                                         (family.nq_count, "second")]):
-        over = np.nonzero(picks[:, axis] > count)[0]
-        if over.size and np.any(picks[:, 1 - axis] == 0):
-            bound = count + 1 - ev.p0[axis]
-            reach = grid.offset + grid.step * math.ceil(
-                (bound - grid.offset) * grid.denominator)
-            raise IndexBeyondFamily(
-                f"grid value {vals[over[0]]:g} selects index "
-                f"{picks[over[0], axis]} beyond the {count} {row}-row "
-                f"projections; this family and evaluation point admit grid "
-                f"values below {bound:g}, an extent of at most {reach} at "
-                f"denominator {grid.denominator}")
-
-
 def step_projection(family: ProjectionFamily, m: int, n: int) -> np.ndarray:
     """The four-branch step projection indexed by a lattice point.
 
@@ -212,14 +178,55 @@ def cell_projection(family: ProjectionFamily, ev: EvaluationPoint,
     return lookup(*sel)
 
 
-def _selection_table(ev, grid):
+def sample_field(family: ProjectionFamily, ev: EvaluationPoint,
+                 grid: GridSpec, f_lookup=None):
+    """The field of ``family`` on every point of the square grid, once.
+
+    Returns (grid values, ids, selections, projections): ``ids[i, j]``
+    indexes the sorted list of distinct step-projection selections, and
+    each selection is evaluated once.  The selection is separable (its
+    first index depends on s alone, its second on t alone), so the picks
+    are read once per axis and ``ids`` is their product index.
+
+    A grid value that puts a cell boundary on the evaluation point raises
+    BoundaryCoincidence.  Unless ``f_lookup`` replaces the step-projection
+    table, a grid on which the field selects a projection past the family
+    raises IndexBeyondFamily before any projection is built: the field
+    picks step projection (m, 0) or (0, n) on the axes, so a grid value
+    whose index passes the last projection of its sequence is reached
+    whenever the other coordinate selects 0.  The message states the
+    largest extent this family and evaluation point admit at the grid's
+    denominator and offset.
+    """
     vals = grid.values()
-    n = len(vals)
-    table = np.empty((n, n), dtype=object)
-    for i, s in enumerate(vals):
-        for j, t in enumerate(vals):
-            table[i, j] = _select_index(ev, s, t)
-    return vals, table
+    picks = np.zeros((len(vals), 2), dtype=int)
+    for i, v in enumerate(vals):
+        m = math.floor(v)
+        r = m + 1.0 - v
+        if min(abs(r - c) for c in ev.p0) < 1e-12:
+            raise BoundaryCoincidence(
+                f"grid value {v} puts a cell boundary on the evaluation point")
+        picks[i] = [m if c < r else m + 1 for c in ev.p0]
+    if f_lookup is None:
+        for axis, (count, row) in enumerate([(family.np_count, "first"),
+                                             (family.nq_count, "second")]):
+            over = np.nonzero(picks[:, axis] > count)[0]
+            if over.size and np.any(picks[:, 1 - axis] == 0):
+                bound = count + 1 - ev.p0[axis]
+                reach = grid.offset + grid.step * math.ceil(
+                    (bound - grid.offset) * grid.denominator)
+                raise IndexBeyondFamily(
+                    f"grid value {vals[over[0]]:g} selects index "
+                    f"{picks[over[0], axis]} beyond the {count} {row}-row "
+                    f"projections; this family and evaluation point admit "
+                    f"grid values below {bound:g}, an extent of at most "
+                    f"{reach} at denominator {grid.denominator}")
+    firsts, first_id = np.unique(picks[:, 0], return_inverse=True)
+    seconds, second_id = np.unique(picks[:, 1], return_inverse=True)
+    ids = first_id[:, None] * len(seconds) + second_id[None, :]
+    sels = [(int(m), int(n)) for m in firsts for n in seconds]
+    lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
+    return vals, ids, sels, [lookup(*sel) for sel in sels]
 
 
 def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
@@ -228,36 +235,19 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
 
     Scans every comparable pair (s,t) <= (s',t') on the grid and reports the
     most negative eigenvalue of the difference of field values, clamped at
-    zero.  Distinct index pairs are compared once; an honest family yields
-    zero up to roundoff.
+    zero.  The picks never decrease along an axis, so the selections of
+    comparable points are exactly the componentwise ordered pairs of
+    sampled selections, and each such pair is compared once; an honest
+    family yields zero up to roundoff.
     """
-    _check_grid(family, ev, grid, f_lookup)
-    vals, table = _selection_table(ev, grid)
-    n = len(vals)
-    ids = sorted({table[i, j] for i in range(n) for j in range(n)})
-    id_of = {sel: k for k, sel in enumerate(ids)}
-    grid_ids = np.array([[id_of[table[i, j]] for j in range(n)]
-                         for i in range(n)])
-    lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
-    mats = [lookup(*sel) for sel in ids]
-    # reach[v][i, j]: some point >= (i, j) carries id v
-    combos = set()
-    for v in range(len(ids)):
-        mask = grid_ids == v
-        reach = np.zeros_like(mask)
-        acc = np.zeros(n, dtype=bool)
-        for i in range(n - 1, -1, -1):
-            acc = acc | mask[i]
-            row = np.logical_or.accumulate(acc[::-1])[::-1]
-            reach[i] = row
-        for u in range(len(ids)):
-            if np.any((grid_ids == u) & reach):
-                combos.add((u, v))
+    _, _, sels, mats = sample_field(family, ev, grid, f_lookup)
     worst = 0.0
-    for u, v in combos:
-        diff = mats[v] - mats[u]
-        lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
-        worst = max(worst, -float(lam))
+    for (m, n), lo in zip(sels, mats):
+        for (mm, nn), hi in zip(sels, mats):
+            if m <= mm and n <= nn:
+                diff = hi - lo
+                lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
+                worst = max(worst, -float(lam))
     return worst
 
 
@@ -265,20 +255,14 @@ def plateau(family: ProjectionFamily, ev: EvaluationPoint, m: int, n: int,
             grid: GridSpec, f_lookup=None) -> list[tuple[float, float]]:
     """Grid points of the unit cell at (m, n) where the field equals the
     step projection of (m, n)."""
-    _check_grid(family, ev, grid, f_lookup)
+    vals, ids, sels, mats = sample_field(family, ev, grid, f_lookup)
     lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
-    target = lookup(m, n)
-    out = []
-    for s in grid.values():
-        if not (m <= s < m + 1):
-            continue
-        for t in grid.values():
-            if not (n <= t < n + 1):
-                continue
-            val = cell_projection(family, ev, s, t, f_lookup=f_lookup)
-            if np.abs(val - target).max() <= PLATEAU_TOL:
-                out.append((float(s), float(t)))
-    return out
+    target = mats[sels.index((m, n))] if (m, n) in sels else lookup(m, n)
+    equal = np.array([np.abs(e - target).max() <= PLATEAU_TOL for e in mats],
+                     dtype=bool)
+    cell = np.outer((m <= vals) & (vals < m + 1), (n <= vals) & (vals < n + 1))
+    return [(float(vals[i]), float(vals[j]))
+            for i, j in zip(*np.nonzero(cell & equal[ids]))]
 
 
 def proof_region_points(ev: EvaluationPoint, m: int, n: int,
@@ -359,22 +343,17 @@ def coordinate_family(kappa: int, p_coords, q_coords) -> ProjectionFamily:
 # the represented pair over the sampled grid
 
 
-def _field_bases(family, ev, grid):
-    """Per grid point: orthonormal basis of the range of the field value."""
-    vals = grid.values()
-    bases = {}
-    ranks = {}
-    for i, s in enumerate(vals):
-        for j, t in enumerate(vals):
-            e = cell_projection(family, ev, s, t)
-            lam, vec = np.linalg.eigh(e)
-            ones = lam > 0.5
-            if np.abs(lam[ones] - 1.0).max(initial=0.0) > 1e-10 or \
-               np.abs(lam[~ones]).max(initial=0.0) > 1e-10:
-                raise MonotonicityBroken("field value is not a projection")
-            bases[(i, j)] = vec[:, ones]
-            ranks[(i, j)] = int(ones.sum())
-    return vals, bases, ranks
+def _field_bases(mats) -> list[np.ndarray]:
+    """Orthonormal basis of the range of each sampled field value."""
+    bases = []
+    for e in mats:
+        lam, vec = np.linalg.eigh(e)
+        ones = lam > 0.5
+        if np.abs(lam[ones] - 1.0).max(initial=0.0) > 1e-10 or \
+           np.abs(lam[~ones]).max(initial=0.0) > 1e-10:
+            raise MonotonicityBroken("field value is not a projection")
+        bases.append(vec[:, ones])
+    return bases
 
 
 def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
@@ -392,28 +371,22 @@ def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
         raise MonotonicityBroken(
             f"field is not increasing (violation {violation:.3e}); "
             f"compression to the fibers is not defined")
-    vals, bases, ranks = _field_bases(family, ev, grid)
+    vals, ids, _, mats = sample_field(family, ev, grid)
+    bases = _field_bases(mats)
     n = len(vals)
     window = LatticeWindow((-n, -n), (n - 1, n - 1), weight=grid.step ** 2)
-    fibers = {(i, j): r for (i, j), r in ranks.items() if r > 0}
-    offsets = {}
-    off = 0
-    for pt in sorted(fibers):
-        offsets[pt] = off
-        off += fibers[pt]
-    dim = off
+    fibers, dim, index = sum_layout([[(pt, bases[k].shape[1])
+                                      for pt, k in np.ndenumerate(ids)
+                                      if bases[k].shape[1]]])
     gens = []
-    for axis, e in enumerate([(1, 0), (0, 1)]):
+    for e in window.generators():
         g = np.zeros((dim, dim), dtype=complex)
         for (i, j), r in fibers.items():
-            ti, tj = i + e[0], j + e[1]
-            if (ti, tj) not in fibers:
-                continue
-            src = bases[(i, j)]
-            dst = bases[(ti, tj)]
-            blk = dst.conj().T @ src
-            r0, c0 = offsets[(ti, tj)], offsets[(i, j)]
-            g[r0:r0 + dst.shape[1], c0:c0 + r] = blk
+            q = (i + e[0], j + e[1])
+            if q in fibers:
+                r0, c0 = index[(0, q)], index[(0, (i, j))]
+                g[r0:r0 + fibers[q], c0:c0 + r] = \
+                    bases[ids[q]].conj().T @ bases[ids[i, j]]
         gens.append(g)
     return WeylPair(window, fibers, gens,
                     label=label or f"quarterplane(k={family.kappa})")
@@ -435,16 +408,12 @@ def commutant_transfer_check(family: ProjectionFamily, ev: EvaluationPoint,
     if grid.extent < family.np_count + 1 or grid.extent < family.nq_count + 1:
         raise GridTooSmall(
             f"grid extent {grid.extent} does not cover the family axes")
-    _check_grid(family, ev, grid)
-    vals, table = _selection_table(ev, grid)
-    n = len(vals)
-    seen = {table[i, j] for i in range(n) for j in range(n)}
+    _, _, sels, sampled = sample_field(family, ev, grid)
     required = {(m, 0) for m in range(1, family.np_count + 1)}
     required |= {(0, m) for m in range(1, family.nq_count + 1)}
-    missing = required - seen
+    missing = required - set(sels)
     if missing:
         raise GridTooSmall(f"step projections never sampled: {sorted(missing)}")
-    sampled = [step_projection(family, *sel) for sel in sorted(seen)]
     dim_e = commutant_basis(RepGens(family.kappa, sampled))
     dim_f = commutant_basis(RepGens(family.kappa,
                                     list(family.plist) + list(family.qlist)))
@@ -460,28 +429,19 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
     evaluation data and the grid: inequivalent families share it, so
     spectral support cannot separate pairs without commuting ranges.
     """
-    _check_grid(family, ev, grid)
-    out = []
-    for s in grid.values():
-        for t in grid.values():
-            e = cell_projection(family, ev, s, t)
-            if np.abs(e).max() > 0:
-                out.append((float(s), float(t)))
-    return out
+    vals, ids, _, mats = sample_field(family, ev, grid)
+    nonzero = np.array([np.abs(e).max() > 0 for e in mats], dtype=bool)
+    return [(float(vals[i]), float(vals[j]))
+            for i, j in zip(*np.nonzero(nonzero[ids]))]
 
 
 def ambient_field_projection(family, ev, grid) -> np.ndarray:
     """Block-diagonal field projection on the ambient grid space."""
-    _check_grid(family, ev, grid)
-    vals = grid.values()
-    n = len(vals)
+    _, ids, _, mats = sample_field(family, ev, grid)
     kappa = family.kappa
-    out = np.zeros((n * n * kappa, n * n * kappa), dtype=complex)
-    for i, s in enumerate(vals):
-        for j, t in enumerate(vals):
-            e = cell_projection(family, ev, s, t)
-            o = (i * n + j) * kappa
-            out[o:o + kappa, o:o + kappa] = e
+    out = np.zeros((ids.size * kappa, ids.size * kappa), dtype=complex)
+    for o, k in enumerate(ids.ravel()):
+        out[o * kappa:(o + 1) * kappa, o * kappa:(o + 1) * kappa] = mats[k]
     return out
 
 
@@ -508,19 +468,15 @@ def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,
     the whole coefficient space; the defect is the worst distance from
     fullness over those safe points.
     """
-    _check_grid(family, ev, grid)
-    vals = grid.values()
+    vals, ids, _, mats = sample_field(family, ev, grid)
+    bases = _field_bases(mats)
     n = len(vals)
+    box = margin_steps + 1
     worst = 0.0
     for i in range(n - margin_steps):
         for j in range(n - margin_steps):
-            spans = []
-            for a in range(margin_steps + 1):
-                for b in range(margin_steps + 1):
-                    e = cell_projection(family, ev, vals[i + a], vals[j + b])
-                    lam, vec = np.linalg.eigh(e)
-                    spans.append(vec[:, lam > 0.5])
-            stack = np.hstack(spans) if spans else np.zeros((family.kappa, 0))
+            stack = np.hstack([np.zeros((family.kappa, 0))] +
+                              [bases[k] for k in ids[i:i + box, j:j + box].ravel()])
             if stack.shape[1] == 0:
                 worst = max(worst, 1.0)
                 continue

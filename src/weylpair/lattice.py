@@ -271,12 +271,9 @@ def _extremal_points(ps: PSet) -> list[Point]:
     """Minimal elements of a PSPACE set / maximal elements of a YSET set."""
     members = set(ps.points)
     sign = -1 if ps.kind is SetKind.PSPACE else 1
-    out = []
-    for p in ps.points:
-        if not any(_add(p, tuple(sign * c for c in e)) in members
-                   for e in ps.window.generators()):
-            out.append(p)
-    return out
+    steps = [tuple(sign * c for c in e) for e in ps.window.generators()]
+    return [p for p in ps.points
+            if not any(_add(p, e) in members for e in steps)]
 
 
 def translate_pset(ps: PSet, x: Sequence[int]) -> tuple[PSet, int]:

@@ -204,13 +204,15 @@ def sum_layout(parts) -> tuple[dict, int, dict]:
     return fibers, dim, index
 
 
-def block_shift(dim: int, comps, index: dict, x) -> np.ndarray:
-    """Shift by ``x`` on a direct sum of canonical summands.
+def shift_map(comps, index: dict, x) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate map of the shift by ``x`` on a direct sum of canonical
+    summands.
 
     ``comps`` lists (points, multiplicity) per summand and ``index`` is its
-    :func:`sum_layout` index.  The block of (summand, y) goes identically
-    onto the block of (summand, y + x) whenever both points lie in the
-    summand, and to zero otherwise.
+    :func:`sum_layout` index.  Returns (rows, cols): the block of
+    (summand, y) goes identically onto the block of (summand, y + x)
+    whenever both points lie in the summand, so coordinate ``cols[t]`` goes
+    to ``rows[t]``; every other coordinate goes to zero.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -221,8 +223,14 @@ def block_shift(dim: int, comps, index: dict, x) -> np.ndarray:
             if q in members:
                 rows.extend(range(index[(ci, q)], index[(ci, q)] + k))
                 cols.extend(range(index[(ci, p)], index[(ci, p)] + k))
+    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+
+
+def block_shift(dim: int, comps, index: dict, x) -> np.ndarray:
+    """Shift by ``x`` on a direct sum of canonical summands: the dense
+    matrix of :func:`shift_map`."""
     out = np.zeros((dim, dim), dtype=complex)
-    out[rows, cols] = 1.0
+    out[shift_map(comps, index, x)] = 1.0
     return out
 
 
@@ -357,9 +365,9 @@ def range_projection(pair: WeylPair, a) -> np.ndarray:
     return 0.5 * (e + e.conj().T)
 
 
-def default_probe(dim: int, reach: int = 2) -> list[Point]:
-    """All nonzero semigroup exponents up to ``reach`` in each axis."""
-    return [a for a in itertools.product(range(reach + 1), repeat=dim)
+def default_probe(dim: int) -> list[Point]:
+    """All nonzero semigroup exponents up to 2 in each axis."""
+    return [a for a in itertools.product(range(3), repeat=dim)
             if any(a)]
 
 

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import weylpair
 import weylpair.commutant as commutant
 import weylpair.dilation as dilation
@@ -12,7 +15,7 @@ from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import matrix_to_json, pair_to_json, pset_to_json
 
-from conftest import tail
+from conftest import tail, upset_from
 
 
 def write_scenario(tmp_path, name, doc):
@@ -88,7 +91,48 @@ def test_dilate_reads_the_family_it_builds(tmp_path, capsys, monkeypatch):
     checks = {c["name"]: c["value"] for c in report["checks"]}
     assert code == 1 and report["first_failure"] == "family-monotone"
     assert checks["family-monotone"] == 1.0
-    assert checks["family-commuting"] == 0.0
+    assert checks["family-covariant"] == 1.0
+
+
+def _dense_covariance_defect(bundle):
+    """max |W_e E_x W_e* - P E_{x+e} P| over steps e = +-e_i and x, x + e in
+    the budget box, with P = W_e W_e* the range of the clipped shift."""
+    box = set(dilation.budget_box(bundle).points())
+    worst = 0.0
+    for e in bundle.base.window.generators():
+        for step in (e, tuple(-c for c in e)):
+            w = bundle.w(step)
+            rng = w @ w.conj().T
+            for x in box:
+                y = tuple(a + b for a, b in zip(x, step))
+                if y in box:
+                    diff = (w @ dilation.project_e(bundle, x) @ w.conj().T
+                            - rng @ dilation.project_e(bundle, y) @ rng)
+                    worst = max(worst, float(np.abs(diff).max()))
+    return worst
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_family_covariant_matches_dense_covariance(tmp_path, capsys,
+                                                   monkeypatch, reverse):
+    w1 = LatticeWindow((0,), (7,))
+    w2 = LatticeWindow((0, 0), (3, 3))
+    pairs = [build_pspace_pair(tail(w1, 1), 1),
+             direct_sum([build_pspace_pair(tail(w1, 0), 1),
+                         build_pspace_pair(tail(w1, 3), 2)]),
+             build_pspace_pair(upset_from(w2, [(1, 0), (0, 2)]), 2)]
+    if reverse:
+        built = dilation.e_diagonal
+        monkeypatch.setattr(dilation, "e_diagonal", lambda bundle, x:
+                            built(bundle, tuple(-c for c in x)))
+    for k, pair in enumerate(pairs):
+        sc = write_scenario(tmp_path, f"d{k}.json", {
+            "command": "dilate", "depth": 2, "pair": pair_to_json(pair)})
+        code, out = run(capsys, ["dilate", "--scenario", sc,
+                                 "--out", str(tmp_path)])
+        checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+        dense = _dense_covariance_defect(dilation.minimal_dilation(pair, 2))
+        assert checks["family-covariant"] == dense == (1.0 if reverse else 0.0)
 
 
 def test_dilate_decompose_commutant_equiv(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -29,12 +31,16 @@ from weylpair import (
     step_projection,
     weyl_defect,
 )
+from weylpair.cli import export_heatmap, main
 from weylpair.freeproduct import (
+    PLATEAU_TOL,
     ambient_field_projection,
     ambient_shift,
     coordinate_family,
     proof_region_points,
+    sample_field,
 )
+from weylpair.serialize import matrix_to_json
 
 from conftest import opnorm
 
@@ -319,3 +325,140 @@ def test_pair_commutant_is_trivial_for_demo_family():
     pair = build_r2_pair(fam, EV, grid)
     basis = commutant_basis(RepGens.from_pair(pair), guard=300)
     assert len(basis) == 1
+
+
+# ---------------------------------------------------------------------------
+# the sampled field against the per-point definition
+
+
+def _zero_family(kappa=2, parts=3):
+    zero = np.zeros((kappa, kappa), dtype=complex)
+    return ProjectionFamily([zero] * parts, [zero] * parts)
+
+
+# every family has three projections per sequence, as the 3.0-extent grids
+# index them; the coordinate sequences are disjoint, so corrupting (0, 0)
+# breaks monotonicity by a full projection direction
+SAMPLED_FAMILIES = {
+    "demo": lambda: demo_family(6),
+    "random": lambda: random_family(5, 3, 3, seed=4),
+    "coordinate": lambda: coordinate_family(6, [[0], [1], [2]], [[3], [4], [5]]),
+    "zero": _zero_family,
+}
+SAMPLED_GRIDS = [GridSpec(1, 3.0), GridSpec(2, 3.0), GridSpec(5, 3.0),
+                 GridSpec(10, 3.0), GridSpec(4, 3.0, offset=0.25)]
+# p != q, so the two axes pick differently on the finer grids
+SKEW = EvaluationPoint(0.2, 0.4, 0.3, 0.6, (0.27, 0.55))
+
+
+def _per_point_field(fam, grid, f_lookup=None, ev=EV):
+    vals = grid.values()
+    return vals, [[cell_projection(fam, ev, s, t, f_lookup=f_lookup)
+                   for t in vals] for s in vals]
+
+
+def _per_point_violation(vals, field):
+    pts = [(i, j) for i in range(len(vals)) for j in range(len(vals))]
+    worst = 0.0
+    for (i, j), (k, l) in itertools.product(pts, repeat=2):
+        if i <= k and j <= l:
+            diff = field[k][l] - field[i][j]
+            lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
+            worst = max(worst, -float(lam))
+    return worst
+
+
+@pytest.mark.parametrize("grid", SAMPLED_GRIDS,
+                         ids=lambda g: f"{g.denominator}-{g.offset}")
+@pytest.mark.parametrize("name", sorted(SAMPLED_FAMILIES))
+def test_sample_matches_the_per_point_field(name, grid, tmp_path, capsys):
+    fam = SAMPLED_FAMILIES[name]()
+    vals, field = _per_point_field(fam, grid, ev=SKEW)
+    n = len(vals)
+    svals, ids, sels, mats = sample_field(fam, SKEW, grid)
+    assert np.array_equal(svals, vals) and ids.shape == (n, n)
+    assert sels == sorted(set(sels))
+    for i, j in itertools.product(range(n), repeat=2):
+        assert sels[ids[i, j]] == fp._select_index(SKEW, vals[i], vals[j])
+        assert np.array_equal(mats[ids[i, j]], field[i][j])
+    points = [(float(vals[i]), float(vals[j]), field[i][j])
+              for i, j in itertools.product(range(n), repeat=2)]
+    for m, n_ in itertools.product(range(4), repeat=2):
+        target = step_projection(fam, m, n_)
+        want = [(s, t) for s, t, e in points
+                if m <= s < m + 1 and n_ <= t < n_ + 1
+                and np.abs(e - target).max() <= PLATEAU_TOL]
+        assert plateau(fam, SKEW, m, n_, grid) == want
+    assert spec_support(fam, SKEW, grid) == [(s, t) for s, t, e in points
+                                             if np.abs(e).max() > 0]
+    k = fam.kappa
+    ambient = ambient_field_projection(fam, SKEW, grid)
+    for o, (_, _, e) in enumerate(points):
+        assert np.array_equal(ambient[o * k:(o + 1) * k, o * k:(o + 1) * k], e)
+    assert np.count_nonzero(ambient) == sum(np.count_nonzero(e)
+                                            for _, _, e in points)
+    # the CLI heatmap is the per-point trace, byte for byte
+    scenario = tmp_path / "increasing.json"
+    scenario.write_text(json.dumps({
+        "sub": "increasing", "heatmap": "cli.csv",
+        "ev": {"a": SKEW.a, "b": SKEW.b, "c": SKEW.c, "d": SKEW.d,
+               "p0": list(SKEW.p0)},
+        "family": {"P": [matrix_to_json(p) for p in fam.plist],
+                   "Q": [matrix_to_json(q) for q in fam.qlist]},
+        "grid": {"denominator": grid.denominator, "extent": grid.extent,
+                 "offset": grid.offset}}))
+    assert main(["counterexample", "--scenario", str(scenario),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    oracle = export_heatmap([(s, t, float(np.trace(e).real))
+                             for s, t, e in points], str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "cli.csv").read_bytes() == open(oracle, "rb").read()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_FAMILIES))
+def test_check_increasing_matches_the_per_point_pairs(name):
+    fam = SAMPLED_FAMILIES[name]()
+
+    def corrupted(m, n):
+        if (m, n) == (0, 0):
+            return fam.plist[0]
+        return step_projection(fam, m, n)
+
+    for grid in SAMPLED_GRIDS[:2]:
+        for f_lookup in (None, corrupted):
+            want = _per_point_violation(*_per_point_field(fam, grid, f_lookup))
+            assert check_increasing(fam, EV, grid, f_lookup=f_lookup) == want
+    for grid in SAMPLED_GRIDS:
+        assert check_increasing(fam, EV, grid) <= 1e-12
+        if name == "coordinate":
+            assert check_increasing(fam, EV, grid, f_lookup=corrupted) \
+                >= 1.0 - 1e-12
+
+
+def test_each_consumer_evaluates_each_selection_once(monkeypatch):
+    fam = demo_family(6)
+    grid = GridSpec(10, 4.0)
+    small = GridSpec(2, 2.5)
+    calls = collections.Counter()
+    original = fp.step_projection
+
+    def counted(family, m, n):
+        calls[(m, n)] += 1
+        return original(family, m, n)
+
+    monkeypatch.setattr(fp, "step_projection", counted)
+    consumers = {
+        "check_increasing": lambda: check_increasing(fam, EV, grid),
+        "plateau": lambda: plateau(fam, EV, 1, 0, grid),
+        "plateau outside the grid": lambda: plateau(fam, EV, 5, 5, grid),
+        "spec_support": lambda: spec_support(fam, EV, grid),
+        "commutant_transfer_check":
+            lambda: commutant_transfer_check(fam, EV, GridSpec(2, 7.0)),
+        "ambient_field_projection":
+            lambda: ambient_field_projection(fam, EV, small),
+        "minimality_defect": lambda: minimality_defect(fam, EV, small, 2),
+    }
+    for name, consumer in consumers.items():
+        calls.clear()
+        consumer()
+        assert calls and max(calls.values()) == 1, (name, calls.most_common(1))
