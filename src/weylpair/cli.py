@@ -106,6 +106,11 @@ class _Checks:
         return None
 
 
+def _write_document(path: str, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(ser.document_to_json(doc))
+
+
 def _window_from(doc) -> lat.LatticeWindow:
     if "window" not in doc:
         raise ScenarioParseError("scenario lacks required field 'window'")
@@ -119,8 +124,7 @@ def _window_from(doc) -> lat.LatticeWindow:
 def _cmd_pspace_enum(doc, out, seed, tol):
     window = _window_from(doc)
     psets = lat.enumerate_pspaces(window)
-    data = {"count": len(psets),
-            "psets": [ser.pset_to_json(p) for p in psets]}
+    data = {"count": len(psets), "psets": psets}
     return data, _Checks(), []
 
 
@@ -131,8 +135,7 @@ def _cmd_pair_build(doc, out, seed, tol):
     k = int(doc.get("k", 1))
     pair = pr.build_pspace_pair(ps, k)
     path = os.path.join(out, doc.get("file", "pair.json"))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ser.pair_to_json(pair), fh, sort_keys=True, indent=1)
+    _write_document(path, ser.pair_to_json(pair, matrix=np.asarray))
     data = {"dim": pair.dim, "label": pair.label, "file": path}
     return data, _Checks(), [path]
 
@@ -198,8 +201,7 @@ def _cmd_dilate(doc, out, seed, tol):
     checks.add("family-monotone", worst_mono, tol)
     checks.add("family-covariant", worst_cov, tol)
     path = os.path.join(out, doc.get("file", "bundle.json"))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ser.bundle_to_json(bundle), fh, sort_keys=True, indent=1)
+    _write_document(path, ser.bundle_to_json(bundle, matrix=np.asarray))
     data = {"dim": bundle.dim, "depth": depth, "budget": bundle.budget,
             "file": path}
     return data, checks, [path]
@@ -256,9 +258,10 @@ def _cmd_counterexample(doc, out, seed, tol):
     artifacts = []
     data = {"sub": sub, "kappa": family.kappa}
     if sub == "increasing":
-        violation = fp.check_increasing(family, ev, grid)
+        sample = fp.sample_field(family, ev, grid)
+        violation = fp.check_increasing(family, ev, grid, sample=sample)
         checks.add("field-increasing", violation, 1e-12)
-        vals, ids, _, mats = fp.sample_field(family, ev, grid)
+        vals, ids, _, mats = sample
         ranks = [float(np.trace(e).real) for e in mats]
         rows = [(float(vals[i]), float(vals[j]), ranks[k])
                 for (i, j), k in np.ndenumerate(ids)]
@@ -271,11 +274,13 @@ def _cmd_counterexample(doc, out, seed, tol):
         h = grid.step
         bound = (1 - ev.b) * (1 - ev.d) - 2 * h
         fractions = {}
+        sample = fp.sample_field(family, ev, grid)
+        vals = sample[0]
         for m in range(mmax + 1):
             for n in range(nmax + 1):
-                pts = fp.plateau(family, ev, m, n, grid)
-                total = sum(1 for s in grid.values() if m <= s < m + 1) * \
-                    sum(1 for t in grid.values() if n <= t < n + 1)
+                pts = fp.plateau(family, ev, m, n, grid, sample=sample)
+                total = sum(1 for s in vals if m <= s < m + 1) * \
+                    sum(1 for t in vals if n <= t < n + 1)
                 frac = len(pts) / total if total else 0.0
                 fractions[f"{m},{n}"] = frac
                 checks.add(f"plateau-fraction-{m}-{n}", frac, bound,
@@ -325,7 +330,8 @@ _COMMANDS = {
 
 def run_scenario(command: str, scenario_path: str, out: str = ".",
                  seed: int | None = None, tol: float | None = None) -> tuple[dict, int]:
-    """Execute one scenario; returns (report, exit code)."""
+    """Execute one scenario; returns (report, exit code).  The report is a
+    :func:`serialize.document_to_json` document: it may hold point sets."""
     doc = _load_scenario(scenario_path)
     declared = doc.get("command")
     if declared is not None and declared != command:
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc),
                           "kind": type(exc).__name__}, sort_keys=True))
         return 1
-    print(json.dumps(report, sort_keys=True, indent=1))
+    print(ser.document_to_json(report))
     return code
 
 

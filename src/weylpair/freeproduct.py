@@ -14,8 +14,10 @@ statement.
 The field is sampled once per grid: :func:`sample_field` checks the grid,
 reads the selection per axis and evaluates each distinct step projection
 once, and every consumer below (monotonicity, plateaus, support, commutant
-transfer, the represented pair, the ambient projection, minimality) reads
-that sample.  :func:`cell_projection` is the per-point definition.
+transfer, the represented pair, minimality) reads that sample.  A caller
+that runs several of them on one grid samples once and passes the sample
+to :func:`check_increasing` and :func:`plateau`.  :func:`cell_projection`
+is the per-point definition.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def sample_field(family: ProjectionFamily, ev: EvaluationPoint,
 
 
 def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
-                     grid: GridSpec, f_lookup=None) -> float:
+                     grid: GridSpec, f_lookup=None, sample=None) -> float:
     """Worst monotonicity violation of the field over comparable grid pairs.
 
     Scans every comparable pair (s,t) <= (s',t') on the grid and reports the
@@ -238,9 +240,12 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
     zero.  The picks never decrease along an axis, so the selections of
     comparable points are exactly the componentwise ordered pairs of
     sampled selections, and each such pair is compared once; an honest
-    family yields zero up to roundoff.
+    family yields zero up to roundoff.  ``sample`` is the
+    :func:`sample_field` result for the same arguments, if the caller has it.
     """
-    _, _, sels, mats = sample_field(family, ev, grid, f_lookup)
+    if sample is None:
+        sample = sample_field(family, ev, grid, f_lookup)
+    _, _, sels, mats = sample
     worst = 0.0
     for (m, n), lo in zip(sels, mats):
         for (mm, nn), hi in zip(sels, mats):
@@ -252,10 +257,14 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
 
 
 def plateau(family: ProjectionFamily, ev: EvaluationPoint, m: int, n: int,
-            grid: GridSpec, f_lookup=None) -> list[tuple[float, float]]:
+            grid: GridSpec, f_lookup=None,
+            sample=None) -> list[tuple[float, float]]:
     """Grid points of the unit cell at (m, n) where the field equals the
-    step projection of (m, n)."""
-    vals, ids, sels, mats = sample_field(family, ev, grid, f_lookup)
+    step projection of (m, n).  ``sample`` is the :func:`sample_field`
+    result for the same arguments, if the caller has it."""
+    if sample is None:
+        sample = sample_field(family, ev, grid, f_lookup)
+    vals, ids, sels, mats = sample
     lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
     target = mats[sels.index((m, n))] if (m, n) in sels else lookup(m, n)
     equal = np.array([np.abs(e - target).max() <= PLATEAU_TOL for e in mats],
@@ -263,26 +272,6 @@ def plateau(family: ProjectionFamily, ev: EvaluationPoint, m: int, n: int,
     cell = np.outer((m <= vals) & (vals < m + 1), (n <= vals) & (vals < n + 1))
     return [(float(vals[i]), float(vals[j]))
             for i, j in zip(*np.nonzero(cell & equal[ids]))]
-
-
-def proof_region_points(ev: EvaluationPoint, m: int, n: int,
-                        grid: GridSpec) -> list[tuple[float, float]]:
-    """Grid points of the open region (m, m+1-b) x (n, n+1-d).
-
-    Every point here lands in the lower-left cell with the rectangle fully
-    inside, so the field is pinned to the step projection of (m, n); the
-    region has area (1-b)(1-d) and witnesses that each plateau carries
-    positive measure.
-    """
-    out = []
-    for s in grid.values():
-        if not (m < s < m + 1 - ev.b):
-            continue
-        for t in grid.values():
-            if not (n < t < n + 1 - ev.d):
-                continue
-            out.append((float(s), float(t)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +355,13 @@ def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
     isometry fiber-to-fiber, but the range projections of the two axes need
     not commute (that is the point of the construction).
     """
-    violation = check_increasing(family, ev, grid)
+    sample = sample_field(family, ev, grid)
+    violation = check_increasing(family, ev, grid, sample=sample)
     if violation > 1e-12:
         raise MonotonicityBroken(
             f"field is not increasing (violation {violation:.3e}); "
             f"compression to the fibers is not defined")
-    vals, ids, _, mats = sample_field(family, ev, grid)
+    vals, ids, _, mats = sample
     bases = _field_bases(mats)
     n = len(vals)
     window = LatticeWindow((-n, -n), (n - 1, n - 1), weight=grid.step ** 2)
@@ -433,30 +423,6 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
     nonzero = np.array([np.abs(e).max() > 0 for e in mats], dtype=bool)
     return [(float(vals[i]), float(vals[j]))
             for i, j in zip(*np.nonzero(nonzero[ids]))]
-
-
-def ambient_field_projection(family, ev, grid) -> np.ndarray:
-    """Block-diagonal field projection on the ambient grid space."""
-    _, ids, _, mats = sample_field(family, ev, grid)
-    kappa = family.kappa
-    out = np.zeros((ids.size * kappa, ids.size * kappa), dtype=complex)
-    for o, k in enumerate(ids.ravel()):
-        out[o * kappa:(o + 1) * kappa, o * kappa:(o + 1) * kappa] = mats[k]
-    return out
-
-
-def ambient_shift(grid: GridSpec, steps: tuple[int, int], kappa: int) -> np.ndarray:
-    """Truncated grid shift on the ambient space, identity on coefficients."""
-    n = len(grid.values())
-    out = np.zeros((n * n * kappa, n * n * kappa), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            ti, tj = i + steps[0], j + steps[1]
-            if 0 <= ti < n and 0 <= tj < n:
-                r0 = (ti * n + tj) * kappa
-                c0 = (i * n + j) * kappa
-                out[r0:r0 + kappa, c0:c0 + kappa] = np.eye(kappa)
-    return out
 
 
 def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,

@@ -3,9 +3,19 @@
 Matrices travel as row-major nested arrays of [re, im] pairs.  Point sets,
 pairs, bundles and projection families each have a fixed document layout so
 that reports are reproducible byte for byte under a fixed seed.
+
+Every report and artifact file is written by :func:`document_to_json`, which
+emits the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``.  The
+standard library falls back to its pure-Python encoder whenever ``indent``
+is set, so the writer renders the bulk of a document itself: point sets from
+per-window text of each point, matrices from a per-shape template filled with
+the float texts.  What holds neither is left to ``json``.
 """
 
 from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,11 +71,14 @@ def pset_from_json(doc) -> PSet:
     return PSet(w, pts, kind)
 
 
-def pair_to_json(pair) -> dict:
+def pair_to_json(pair, matrix=matrix_to_json) -> dict:
+    """The pair document; ``matrix`` writes each generator.  With
+    ``matrix=np.asarray`` the generators stay arrays, for
+    :func:`document_to_json`."""
     return {
         "window": window_to_json(pair.window),
         "fibers": [[list(p), k] for p, k in pair.fibers],
-        "generators": [matrix_to_json(g) for g in pair.gens],
+        "generators": [matrix(g) for g in pair.gens],
         "label": pair.label,
     }
 
@@ -83,12 +96,108 @@ def pair_from_json(doc):
     return WeylPair(w, fibers, gens, label=label)
 
 
-def bundle_to_json(bundle) -> dict:
-    doc = pair_to_json(bundle.dilated)
+def bundle_to_json(bundle, matrix=matrix_to_json) -> dict:
+    doc = pair_to_json(bundle.dilated, matrix)
     doc["depth"] = bundle.depth
     doc["budget"] = bundle.budget
-    doc["base"] = pair_to_json(bundle.base)
+    doc["base"] = pair_to_json(bundle.base, matrix)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+def document_to_json(doc) -> str:
+    """Exactly ``json.dumps(doc, sort_keys=True, indent=1)``, where ``doc``
+    may also hold ``PSet`` values, written as their :func:`pset_to_json`
+    documents, and 2-d arrays, written as their :func:`matrix_to_json`
+    lists.  Dicts that hold such values must have string keys."""
+    parts = _parts(doc, 0, {})
+    return _dumps(doc, 0) if parts is None else "".join(parts)
+
+
+def _dumps(doc, level: int) -> str:
+    """``json`` text of ``doc`` nested ``level`` deep: strings carry no raw
+    newline, so every newline starts a line to indent."""
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    return text.replace("\n", "\n" + " " * level) if level else text
+
+
+#: What ``_parts`` looks into; every other value goes to ``json`` as it is.
+_NESTED = (dict, list, tuple, PSet, np.ndarray)
+
+
+def _parts(doc, level: int, templates: dict) -> list[str] | None:
+    """Text of ``doc`` nested ``level`` deep, in pieces; None when ``doc``
+    holds no point set and no array, so that ``json`` writes it whole."""
+    if isinstance(doc, PSet):
+        return [_pset_text(doc, level, templates)]
+    if isinstance(doc, np.ndarray):
+        return [_matrix_text(doc, level, templates)]
+    if isinstance(doc, dict):
+        keys = sorted(doc)
+        values = [doc[k] for k in keys]
+    elif isinstance(doc, (list, tuple)):
+        keys = None
+        values = doc
+    else:
+        return None
+    inner = [_parts(v, level + 1, templates) if isinstance(v, _NESTED) else None
+             for v in values]
+    if all(p is None for p in inner):
+        return None
+    out = ["[" if keys is None else "{"]
+    pad = "\n" + " " * (level + 1)
+    for i, (v, p) in enumerate(zip(values, inner)):
+        out.append(("," if i else "") + pad)
+        if keys is not None:
+            out.append(encode_basestring_ascii(keys[i]) + ": ")
+        if p is None:
+            out.append(_dumps(v, level + 1))
+        else:
+            out.extend(p)
+    out.append("\n" + " " * level + ("]" if keys is None else "}"))
+    return out
+
+
+def _pset_text(ps: PSet, level: int, templates: dict) -> str:
+    """A point set's document from the text of its window's points, made
+    once per window, kind and level."""
+    key = (ps.window, ps.kind, level)
+    if key not in templates:
+        doc = pset_to_json(ps)
+        doc["points"] = None
+        head, tail = _dumps(doc, level).split('"points": null')
+        pad = "\n" + " " * (level + 2)
+        points = [pad + _dumps(list(p), level + 2) for p in ps.window.points()]
+        templates[key] = (head + '"points": [', points,
+                          "\n" + " " * (level + 1) + "]" + tail)
+    head, points, tail = templates[key]
+    return head + ",".join(map(points.__getitem__, ps.indices)) + tail
+
+
+#: ``json``'s text of the non-finite floats, keyed by their ``repr``.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _matrix_text(m: np.ndarray, level: int, templates: dict) -> str:
+    """A matrix's [re, im] lists: one template per shape and level, with a
+    slot for each float's ``repr``."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    rows, cols = a.shape
+    key = (rows, cols, level)
+    if key not in templates:
+        pad = ["\n" + " " * (level + i) for i in range(4)]
+        entry = pad[2] + "[" + pad[3] + "%s," + pad[3] + "%s" + pad[2] + "]"
+        row = "[" + ",".join([entry] * cols) + pad[1] + "]" if cols else "[]"
+        templates[key] = ("[" + ",".join([pad[1] + row] * rows) + pad[0] + "]"
+                          if rows else "[]")
+    floats = a.view(float).ravel()
+    texts = list(map(float.__repr__, floats.tolist()))
+    if not np.isfinite(floats).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return templates[key] % tuple(texts)
 
 
 def family_from_json(doc):

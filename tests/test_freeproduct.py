@@ -32,20 +32,49 @@ from weylpair import (
     weyl_defect,
 )
 from weylpair.cli import export_heatmap, main
-from weylpair.freeproduct import (
-    PLATEAU_TOL,
-    ambient_field_projection,
-    ambient_shift,
-    coordinate_family,
-    proof_region_points,
-    sample_field,
-)
+from weylpair.freeproduct import PLATEAU_TOL, coordinate_family, sample_field
 from weylpair.serialize import matrix_to_json
 
 from conftest import opnorm
 
 
 EV = EvaluationPoint.default()
+
+
+def proof_region_points(ev, m, n, grid):
+    """Grid points of the open region (m, m+1-b) x (n, n+1-d).
+
+    Every point here lands in the lower-left cell with the rectangle fully
+    inside, so the field is pinned to the step projection of (m, n); the
+    region has area (1-b)(1-d) and witnesses that each plateau carries
+    positive measure.
+    """
+    return [(float(s), float(t)) for s in grid.values() for t in grid.values()
+            if m < s < m + 1 - ev.b and n < t < n + 1 - ev.d]
+
+
+def ambient_field_projection(family, ev, grid):
+    """Block-diagonal field projection on the ambient grid space."""
+    _, ids, _, mats = sample_field(family, ev, grid)
+    kappa = family.kappa
+    out = np.zeros((ids.size * kappa, ids.size * kappa), dtype=complex)
+    for o, k in enumerate(ids.ravel()):
+        out[o * kappa:(o + 1) * kappa, o * kappa:(o + 1) * kappa] = mats[k]
+    return out
+
+
+def ambient_shift(grid, steps, kappa):
+    """Truncated grid shift on the ambient space, identity on coefficients."""
+    n = len(grid.values())
+    out = np.zeros((n * n * kappa, n * n * kappa), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            ti, tj = i + steps[0], j + steps[1]
+            if 0 <= ti < n and 0 <= tj < n:
+                r0 = (ti * n + tj) * kappa
+                c0 = (i * n + j) * kappa
+                out[r0:r0 + kappa, c0:c0 + kappa] = np.eye(kappa)
+    return out
 
 
 def test_family_validation_rejects_overlap():
@@ -451,6 +480,7 @@ def test_each_consumer_evaluates_each_selection_once(monkeypatch):
         "check_increasing": lambda: check_increasing(fam, EV, grid),
         "plateau": lambda: plateau(fam, EV, 1, 0, grid),
         "plateau outside the grid": lambda: plateau(fam, EV, 5, 5, grid),
+        "build_r2_pair": lambda: build_r2_pair(fam, EV, GridSpec(1, 4.0)),
         "spec_support": lambda: spec_support(fam, EV, grid),
         "commutant_transfer_check":
             lambda: commutant_transfer_check(fam, EV, GridSpec(2, 7.0)),
@@ -462,3 +492,22 @@ def test_each_consumer_evaluates_each_selection_once(monkeypatch):
         calls.clear()
         consumer()
         assert calls and max(calls.values()) == 1, (name, calls.most_common(1))
+
+
+@pytest.mark.parametrize("sub", ["increasing", "plateau"])
+def test_cli_counterexample_samples_the_field_once(sub, tmp_path, monkeypatch,
+                                                   capsys):
+    calls = collections.Counter()
+    original = fp.step_projection
+
+    def counted(family, m, n):
+        calls[(m, n)] += 1
+        return original(family, m, n)
+
+    monkeypatch.setattr(fp, "step_projection", counted)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"sub": sub, "heatmap": "h.csv"}))
+    assert main(["counterexample", "--scenario", str(scenario),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls and max(calls.values()) == 1, calls.most_common(1)

@@ -11,9 +11,15 @@ match the dense per-angle oracle within 1e-13 at every shift.
 
 The graded commutant and intertwiner solve must span the same space as the
 dense ``sylvester_nullspace`` on the same generator lists.
+
+On drawn windows, ``enumerate_pspaces`` lists valid, distinct, upward closed
+sets, C(m+n, n) - 1 of them on an m x n rectangle; ``reflect_pset`` is an
+involution that swaps kinds and turns a translation by x into one by -x;
+and a translation that clips no point is undone by the opposite one.
 """
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -34,11 +40,15 @@ from weylpair import (
     enumerate_pspaces,
     intertwiners,
     random_family,
+    reflect_pset,
     subspace_gap,
     summarize,
     sylvester_nullspace,
+    translate_pset,
     weyl_defect,
 )
+from weylpair.errors import EmptySetError
+from weylpair.lattice import PSet, SetKind
 from weylpair.dilation import decompose_full
 
 from conftest import dense_weyl_defect, fiber_mixing_unitary, opnorm, upset_from
@@ -194,3 +204,97 @@ def test_graded_solve_matches_dense_oracle(case):
                       (intertwiners(ra, rb), sylvester_nullspace(ra.gens, rb.gens))):
         assert len(got) == len(want)
         assert subspace_gap(got, want) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the lattice: enumeration and the translation / reflection dualities
+
+# sides per dimension that keep an enumeration to at most 70 sets
+MAX_SIDE = {1: 8, 2: 4, 3: 2}
+
+
+@st.composite
+def windows(draw, dim=None):
+    d = dim or draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    sides = [draw(st.integers(1, MAX_SIDE[d])) for _ in range(d)]
+    return LatticeWindow(lo, tuple(a + s - 1 for a, s in zip(lo, sides)))
+
+
+@st.composite
+def invariant_sets(draw):
+    """An enumerated upward set, or its reflection (a downward set)."""
+    psets = enumerate_pspaces(draw(windows()))
+    ps = psets[draw(st.integers(0, len(psets) - 1))]
+    return reflect_pset(ps) if draw(st.booleans()) else ps
+
+
+def _upward_closed(points, window):
+    members = set(points)
+    return all(q not in window or q in members
+               for p in points for e in window.generators()
+               for q in [tuple(a + b for a, b in zip(p, e))])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(windows())
+def test_enumerated_sets_are_valid_distinct_upward_closed(w):
+    psets = enumerate_pspaces(w)
+    assert len({ps.points for ps in psets}) == len(psets)
+    for ps in psets:
+        assert isinstance(ps, PSet) and ps.kind is SetKind.PSPACE
+        assert ps.window == w and len(ps.points) > 0
+        assert len(set(ps.points)) == len(ps.points)
+        assert all(p in w for p in ps.points)
+        assert _upward_closed(ps.points, w)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(windows(dim=2))
+def test_rectangle_count_is_binomial(w):
+    m, n = w.sides
+    assert len(enumerate_pspaces(w)) == math.comb(m + n, n) - 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(invariant_sets())
+def test_reflection_is_an_involution_swapping_kinds(ps):
+    r = reflect_pset(ps)
+    assert r.kind is not ps.kind
+    assert reflect_pset(r) == ps
+
+
+def _translate(ps, x):
+    try:
+        return translate_pset(ps, x)
+    except EmptySetError:
+        return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(invariant_sets(), st.data())
+def test_reflection_negates_translation(ps, data):
+    x = tuple(data.draw(st.integers(-s, s)) for s in ps.window.sides)
+    moved = _translate(ps, x)
+    mirrored = _translate(reflect_pset(ps), tuple(-c for c in x))
+    assert (moved is None) == (mirrored is None)
+    if moved is not None:
+        assert reflect_pset(moved[0]) == mirrored[0]
+        assert moved[1] == mirrored[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(invariant_sets(), st.data())
+def test_unclipped_translation_is_undone_by_its_opposite(ps, data):
+    # an upward set holds the top corner, so only a step down can clip
+    # nothing, and none does while it stays within the set's distance from
+    # the window floor (the other way round for a downward set)
+    sign = -1 if ps.kind is SetKind.PSPACE else 1
+    slack = [min(p[i] for p in ps.points) - ps.window.lo[i] if sign < 0
+             else ps.window.hi[i] - max(p[i] for p in ps.points)
+             for i in range(ps.window.dim)]
+    x = tuple(sign * data.draw(st.integers(0, s)) for s in slack)
+    moved, clip = translate_pset(ps, x)
+    assert clip == 0
+    back, _ = translate_pset(moved, tuple(-c for c in x))
+    assert back == ps
