@@ -38,20 +38,22 @@ grid = GridSpec(10, 4.0)
 print(f"grid: step {grid.step}, {len(grid.values())}^2 points on "
       f"[0,{grid.extent})^2")
 
+# the field is sampled once: one step projection per distinct selection
+sample = sample_field(family, ev, grid)
+
 # the field is increasing: no comparable pair violates the projection order
-violation = check_increasing(family, ev, grid)
+violation = check_increasing(sample)
 print(f"monotonicity violation over all comparable pairs: {violation:.2e}")
 
 # every step projection is pinned on a plateau of positive area
 for (m, n) in [(0, 0), (1, 0), (2, 2)]:
-    frac = len(plateau(family, ev, m, n, grid)) / 100.0
+    frac = len(plateau(sample, m, n)) / 100.0
     print(f"plateau fraction of cell ({m},{n}): {frac:.2f}")
 
-# the field is sampled once: one trace per distinct step projection
-vals, ids, _, mats = sample_field(family, ev, grid)
-ranks = [float(np.trace(e).real) for e in mats]
-rows = [(float(vals[i]), float(vals[j]), ranks[k])
-        for (i, j), k in np.ndenumerate(ids)]
+# one trace per distinct step projection
+ranks = [float(np.trace(e).real) for e in sample.mats]
+rows = [(float(sample.vals[i]), float(sample.vals[j]), ranks[k])
+        for (i, j), k in np.ndenumerate(sample.ids)]
 path = export_heatmap(rows,
                       os.path.join(tempfile.mkdtemp(), "field_rank.csv"))
 print(f"rank heatmap written to {path}")

@@ -201,7 +201,7 @@ def _cmd_dilate(doc, out, seed, tol):
     checks.add("family-monotone", worst_mono, tol)
     checks.add("family-covariant", worst_cov, tol)
     path = os.path.join(out, doc.get("file", "bundle.json"))
-    _write_document(path, ser.bundle_to_json(bundle, matrix=np.asarray))
+    _write_document(path, ser.bundle_to_json(bundle))
     data = {"dim": bundle.dim, "depth": depth, "budget": bundle.budget,
             "file": path}
     return data, checks, [path]
@@ -259,12 +259,12 @@ def _cmd_counterexample(doc, out, seed, tol):
     data = {"sub": sub, "kappa": family.kappa}
     if sub == "increasing":
         sample = fp.sample_field(family, ev, grid)
-        violation = fp.check_increasing(family, ev, grid, sample=sample)
+        violation = fp.check_increasing(sample)
         checks.add("field-increasing", violation, 1e-12)
-        vals, ids, _, mats = sample
-        ranks = [float(np.trace(e).real) for e in mats]
+        vals = sample.vals
+        ranks = [float(np.trace(e).real) for e in sample.mats]
         rows = [(float(vals[i]), float(vals[j]), ranks[k])
-                for (i, j), k in np.ndenumerate(ids)]
+                for (i, j), k in np.ndenumerate(sample.ids)]
         path = os.path.join(out, doc.get("heatmap", "field_rank.csv"))
         export_heatmap(rows, path)
         artifacts.append(path)
@@ -275,10 +275,10 @@ def _cmd_counterexample(doc, out, seed, tol):
         bound = (1 - ev.b) * (1 - ev.d) - 2 * h
         fractions = {}
         sample = fp.sample_field(family, ev, grid)
-        vals = sample[0]
+        vals = sample.vals
         for m in range(mmax + 1):
             for n in range(nmax + 1):
-                pts = fp.plateau(family, ev, m, n, grid, sample=sample)
+                pts = fp.plateau(sample, m, n)
                 total = sum(1 for s in vals if m <= s < m + 1) * \
                     sum(1 for t in vals if n <= t < n + 1)
                 frac = len(pts) / total if total else 0.0

@@ -14,10 +14,10 @@ statement.
 The field is sampled once per grid: :func:`sample_field` checks the grid,
 reads the selection per axis and evaluates each distinct step projection
 once, and every consumer below (monotonicity, plateaus, support, commutant
-transfer, the represented pair, minimality) reads that sample.  A caller
-that runs several of them on one grid samples once and passes the sample
-to :func:`check_increasing` and :func:`plateau`.  :func:`cell_projection`
-is the per-point definition.
+transfer, the represented pair, minimality) reads that sample.
+:func:`check_increasing` and :func:`plateau` take the sample itself, so a
+caller that runs several of them on one grid samples once.
+:func:`cell_projection` is the per-point definition.
 """
 
 from __future__ import annotations
@@ -180,15 +180,35 @@ def cell_projection(family: ProjectionFamily, ev: EvaluationPoint,
     return lookup(*sel)
 
 
+@dataclass(frozen=True, eq=False)
+class FieldSample:
+    """The field on a square grid: at grid point (vals[i], vals[j]) it is
+    ``mats[ids[i, j]]``, the step projection of selection ``sels[ids[i, j]]``.
+    ``sels`` is sorted and distinct; ``lookup`` is the step-projection
+    table the projections were read from."""
+
+    vals: np.ndarray
+    ids: np.ndarray
+    sels: list
+    mats: list
+    lookup: object
+
+    def step(self, m: int, n: int) -> np.ndarray:
+        """Step projection of (m, n), from the sample when it was selected."""
+        if (m, n) in self.sels:
+            return self.mats[self.sels.index((m, n))]
+        return self.lookup(m, n)
+
+
 def sample_field(family: ProjectionFamily, ev: EvaluationPoint,
-                 grid: GridSpec, f_lookup=None):
+                 grid: GridSpec, f_lookup=None) -> FieldSample:
     """The field of ``family`` on every point of the square grid, once.
 
-    Returns (grid values, ids, selections, projections): ``ids[i, j]``
-    indexes the sorted list of distinct step-projection selections, and
-    each selection is evaluated once.  The selection is separable (its
-    first index depends on s alone, its second on t alone), so the picks
-    are read once per axis and ``ids`` is their product index.
+    Each distinct step-projection selection is evaluated once.  The
+    selection is separable (its first index depends on s alone, its second
+    on t alone), so the picks are read once per axis and ``ids`` is their
+    product index.  ``f_lookup`` replaces the step-projection table
+    (diagnostic hook used to study corrupted, non-monotone fields).
 
     A grid value that puts a cell boundary on the evaluation point raises
     BoundaryCoincidence.  Unless ``f_lookup`` replaces the step-projection
@@ -228,11 +248,10 @@ def sample_field(family: ProjectionFamily, ev: EvaluationPoint,
     ids = first_id[:, None] * len(seconds) + second_id[None, :]
     sels = [(int(m), int(n)) for m in firsts for n in seconds]
     lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
-    return vals, ids, sels, [lookup(*sel) for sel in sels]
+    return FieldSample(vals, ids, sels, [lookup(*sel) for sel in sels], lookup)
 
 
-def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
-                     grid: GridSpec, f_lookup=None, sample=None) -> float:
+def check_increasing(sample: FieldSample) -> float:
     """Worst monotonicity violation of the field over comparable grid pairs.
 
     Scans every comparable pair (s,t) <= (s',t') on the grid and reports the
@@ -240,15 +259,11 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
     zero.  The picks never decrease along an axis, so the selections of
     comparable points are exactly the componentwise ordered pairs of
     sampled selections, and each such pair is compared once; an honest
-    family yields zero up to roundoff.  ``sample`` is the
-    :func:`sample_field` result for the same arguments, if the caller has it.
+    family yields zero up to roundoff.
     """
-    if sample is None:
-        sample = sample_field(family, ev, grid, f_lookup)
-    _, _, sels, mats = sample
     worst = 0.0
-    for (m, n), lo in zip(sels, mats):
-        for (mm, nn), hi in zip(sels, mats):
+    for (m, n), lo in zip(sample.sels, sample.mats):
+        for (mm, nn), hi in zip(sample.sels, sample.mats):
             if m <= mm and n <= nn:
                 diff = hi - lo
                 lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
@@ -256,22 +271,17 @@ def check_increasing(family: ProjectionFamily, ev: EvaluationPoint,
     return worst
 
 
-def plateau(family: ProjectionFamily, ev: EvaluationPoint, m: int, n: int,
-            grid: GridSpec, f_lookup=None,
-            sample=None) -> list[tuple[float, float]]:
-    """Grid points of the unit cell at (m, n) where the field equals the
-    step projection of (m, n).  ``sample`` is the :func:`sample_field`
-    result for the same arguments, if the caller has it."""
-    if sample is None:
-        sample = sample_field(family, ev, grid, f_lookup)
-    vals, ids, sels, mats = sample
-    lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
-    target = mats[sels.index((m, n))] if (m, n) in sels else lookup(m, n)
-    equal = np.array([np.abs(e - target).max() <= PLATEAU_TOL for e in mats],
-                     dtype=bool)
+def plateau(sample: FieldSample, m: int,
+            n: int) -> list[tuple[float, float]]:
+    """Grid points of the unit cell at (m, n) where the sampled field equals
+    the step projection of (m, n)."""
+    target = sample.step(m, n)
+    equal = np.array([np.abs(e - target).max() <= PLATEAU_TOL
+                      for e in sample.mats], dtype=bool)
+    vals = sample.vals
     cell = np.outer((m <= vals) & (vals < m + 1), (n <= vals) & (vals < n + 1))
     return [(float(vals[i]), float(vals[j]))
-            for i, j in zip(*np.nonzero(cell & equal[ids]))]
+            for i, j in zip(*np.nonzero(cell & equal[sample.ids]))]
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +366,14 @@ def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
     not commute (that is the point of the construction).
     """
     sample = sample_field(family, ev, grid)
-    violation = check_increasing(family, ev, grid, sample=sample)
+    violation = check_increasing(sample)
     if violation > 1e-12:
         raise MonotonicityBroken(
             f"field is not increasing (violation {violation:.3e}); "
             f"compression to the fibers is not defined")
-    vals, ids, _, mats = sample
-    bases = _field_bases(mats)
-    n = len(vals)
+    ids = sample.ids
+    bases = _field_bases(sample.mats)
+    n = len(sample.vals)
     window = LatticeWindow((-n, -n), (n - 1, n - 1), weight=grid.step ** 2)
     fibers, dim, index = sum_layout([[(pt, bases[k].shape[1])
                                       for pt, k in np.ndenumerate(ids)
@@ -398,13 +408,13 @@ def commutant_transfer_check(family: ProjectionFamily, ev: EvaluationPoint,
     if grid.extent < family.np_count + 1 or grid.extent < family.nq_count + 1:
         raise GridTooSmall(
             f"grid extent {grid.extent} does not cover the family axes")
-    _, _, sels, sampled = sample_field(family, ev, grid)
+    sample = sample_field(family, ev, grid)
     required = {(m, 0) for m in range(1, family.np_count + 1)}
     required |= {(0, m) for m in range(1, family.nq_count + 1)}
-    missing = required - set(sels)
+    missing = required - set(sample.sels)
     if missing:
         raise GridTooSmall(f"step projections never sampled: {sorted(missing)}")
-    dim_e = commutant_basis(RepGens(family.kappa, sampled))
+    dim_e = commutant_basis(RepGens(family.kappa, sample.mats))
     dim_f = commutant_basis(RepGens(family.kappa,
                                     list(family.plist) + list(family.qlist)))
     gap = subspace_gap(dim_e, dim_f)
@@ -419,10 +429,11 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
     evaluation data and the grid: inequivalent families share it, so
     spectral support cannot separate pairs without commuting ranges.
     """
-    vals, ids, _, mats = sample_field(family, ev, grid)
-    nonzero = np.array([np.abs(e).max() > 0 for e in mats], dtype=bool)
+    sample = sample_field(family, ev, grid)
+    vals = sample.vals
+    nonzero = np.array([np.abs(e).max() > 0 for e in sample.mats], dtype=bool)
     return [(float(vals[i]), float(vals[j]))
-            for i, j in zip(*np.nonzero(nonzero[ids]))]
+            for i, j in zip(*np.nonzero(nonzero[sample.ids]))]
 
 
 def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,
@@ -434,9 +445,10 @@ def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,
     the whole coefficient space; the defect is the worst distance from
     fullness over those safe points.
     """
-    vals, ids, _, mats = sample_field(family, ev, grid)
-    bases = _field_bases(mats)
-    n = len(vals)
+    sample = sample_field(family, ev, grid)
+    ids = sample.ids
+    bases = _field_bases(sample.mats)
+    n = len(sample.vals)
     box = margin_steps + 1
     worst = 0.0
     for i in range(n - margin_steps):

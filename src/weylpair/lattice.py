@@ -62,8 +62,6 @@ class LatticeWindow:
     def __post_init__(self):
         object.__setattr__(self, "lo", _as_point(self.lo))
         object.__setattr__(self, "hi", _as_point(self.hi))
-        # a float, so that equal windows write equal documents
-        object.__setattr__(self, "weight", float(self.weight))
         if len(self.lo) != len(self.hi) or not self.lo:
             raise ValueError("lo and hi must be nonempty vectors of equal length")
         if any(l > h for l, h in zip(self.lo, self.hi)):

@@ -9,13 +9,12 @@ emits the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``.  The
 standard library falls back to its pure-Python encoder whenever ``indent``
 is set, so the writer renders the bulk of a document itself: point sets from
 per-window text of each point, matrices from a per-shape template filled with
-the float texts.  What holds neither is left to ``json``.
+the float texts.  The rest of the document is left to ``json``.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -96,11 +95,13 @@ def pair_from_json(doc):
     return WeylPair(w, fibers, gens, label=label)
 
 
-def bundle_to_json(bundle, matrix=matrix_to_json) -> dict:
-    doc = pair_to_json(bundle.dilated, matrix)
+def bundle_to_json(bundle) -> dict:
+    """The bundle document, its generators kept as arrays for
+    :func:`document_to_json`."""
+    doc = pair_to_json(bundle.dilated, np.asarray)
     doc["depth"] = bundle.depth
     doc["budget"] = bundle.budget
-    doc["base"] = pair_to_json(bundle.base, matrix)
+    doc["base"] = pair_to_json(bundle.base, np.asarray)
     return doc
 
 
@@ -108,13 +109,45 @@ def bundle_to_json(bundle, matrix=matrix_to_json) -> dict:
 # the writer
 
 
+#: What ``json`` writes in place of a point set or an array, to be replaced.
+_HOLE = "\x00weylpair.serialize.hole\x00"
+_HOLE_TEXT = json.dumps(_HOLE)
+
+
 def document_to_json(doc) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=1)``, where ``doc``
     may also hold ``PSet`` values, written as their :func:`pset_to_json`
     documents, and 2-d arrays, written as their :func:`matrix_to_json`
-    lists.  Dicts that hold such values must have string keys."""
-    parts = _parts(doc, 0, {})
-    return _dumps(doc, 0) if parts is None else "".join(parts)
+    lists.
+
+    ``json`` writes the document in one pass and puts a placeholder string
+    where it meets a point set or an array; each placeholder is then
+    replaced by that value's text at the indent of its line.  A document
+    that holds neither costs what ``json.dumps`` costs."""
+    held = []
+
+    def hold(obj):
+        if not isinstance(obj, (PSet, np.ndarray)):
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+        held.append(obj)
+        return _HOLE
+
+    text = json.dumps(doc, sort_keys=True, indent=1, default=hold)
+    if not held:
+        return text
+    pieces = text.split(_HOLE_TEXT)
+    if len(pieces) != len(held) + 1:
+        raise ValueError("a string of the document is the writer's placeholder")
+    templates = {}
+    out = [pieces[0]]
+    for obj, before, after in zip(held, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        level = len(line) - len(line.lstrip(" "))
+        out.append(_pset_text(obj, level, templates) if isinstance(obj, PSet)
+                   else _matrix_text(obj, level, templates))
+        out.append(after)
+    return "".join(out)
 
 
 def _dumps(doc, level: int) -> str:
@@ -124,53 +157,17 @@ def _dumps(doc, level: int) -> str:
     return text.replace("\n", "\n" + " " * level) if level else text
 
 
-#: What ``_parts`` looks into; every other value goes to ``json`` as it is.
-_NESTED = (dict, list, tuple, PSet, np.ndarray)
-
-
-def _parts(doc, level: int, templates: dict) -> list[str] | None:
-    """Text of ``doc`` nested ``level`` deep, in pieces; None when ``doc``
-    holds no point set and no array, so that ``json`` writes it whole."""
-    if isinstance(doc, PSet):
-        return [_pset_text(doc, level, templates)]
-    if isinstance(doc, np.ndarray):
-        return [_matrix_text(doc, level, templates)]
-    if isinstance(doc, dict):
-        keys = sorted(doc)
-        values = [doc[k] for k in keys]
-    elif isinstance(doc, (list, tuple)):
-        keys = None
-        values = doc
-    else:
-        return None
-    inner = [_parts(v, level + 1, templates) if isinstance(v, _NESTED) else None
-             for v in values]
-    if all(p is None for p in inner):
-        return None
-    out = ["[" if keys is None else "{"]
-    pad = "\n" + " " * (level + 1)
-    for i, (v, p) in enumerate(zip(values, inner)):
-        out.append(("," if i else "") + pad)
-        if keys is not None:
-            out.append(encode_basestring_ascii(keys[i]) + ": ")
-        if p is None:
-            out.append(_dumps(v, level + 1))
-        else:
-            out.extend(p)
-    out.append("\n" + " " * level + ("]" if keys is None else "}"))
-    return out
-
-
 def _pset_text(ps: PSet, level: int, templates: dict) -> str:
     """A point set's document from the text of its window's points, made
-    once per window, kind and level."""
-    key = (ps.window, ps.kind, level)
+    once per window document, kind and level."""
+    w = ps.window
+    key = (w.lo, w.hi, repr(w.weight), ps.kind, level)
     if key not in templates:
         doc = pset_to_json(ps)
         doc["points"] = None
         head, tail = _dumps(doc, level).split('"points": null')
         pad = "\n" + " " * (level + 2)
-        points = [pad + _dumps(list(p), level + 2) for p in ps.window.points()]
+        points = [pad + _dumps(list(p), level + 2) for p in w.points()]
         templates[key] = (head + '"points": [', points,
                           "\n" + " " * (level + 1) + "]" + tail)
     head, points, tail = templates[key]

@@ -45,7 +45,7 @@ from weylpair import (
     unitary_u,
 )
 from weylpair.dilation import compress_to_base, decompose_full
-from weylpair.freeproduct import coordinate_family
+from weylpair.freeproduct import coordinate_family, sample_field
 
 from conftest import opnorm, tail, upset_from
 
@@ -270,7 +270,7 @@ def test_criterion_07_field_monotone():
     for trial in range(5):
         parts = int(rng.integers(4, 7))
         fam = random_family(6, parts, parts, seed=int(rng.integers(1, 10 ** 6)))
-        worst = max(worst, check_increasing(fam, ev, grid))
+        worst = max(worst, check_increasing(sample_field(fam, ev, grid)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed <= 60.0
     report(7, "projection-field-increasing", ok,
@@ -283,9 +283,10 @@ def test_criterion_08_plateau_fractions():
     fam = demo_family(6)
     bound = 0.36 - 2 * grid.step
     worst_frac = 1.0
+    sample = sample_field(fam, ev, grid)
     for m in range(3):
         for n in range(3):
-            pts = plateau(fam, ev, m, n, grid)
+            pts = plateau(sample, m, n)
             worst_frac = min(worst_frac, len(pts) / 100.0)
     ok = worst_frac >= bound
     report(8, "plateau-fraction-per-unit-cell", ok,

@@ -55,11 +55,12 @@ def proof_region_points(ev, m, n, grid):
 
 def ambient_field_projection(family, ev, grid):
     """Block-diagonal field projection on the ambient grid space."""
-    _, ids, _, mats = sample_field(family, ev, grid)
-    kappa = family.kappa
+    sample = sample_field(family, ev, grid)
+    kappa, ids = family.kappa, sample.ids
     out = np.zeros((ids.size * kappa, ids.size * kappa), dtype=complex)
     for o, k in enumerate(ids.ravel()):
-        out[o * kappa:(o + 1) * kappa, o * kappa:(o + 1) * kappa] = mats[k]
+        out[o * kappa:(o + 1) * kappa, o * kappa:(o + 1) * kappa] = \
+            sample.mats[k]
     return out
 
 
@@ -138,13 +139,13 @@ def test_boundary_coincidence_detected():
     ev = EvaluationPoint(0.4, 0.6, 0.3, 0.4, (0.5, 0.35))
     grid = GridSpec(2, 2.0)  # half-integer grid boundaries hit p = 0.5
     with pytest.raises(BoundaryCoincidence):
-        check_increasing(fam, ev, grid)
+        check_increasing(sample_field(fam, ev, grid))
 
 
 def test_check_increasing_honest_family():
     fam = demo_family(6)
     grid = GridSpec(10, 4.0)
-    assert check_increasing(fam, EV, grid) <= 1e-12
+    assert check_increasing(sample_field(fam, EV, grid)) <= 1e-12
 
 
 def test_check_increasing_detects_corruption():
@@ -158,7 +159,7 @@ def test_check_increasing_detects_corruption():
             return fam.plist[0]
         return step_projection(fam, m, n)
 
-    violation = check_increasing(fam, EV, grid, f_lookup=corrupted)
+    violation = check_increasing(sample_field(fam, EV, grid, corrupted))
     assert violation >= 1.0 - 1e-12
 
 
@@ -166,7 +167,7 @@ def test_plateau_contains_proof_region():
     fam = demo_family(6)
     grid = GridSpec(10, 4.0)
     for (m, n) in [(0, 0), (1, 0), (2, 2)]:
-        plat = set(plateau(fam, EV, m, n, grid))
+        plat = set(plateau(sample_field(fam, EV, grid), m, n))
         region = proof_region_points(EV, m, n, grid)
         assert region and set(region) <= plat
 
@@ -174,7 +175,7 @@ def test_plateau_contains_proof_region():
 def test_plateau_unit_cell_full_when_all_branches_agree():
     fam = demo_family(6)
     grid = GridSpec(10, 4.0)
-    plat = plateau(fam, EV, 2, 1, grid)
+    plat = plateau(sample_field(fam, EV, grid), 2, 1)
     assert len(plat) == 100  # every grid point of the cell
 
 
@@ -182,16 +183,17 @@ def test_plateau_fraction_bound():
     fam = demo_family(6)
     grid = GridSpec(10, 4.0)
     bound = (1 - EV.b) * (1 - EV.d) - 2 * grid.step
+    sample = sample_field(fam, EV, grid)
     for m in range(3):
         for n in range(3):
-            frac = len(plateau(fam, EV, m, n, grid)) / 100.0
+            frac = len(plateau(sample, m, n)) / 100.0
             assert frac >= bound
 
 
 def test_plateau_contains_sample_point():
     fam = demo_family(6)
     grid = GridSpec(2, 1.0)
-    assert (0.5, 0.5) in plateau(fam, EV, 0, 0, grid)
+    assert (0.5, 0.5) in plateau(sample_field(fam, EV, grid), 0, 0)
 
 
 def test_build_pair_fiber_ranks():
@@ -315,7 +317,7 @@ def test_build_pair_rejects_grid_past_the_family():
     with pytest.raises(IndexBeyondFamily, match="2 second-row projections"):
         build_r2_pair(short, EV, GridSpec(1, 5.0))
     # every entry point that evaluates the family checks the grid first
-    for build in (lambda g: plateau(fam, EV, 0, 0, g),
+    for build in (lambda g: sample_field(fam, EV, g),
                   lambda g: ambient_field_projection(fam, EV, g)):
         with pytest.raises(IndexBeyondFamily,
                            match=r"admit grid values below 4\.65"):
@@ -404,7 +406,8 @@ def test_sample_matches_the_per_point_field(name, grid, tmp_path, capsys):
     fam = SAMPLED_FAMILIES[name]()
     vals, field = _per_point_field(fam, grid, ev=SKEW)
     n = len(vals)
-    svals, ids, sels, mats = sample_field(fam, SKEW, grid)
+    sample = sample_field(fam, SKEW, grid)
+    svals, ids, sels, mats = sample.vals, sample.ids, sample.sels, sample.mats
     assert np.array_equal(svals, vals) and ids.shape == (n, n)
     assert sels == sorted(set(sels))
     for i, j in itertools.product(range(n), repeat=2):
@@ -417,7 +420,7 @@ def test_sample_matches_the_per_point_field(name, grid, tmp_path, capsys):
         want = [(s, t) for s, t, e in points
                 if m <= s < m + 1 and n_ <= t < n_ + 1
                 and np.abs(e - target).max() <= PLATEAU_TOL]
-        assert plateau(fam, SKEW, m, n_, grid) == want
+        assert plateau(sample, m, n_) == want
     assert spec_support(fam, SKEW, grid) == [(s, t) for s, t, e in points
                                              if np.abs(e).max() > 0]
     k = fam.kappa
@@ -456,11 +459,12 @@ def test_check_increasing_matches_the_per_point_pairs(name):
     for grid in SAMPLED_GRIDS[:2]:
         for f_lookup in (None, corrupted):
             want = _per_point_violation(*_per_point_field(fam, grid, f_lookup))
-            assert check_increasing(fam, EV, grid, f_lookup=f_lookup) == want
+            assert check_increasing(sample_field(fam, EV, grid, f_lookup)) \
+                == want
     for grid in SAMPLED_GRIDS:
-        assert check_increasing(fam, EV, grid) <= 1e-12
+        assert check_increasing(sample_field(fam, EV, grid)) <= 1e-12
         if name == "coordinate":
-            assert check_increasing(fam, EV, grid, f_lookup=corrupted) \
+            assert check_increasing(sample_field(fam, EV, grid, corrupted)) \
                 >= 1.0 - 1e-12
 
 
@@ -477,9 +481,11 @@ def test_each_consumer_evaluates_each_selection_once(monkeypatch):
 
     monkeypatch.setattr(fp, "step_projection", counted)
     consumers = {
-        "check_increasing": lambda: check_increasing(fam, EV, grid),
-        "plateau": lambda: plateau(fam, EV, 1, 0, grid),
-        "plateau outside the grid": lambda: plateau(fam, EV, 5, 5, grid),
+        "check_increasing":
+            lambda: check_increasing(sample_field(fam, EV, grid)),
+        "plateau": lambda: plateau(sample_field(fam, EV, grid), 1, 0),
+        "plateau outside the grid":
+            lambda: plateau(sample_field(fam, EV, grid), 5, 5),
         "build_r2_pair": lambda: build_r2_pair(fam, EV, GridSpec(1, 4.0)),
         "spec_support": lambda: spec_support(fam, EV, grid),
         "commutant_transfer_check":

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from weylpair import (LatticeWindow, build_pspace_pair, direct_sum,
                       enumerate_pspaces, minimal_dilation, reflect_pset)
+from weylpair import serialize
 from weylpair.cli import run_scenario
 from weylpair.serialize import (bundle_to_json, document_to_json,
                                 matrix_to_json, pair_to_json, pset_to_json)
@@ -72,8 +73,8 @@ def test_pair_and_bundle_files_are_the_json_text(tmp_path):
     assert document_to_json(pair_to_json(pair, matrix=np.asarray)) \
         == json.dumps(pair_to_json(pair), sort_keys=True, indent=1)
     bundle = minimal_dilation(pair, 2)
-    assert document_to_json(bundle_to_json(bundle, matrix=np.asarray)) \
-        == json.dumps(bundle_to_json(bundle), sort_keys=True, indent=1)
+    assert document_to_json(bundle_to_json(bundle)) \
+        == oracle(bundle_to_json(bundle))
     # the files the CLI writes are json's canonical text of what they hold
     sc = write_scenario(tmp_path, {"command": "pair-build", "k": 2,
                                    "pspace": pset_to_json(ps)})
@@ -115,6 +116,23 @@ def test_sets_of_one_box_keep_their_kind_and_weight():
     weighted = enumerate_pspaces(LatticeWindow((0, 0), (1, 2), weight=0.5))
     doc = {"a": sets, "b": [reflect_pset(ps) for ps in sets], "c": weighted}
     assert document_to_json(doc) == oracle(doc)
+    # equal weights of another type are written as json writes them
+    doc = [enumerate_pspaces(LatticeWindow((0,), (1,), weight=w))
+           for w in (2, 2.0, 1, 1.0, True)]
+    text = document_to_json(doc)
+    assert text == oracle(doc)
+    assert '"weight": 2\n' in text and '"weight": 2.0\n' in text
+
+
+def test_a_string_equal_to_the_placeholder_is_refused():
+    ps = enumerate_pspaces(LatticeWindow((0,), (1,)))[0]
+    hole = serialize._HOLE
+    assert document_to_json({"s": hole}) == oracle({"s": hole})
+    for doc in ({"s": hole, "p": ps}, {hole: ps}):
+        with pytest.raises(ValueError, match="placeholder"):
+            document_to_json(doc)
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        document_to_json({"p": ps, "n": np.int64(1)})
 
 
 POOL = [ps for lo, hi in [((0,), (3,)), ((1, -2), (2, 0))]
