@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -223,25 +224,33 @@ class DilationBundle:
     def dim(self) -> int:
         return self.dilated.dim
 
-    def _blocks(self, pred) -> np.ndarray:
-        """Coordinate indices of component blocks whose point satisfies pred."""
-        keep = []
-        for ci, (comp, supp) in enumerate(zip(self.components, self.supports)):
-            k = comp[1]
-            for p in supp:
-                if pred(ci, p):
-                    base = self.index[(ci, p)]
-                    keep.extend(range(base, base + k))
-        return np.array(sorted(keep), dtype=int)
+    @cached_property
+    def _block_table(self):
+        """Every block (component, point) in coordinate order, as the
+        point's offset from the extended window's corner and the component;
+        the block of each coordinate; and each support's window points."""
+        wext = self.window_ext
+        blocks = sorted((self.index[(ci, p)], ci, p)
+                        for ci, supp in enumerate(self.supports) for p in supp)
+        member = np.zeros((len(self.supports), wext.cardinality), dtype=bool)
+        for _, ci, p in blocks:
+            member[ci, wext._table.index[p]] = True
+        offsets = np.array([p for _, _, p in blocks], dtype=int) - wext.lo
+        comp = np.array([ci for _, ci, _ in blocks], dtype=int)
+        owner = np.repeat(np.arange(len(blocks)),
+                          [self.components[ci][1] for _, ci, _ in blocks])
+        return offsets, comp, owner, member
 
     def safe_indices(self, shifts) -> np.ndarray:
         """Blocks that stay inside their component under all given shifts."""
-        supports = [set(s) for s in self.supports]
-
-        def pred(ci, p):
-            return all(_add(p, tuple(s)) in supports[ci] for s in shifts)
-
-        return self._blocks(pred)
+        offsets, comp, owner, member = self._block_table
+        sides = self.window_ext.sides
+        keep = np.ones(len(offsets), dtype=bool)
+        for s in shifts:
+            q = offsets + np.asarray(s, dtype=int)
+            keep &= np.all((q >= 0) & (q < sides), axis=1)
+            keep &= member[comp, np.ravel_multi_index(q.T, sides, mode="clip")]
+        return np.flatnonzero(keep[owner])
 
     def w(self, x) -> np.ndarray:
         """Dilated group element W_x as a clipped block shift.

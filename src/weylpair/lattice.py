@@ -18,6 +18,7 @@ functions against indicator functions, which on a finite window is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -141,6 +142,17 @@ def _leq(x: Sequence[int], y: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
+def _closed(table: _WindowTable, mask: int, kind: SetKind) -> bool:
+    """Shift-and-mask closure test, one per axis: the members that may step
+    along the axis, stepped, must be members again."""
+    upward = kind is SetKind.PSPACE
+    for s, up, down in table.steps:
+        moved = (mask & up) << s if upward else (mask & down) >> s
+        if moved & ~mask:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PSet:
     """Validated invariant point set inside a window.
@@ -183,16 +195,24 @@ class PSet:
         object.__setattr__(self, "points", tuple(table.points[i] for i in indices))
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_mask", mask)
-        # One shift-and-mask test per axis: the members that may step along
-        # the axis, stepped, must be members again.
-        if self.kind is SetKind.PSPACE:
-            closed = all(((mask & up) << s) & ~mask == 0
-                         for s, up, _ in table.steps)
-        else:
-            closed = all(((mask & down) >> s) & ~mask == 0
-                         for s, _, down in table.steps)
-        if not closed:
+        if not _closed(table, mask, self.kind):
             self._raise_first_violation()
+
+    @classmethod
+    def _from_indices(cls, window: LatticeWindow, indices: tuple[int, ...],
+                      mask: int, kind: SetKind) -> "PSet":
+        """Set of the sorted window indices ``indices`` with bitmask ``mask``.
+
+        Skips the point lookup of ``__post_init__`` but not the closure test.
+        """
+        table = window._table
+        points = table.points
+        ps = object.__new__(cls)
+        vars(ps).update(window=window, kind=kind, indices=indices, _mask=mask,
+                        points=tuple([points[i] for i in indices]))
+        if not _closed(table, mask, kind):
+            ps._raise_first_violation()
+        return ps
 
     def _raise_first_violation(self):
         sign = 1 if self.kind is SetKind.PSPACE else -1
@@ -207,6 +227,7 @@ class PSet:
                         point=p,
                         direction=step,
                     )
+        raise InvarianceViolation(f"{self.kind.value} invariance fails")
 
     def __contains__(self, x: Sequence[int]) -> bool:
         i = self.window._table.index.get(_as_point(x))
@@ -231,40 +252,60 @@ def validate_pset(points: Iterable[Sequence[int]], window: LatticeWindow,
 
 
 def enumerate_pspaces(window: LatticeWindow) -> list[PSet]:
-    """All nonempty upward-invariant subsets of the window.
+    """All nonempty upward-invariant subsets of the window, in canonical order.
 
-    Enumerates order filters directly (never the powerset): points are
-    visited in an order where both neighbours above a point precede it, so a
-    point may join only when its in-window successors are already in.  The
-    result is sorted canonically and deterministic.
+    An upward set is a chain S_0 <= S_1 <= ... of upward sets of the
+    slices along axis 0 (``_upsets``), never a filtered powerset.  Axis 0
+    is the major axis of the window index, so the chain's slices, offset
+    and concatenated, give the set's sorted ``indices`` and OR-ed its
+    bitmask.  Sorting by ``indices`` is sorting by points, since window
+    indices order points lexicographically.  Every set passes the closure
+    test of ``PSet``.  Raises BudgetExceeded when there are more than
+    ``ENUMERATION_BUDGET`` sets, before materialising many more.
     """
-    pts = sorted(window.points(), key=lambda p: (-sum(p), p))
-    pos = {p: i for i, p in enumerate(pts)}
-    gens = window.generators()
-    covers = [
-        [pos[_add(p, e)] for e in gens if _add(p, e) in window]
-        for p in pts
-    ]
-    results: list[tuple[Point, ...]] = []
+    chains = _upsets(window.sides)
+    chains.sort()
+    return [PSet._from_indices(window, indices, mask, SetKind.PSPACE)
+            for indices, mask in chains[1:]]
 
-    def visit(i: int, chosen: set[int]):
-        if i == len(pts):
-            if chosen:
-                results.append(tuple(sorted(pts[j] for j in chosen)))
-                if len(results) > ENUMERATION_BUDGET:
-                    raise BudgetExceeded(
-                        f"more than {ENUMERATION_BUDGET} upward-invariant sets"
-                    )
-            return
-        visit(i + 1, chosen)
-        if all(c in chosen for c in covers[i]):
-            chosen.add(i)
-            visit(i + 1, chosen)
-            chosen.remove(i)
 
-    visit(0, set())
-    results.sort()
-    return [PSet(window, pts_, SetKind.PSPACE) for pts_ in results]
+def _upsets(sides: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Upward sets of the box with these sides, the empty one included.
+
+    Each set is (sorted lexicographic indices, bitmask).  The sets are
+    built layer by layer along axis 0: layer t holds every chain of slice
+    upsets S_0 <= ... <= S_t.
+    """
+    if not sides:
+        return [((), 0), ((0,), 1)]
+    slices = _upsets(sides[1:])
+    stride = math.prod(sides[1:])
+    masks = [mask for _, mask in slices]
+    # above[j]: the slices containing slice j, found when first needed so
+    # that the budget can stop a huge window before every pair is tested.
+    above: list[list[int] | None] = [None] * len(slices)
+    layer = [(indices, mask, j) for j, (indices, mask) in enumerate(slices)]
+    for t in range(1, sides[0]):
+        off = t * stride
+        shifted = [(tuple(i + off for i in indices), mask << off)
+                   for indices, mask in slices]
+        grown = []
+        for indices, mask, j in layer:
+            if above[j] is None:
+                above[j] = [k for k, big in enumerate(masks) if masks[j] & ~big == 0]
+            grown.extend((indices + shifted[k][0], mask | shifted[k][1], k)
+                         for k in above[j])
+            _check_budget(grown)
+        layer = grown
+    _check_budget(layer)
+    return [(indices, mask) for indices, mask, _ in layer]
+
+
+def _check_budget(chains: list) -> None:
+    """Each chain of a (partial) layer but one extends to its own nonempty
+    upward set of the window, so more than budget + 1 chains is too many."""
+    if len(chains) - 1 > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"more than {ENUMERATION_BUDGET} upward-invariant sets")
 
 
 def _extremal_points(ps: PSet) -> list[Point]:

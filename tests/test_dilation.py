@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,41 @@ def test_group_law_within_budget(bundle8):
         lhs = bundle8.w(x) @ bundle8.w(y)
         rhs = bundle8.w(xy)
         assert opnorm((lhs - rhs)[:, idx]) < 1e-12
+
+
+def _safe_indices_oracle(bundle, shifts):
+    """Per point: keep a block when every shift stays in its support."""
+    keep = []
+    for ci, ((_, k), supp) in enumerate(zip(bundle.components, bundle.supports)):
+        members = set(supp)
+        for p in supp:
+            if all(tuple(a + b for a, b in zip(p, s)) in members for s in shifts):
+                base = bundle.index[(ci, p)]
+                keep.extend(range(base, base + k))
+    return np.array(sorted(keep), dtype=int)
+
+
+def test_safe_indices_match_the_per_point_predicate(chain8, square4):
+    # the bundles of acceptance criterion 05, and a multiplicity-2 sum
+    cases = [
+        (build_pspace_pair(tail(chain8, 0), 1), 4),
+        (build_pspace_pair(tail(chain8, 2), 2), 4),
+        (direct_sum([build_pspace_pair(tail(chain8, 0), 1),
+                     build_pspace_pair(tail(chain8, 3), 1)]), 4),
+        (build_pspace_pair(upset_from(square4, [(0, 0)]), 1), 2),
+        (build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 1), 2),
+        (direct_sum([build_pspace_pair(upset_from(square4, [(1, 1)]), 2),
+                     build_pspace_pair(upset_from(square4, [(2, 0)]), 1)]), 1),
+    ]
+    for pair, depth in cases:
+        bundle = minimal_dilation(pair, depth)
+        r = depth + 1
+        box = list(itertools.product(range(-r, r + 1), repeat=pair.window.dim))
+        for shifts in ([[]] + [[x] for x in box]
+                       + [[x, y] for x in box[::3] for y in box[::4]]):
+            got = bundle.safe_indices(shifts)
+            want = _safe_indices_oracle(bundle, shifts)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_depth_zero_degenerate(chain8):

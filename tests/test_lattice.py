@@ -110,17 +110,42 @@ def test_enumerate_2x2_and_singleton():
     assert len(single) == 1 and single[0].points == ((0,),)
 
 
-@pytest.mark.parametrize("lo,hi", [((0, 0), (2, 2)), ((0, 0, 0), (1, 1, 1))])
+@pytest.mark.parametrize("lo,hi", [((0, 0), (2, 2)), ((0, 0, 0), (1, 1, 1)),
+                                   ((-3, 2), (-2, 4)), ((0, -1, 0), (2, -1, 1)),
+                                   ((0, 0, 0, 0), (1, 1, 1, 1))])
 def test_enumerate_matches_powerset_oracle(lo, hi):
     w = LatticeWindow(lo, hi)
-    got = [p.points for p in enumerate_pspaces(w)]
-    assert got == brute_force_upsets(w)
+    psets = enumerate_pspaces(w)
+    assert [p.points for p in psets] == brute_force_upsets(w)
+    for ps in psets:
+        rebuilt = lat.PSet(w, ps.points, SetKind.PSPACE)
+        assert (ps.indices, ps._mask) == (rebuilt.indices, rebuilt._mask)
 
 
 def test_enumerate_budget(monkeypatch):
     monkeypatch.setattr(lat, "ENUMERATION_BUDGET", 4)
     with pytest.raises(BudgetExceeded):
         enumerate_pspaces(LatticeWindow((0,), (7,)))
+
+
+@pytest.mark.parametrize("lo,hi", [((0,), (0,)), ((-2,), (4,)),
+                                   ((0, 0), (3, 2)), ((0, 0, 0), (1, 2, 1))])
+def test_enumerate_budget_boundary(monkeypatch, lo, hi):
+    w = LatticeWindow(lo, hi)
+    count = len(enumerate_pspaces(w))
+    monkeypatch.setattr(lat, "ENUMERATION_BUDGET", count)
+    assert len(enumerate_pspaces(w)) == count
+    monkeypatch.setattr(lat, "ENUMERATION_BUDGET", count - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_pspaces(w)
+
+
+def test_enumeration_runs_the_shared_closure_test(monkeypatch):
+    monkeypatch.setattr(lat, "_closed", lambda table, mask, kind: False)
+    with pytest.raises(InvarianceViolation):
+        enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))
+    with pytest.raises(InvarianceViolation):
+        validate_pset([(0, 0)], LatticeWindow((0, 0), (0, 0)), SetKind.PSPACE)
 
 
 def test_enumerate_closed_under_lattice_ops():

@@ -13,7 +13,8 @@ The graded commutant and intertwiner solve must span the same space as the
 dense ``sylvester_nullspace`` on the same generator lists.
 
 On drawn windows, ``enumerate_pspaces`` lists valid, distinct, upward closed
-sets, C(m+n, n) - 1 of them on an m x n rectangle; ``reflect_pset`` is an
+sets, exactly the powerset oracle's in its order on windows of dimension 1
+to 4, and C(m+n, n) - 1 of them on an m x n rectangle; ``reflect_pset`` is an
 involution that swaps kinds and turns a translation by x into one by -x;
 and a translation that clips no point is undone by the opposite one.
 """
@@ -51,7 +52,8 @@ from weylpair.errors import EmptySetError
 from weylpair.lattice import PSet, SetKind
 from weylpair.dilation import decompose_full
 
-from conftest import dense_weyl_defect, fiber_mixing_unitary, opnorm, upset_from
+from conftest import (brute_force_upsets, dense_weyl_defect, fiber_mixing_unitary,
+                      opnorm, upset_from)
 
 POOLS = [enumerate_pspaces(LatticeWindow((0,), (7,))),
          enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))]
@@ -222,6 +224,18 @@ def windows(draw, dim=None):
 
 
 @st.composite
+def oracle_windows(draw):
+    """Windows of dimension 1 to 4, at any offset, with at most 12 points."""
+    d = draw(st.integers(1, 4))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    sides, room = [], 12
+    for _ in range(d):
+        sides.append(draw(st.integers(1, min(room, 8))))
+        room //= sides[-1]
+    return LatticeWindow(lo, tuple(a + s - 1 for a, s in zip(lo, sides)))
+
+
+@st.composite
 def invariant_sets(draw):
     """An enumerated upward set, or its reflection (a downward set)."""
     psets = enumerate_pspaces(draw(windows()))
@@ -247,6 +261,16 @@ def test_enumerated_sets_are_valid_distinct_upward_closed(w):
         assert len(set(ps.points)) == len(ps.points)
         assert all(p in w for p in ps.points)
         assert _upward_closed(ps.points, w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(oracle_windows())
+def test_enumeration_matches_powerset_oracle(w):
+    psets = enumerate_pspaces(w)
+    assert [ps.points for ps in psets] == brute_force_upsets(w)
+    for ps in psets:
+        rebuilt = PSet(w, ps.points, SetKind.PSPACE)
+        assert (ps.indices, ps._mask) == (rebuilt.indices, rebuilt._mask)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
