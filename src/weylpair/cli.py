@@ -233,8 +233,9 @@ def _cmd_equiv(doc, out, seed, tol):
     artifacts = []
     if ok:
         path = os.path.join(out, "witness.json")
+        # json.dumps takes the C encoder; json.dump never does
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(ser.matrix_to_json(witness), fh, sort_keys=True)
+            fh.write(json.dumps(ser.matrix_to_json(witness), sort_keys=True))
         artifacts.append(path)
     return {"equivalent": bool(ok)}, _Checks(), artifacts
 

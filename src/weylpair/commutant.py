@@ -15,6 +15,12 @@ form of the Morita equivalence behind the classification.  All block
 relations are then imposed on the free entries alone, so the kernel SVD
 has as many columns as the free fibers have entries, not n^2.
 
+The same fibers carry the centre.  Restricting a commutant element to its
+free-fiber blocks is an injective *-homomorphism, so ``summarize`` solves
+the centre on the m x m restrictions (m the total size of the free fibers)
+and lifts the solution through its coefficients; ``AlgebraSummary.free``
+hands the coordinates on to the central projections of ``dilation``.
+
 Every other generator list goes to ``sylvester_nullspace``: it seeds the
 search with the exact kernel of a well-chosen Hermitian map (eigenvectors
 with equal eigenvalues give a factored basis u v* of that kernel) and
@@ -97,10 +103,16 @@ class RepGens:
 
 @dataclass(eq=False)
 class AlgebraSummary:
-    """Orthonormal bases of the commutant and of its centre."""
+    """Orthonormal bases of the commutant and of its centre.
+
+    ``free`` holds the coordinates of the free fibers when the graded solve
+    found the commutant (its elements are fixed by their blocks there), and
+    None when the dense solver did.
+    """
 
     commutant_basis: list = field(repr=False)
     center_basis: list = field(repr=False)
+    free: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.commutant_dim = len(self.commutant_basis)
@@ -334,8 +346,9 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
     block of every axis are then imposed on the unknowns, and the kernel is
     taken by ``_kernel_cols`` at ``tol``.
 
-    Returns None when the pairs live on different windows or a generator
-    has an entry outside its graded blocks.
+    Returns the basis and the sorted free points, or None when the pairs
+    live on different windows or a generator has an entry outside its
+    graded blocks.
     """
     if pair_a is None or pair_b is None or pair_a.window != pair_b.window:
         return None
@@ -362,7 +375,7 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
         else:
             route[y] = axis
     if n_free == 0:
-        return []
+        return [], []
 
     def block(blocks, sizes, axis, y):
         q = _add(y, steps[axis])
@@ -402,7 +415,7 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
                         .reshape(n_free, -1))
     kern = _kernel_cols(np.hstack(rows).T, tol)
     if kern.shape[1] == 0:
-        return []
+        return [], sorted(free)
     # orthonormalise in the Frobenius norm over the block entries alone
     entries = np.hstack([param[y].reshape(n_free, -1) for y in shared]).T
     ortho, _ = np.linalg.qr(entries @ kern)
@@ -413,7 +426,7 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
         out[:, pair_b.block_slice(y), pair_a.block_slice(y)] = \
             ortho[start:start + size].T.reshape(-1, kb[y], ka[y])
         start += size
-    return list(out)
+    return list(out), sorted(free)
 
 
 def residual(basis, a_list, b_list) -> float:
@@ -426,6 +439,26 @@ def residual(basis, a_list, b_list) -> float:
     return float(worst)
 
 
+def _commutant(rep: RepGens, tol: float, guard: int):
+    """Commutant basis and the coordinates of its free fibers.
+
+    The coordinates are None unless the graded solve found the basis.
+    """
+    if rep.dim > guard:
+        raise DimensionGuard(f"dimension {rep.dim} exceeds guard {guard}")
+    if not rep.gens:
+        eye = np.eye(rep.dim, dtype=complex)
+        return [np.outer(eye[:, i], eye[:, j].conj())
+                for i in range(rep.dim) for j in range(rep.dim)], None
+    solved = _graded_nullspace(rep.pair, rep.pair, tol)
+    if solved is None:
+        return sylvester_nullspace(rep.gens, rep.gens, tol), None
+    basis, free = solved
+    coords = np.arange(rep.dim)
+    return basis, np.concatenate(
+        [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
+
+
 def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
                     guard: int = DEFAULT_GUARD):
     """Orthonormal basis of the commutant of a *-closed generator list.
@@ -433,16 +466,7 @@ def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
     Lists read from a represented pair take the graded solve when the pair
     has no entry outside its graded blocks; all others the dense solver.
     """
-    if rep.dim > guard:
-        raise DimensionGuard(f"dimension {rep.dim} exceeds guard {guard}")
-    if not rep.gens:
-        eye = np.eye(rep.dim, dtype=complex)
-        return [np.outer(eye[:, i], eye[:, j].conj())
-                for i in range(rep.dim) for j in range(rep.dim)]
-    basis = _graded_nullspace(rep.pair, rep.pair, tol)
-    if basis is not None:
-        return basis
-    return sylvester_nullspace(rep.gens, rep.gens, tol)
+    return _commutant(rep, tol, guard)[0]
 
 
 def opnorm_exceeds(x, tol: float) -> bool:
@@ -461,7 +485,16 @@ def check_central(elements, cbasis, tol: float = DEFAULT_TOL):
                     f"(commutator {np.linalg.norm(comm, 2):.2e})")
 
 
-def center_basis(cbasis, tol: float = DEFAULT_TOL):
+def _restrict(elements, free):
+    """The blocks of n x n ``elements`` on the coordinates ``free``.
+
+    With ``free`` None the elements are returned whole, as one stack.
+    """
+    stack = np.stack(elements)
+    return stack if free is None else stack[:, free[:, None], free]
+
+
+def center_basis(cbasis, tol: float = DEFAULT_TOL, free=None):
     """Orthonormal basis of the centre of the commutant spanned by ``cbasis``.
 
     The centre is solved in commutant coordinates: Z = sum x_j C_j must
@@ -469,21 +502,25 @@ def center_basis(cbasis, tol: float = DEFAULT_TOL):
     generate the commutant.  The kernel of that (4 n^2) x c system gives x;
     every solution is then checked against every C_i, so a draw that fails
     to generate raises CheckFailed instead of returning a larger centre.
+
+    ``free`` (from the graded solve) names coordinates whose blocks fix
+    every commutant element.  Restricting to them is then an injective
+    *-homomorphism of the commutant, so the system and the check run on the
+    m x m restrictions and the solution x is lifted onto the full basis.
     """
     c = len(cbasis)
     if c <= 1:
         return list(cbasis)
-    stack = np.stack(cbasis)
+    small = _restrict(cbasis, free)
     rng = np.random.default_rng(_CENTER_SEED)
     blocks = []
     for coeff in rng.standard_normal((2, c)) + 1j * rng.standard_normal((2, c)):
-        g = np.tensordot(coeff, stack, axes=1)
+        g = np.tensordot(coeff, small, axes=1)
         for x in (g, g.conj().T):
-            blocks.append((stack @ x - x @ stack).reshape(c, -1).T)
+            blocks.append((small @ x - x @ small).reshape(c, -1).T)
     kern = _kernel_cols(np.vstack(blocks), tol)
-    center = list(np.tensordot(kern.T, stack, axes=1))
-    check_central(center, cbasis, tol)
-    return center
+    check_central(np.tensordot(kern.T, small, axes=1), small, tol)
+    return list(np.tensordot(kern.T, np.stack(cbasis), axes=1))
 
 
 def summarize(rep: RepGens, tol: float = DEFAULT_TOL,
@@ -495,8 +532,8 @@ def summarize(rep: RepGens, tol: float = DEFAULT_TOL,
     ``center_basis``.  Dimensions and the factor and irreducibility flags
     are read off the two bases.
     """
-    cbasis = commutant_basis(rep, tol, guard)
-    return AlgebraSummary(cbasis, center_basis(cbasis, tol))
+    cbasis, free = _commutant(rep, tol, guard)
+    return AlgebraSummary(cbasis, center_basis(cbasis, tol, free), free)
 
 
 def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
@@ -510,9 +547,9 @@ def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
         raise LabelMismatch(f"generator labels differ: {ra.labels} vs {rb.labels}")
     if max(ra.dim, rb.dim) > guard:
         raise DimensionGuard(f"dimension exceeds guard {guard}")
-    basis = _graded_nullspace(ra.pair, rb.pair, tol)
-    if basis is not None:
-        return basis
+    solved = _graded_nullspace(ra.pair, rb.pair, tol)
+    if solved is not None:
+        return solved[0]
     return sylvester_nullspace(ra.gens, rb.gens, tol)
 
 

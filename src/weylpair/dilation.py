@@ -4,7 +4,10 @@ A pair with commuting range projections splits into canonical components
 (one upward-invariant set with a constant fiber multiplicity per minimal
 central projection of the generated algebra).  The minimal central
 projections are the eigenprojections of one generic Hermitian element of
-the centre that ``commutant.summarize`` returns.
+the centre that ``commutant.summarize`` returns.  For a represented pair
+the centre and this split are solved on the free fibers of the graded
+solve and lifted to full space, where each projection is checked against
+the generators; generator lists without a graded pair stay dense.
 
 The minimal unitary dilation of such a pair is realised concretely: the
 window is extended downward by the depth, each component support grows to
@@ -30,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutant import (AlgebraSummary, RepGens, opnorm_exceeds, summarize,
-                        unitarily_equivalent)
+from .commutant import (AlgebraSummary, RepGens, _restrict, opnorm_exceeds,
+                        summarize, unitarily_equivalent)
 from .errors import (
     BudgetExceeded,
     DepthZeroDegenerate,
@@ -90,14 +93,21 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
     They are the eigenprojections of one generic Hermitian element of the
     centre (Murota, Kanno, Kojima and Kojima 2010): a generic element of a
     c-dimensional commutative *-algebra has exactly c eigenvalue clusters,
-    so any other count raises FiberMismatch.  The projections are checked
-    to sum to one, to be idempotent and to commute with the generators and
-    the commutant.
+    so any other count raises FiberMismatch.  When the summary carries the
+    free-fiber coordinates of the graded solve, the element is split on its
+    restriction to them (an injective *-homomorphism of the commutant keeps
+    the spectrum) and each eigenprojection is lifted through its
+    coefficients in the centre basis.  The projections are checked in full
+    space to sum to one, to be idempotent and to commute with the
+    generators, and to commute with the commutant: on the free fibers when
+    they are known, in full space otherwise.
     """
     rng = np.random.default_rng(seed)
     c = summary.center_dim
     coeff = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-    z = np.tensordot(coeff, np.stack(summary.center_basis), axes=1)
+    free = summary.free
+    small = _restrict(summary.center_basis, free)
+    z = np.tensordot(coeff, small, axes=1)
     vals, vecs = np.linalg.eigh(z + z.conj().T)
     spread = max(vals[-1] - vals[0], 1.0)
     cuts = np.nonzero(np.diff(vals) > 1e-6 * spread)[0] + 1
@@ -106,12 +116,21 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
             f"generic central element has {len(cuts) + 1} eigenvalue "
             f"clusters for a centre of dimension {c}")
     projs = [v @ v.conj().T for v in np.split(vecs, cuts, axis=1)]
-    ops = list(rep.gens) + list(summary.commutant_basis)
+    if free is not None:
+        coords = np.linalg.lstsq(small.reshape(c, -1).T,
+                                 np.stack(projs).reshape(c, -1).T, rcond=None)[0]
+        projs = list(np.tensordot(coords.T, np.stack(summary.center_basis),
+                                  axes=1))
+    gens = list(rep.gens)
+    gens += [g.conj().T for g in gens]
+    ops = list(_restrict(summary.commutant_basis, free))
     ops += [m.conj().T for m in ops]
     bad = opnorm_exceeds(sum(projs) - np.eye(rep.dim), RANGE_TOL)
     for p in projs:
+        rp = p if free is None else p[free[:, None], free]
         bad = bad or opnorm_exceeds(p @ p - p, RANGE_TOL) or any(
-            opnorm_exceeds(p @ x - x @ p, 1e-8) for x in ops)
+            opnorm_exceeds(p @ x - x @ p, 1e-8) for x in gens) or any(
+            opnorm_exceeds(rp @ x - x @ rp, 1e-8) for x in ops)
     if bad:
         raise FiberMismatch("could not isolate minimal central projections")
     return projs

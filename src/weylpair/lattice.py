@@ -26,8 +26,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, EmptySetError, InvarianceViolation, WindowMismatch
 
-#: Enumeration guard: enumerations longer than this raise BudgetExceeded.
-ENUMERATION_BUDGET = 2 ** 24
+#: Enumeration guard: windows with more upward sets than this raise
+#: BudgetExceeded once they are counted, before any set is built.  A held
+#: set of a 64-point window takes about 0.9 KB, so the budget is about 1 GB.
+ENUMERATION_BUDGET = 2 ** 20
 
 
 class SetKind(Enum):
@@ -274,37 +276,51 @@ def _upsets(sides: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
 
     Each set is (sorted lexicographic indices, bitmask).  The sets are
     built layer by layer along axis 0: layer t holds every chain of slice
-    upsets S_0 <= ... <= S_t.
+    upsets S_0 <= ... <= S_t.  The chains of every layer are counted
+    before the first one is built, so the budget fires before the sets
+    fill memory.
     """
     if not sides:
         return [((), 0), ((0,), 1)]
     slices = _upsets(sides[1:])
     stride = math.prod(sides[1:])
     masks = [mask for _, mask in slices]
-    # above[j]: the slices containing slice j, found when first needed so
-    # that the budget can stop a huge window before every pair is tested.
-    above: list[list[int] | None] = [None] * len(slices)
+    above = _containments(masks) if sides[0] > 1 else []
+    counts = [1] * len(slices)
+    _check_budget(len(counts))
+    for _ in range(1, sides[0]):
+        grown = [0] * len(slices)
+        for j, count in enumerate(counts):
+            for k in above[j]:
+                grown[k] += count
+        counts = grown
+        _check_budget(sum(counts))
     layer = [(indices, mask, j) for j, (indices, mask) in enumerate(slices)]
     for t in range(1, sides[0]):
         off = t * stride
         shifted = [(tuple(i + off for i in indices), mask << off)
                    for indices, mask in slices]
-        grown = []
-        for indices, mask, j in layer:
-            if above[j] is None:
-                above[j] = [k for k, big in enumerate(masks) if masks[j] & ~big == 0]
-            grown.extend((indices + shifted[k][0], mask | shifted[k][1], k)
-                         for k in above[j])
-            _check_budget(grown)
-        layer = grown
-    _check_budget(layer)
+        layer = [(indices + shifted[k][0], mask | shifted[k][1], k)
+                 for indices, mask, j in layer for k in above[j]]
     return [(indices, mask) for indices, mask, _ in layer]
 
 
-def _check_budget(chains: list) -> None:
-    """Each chain of a (partial) layer but one extends to its own nonempty
-    upward set of the window, so more than budget + 1 chains is too many."""
-    if len(chains) - 1 > ENUMERATION_BUDGET:
+def _containments(masks: list[int]) -> list[list[int]]:
+    """above[j]: the slices containing slice j.  Each pair j <= k is a chain
+    of two slices, which the next layer holds, so the pairs are counted
+    against the budget as they are found."""
+    above, pairs = [], 0
+    for small in masks:
+        above.append([k for k, big in enumerate(masks) if small & ~big == 0])
+        pairs += len(above[-1])
+        _check_budget(pairs)
+    return above
+
+
+def _check_budget(chains: int) -> None:
+    """Each chain of a layer but one extends to its own nonempty upward
+    set of the window, so more than budget + 1 chains is too many."""
+    if chains - 1 > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"more than {ENUMERATION_BUDGET} upward-invariant sets")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import weylpair.commutant as commutant
+import weylpair.dilation as dilation
 from weylpair import (
     CheckFailed,
     DimensionGuard,
@@ -27,6 +28,7 @@ from weylpair import (
     unitarily_equivalent,
 )
 from weylpair.commutant import check_central, residual, span_distance
+from weylpair.dilation import _minimal_central_projections
 
 from conftest import (dense_subspace_gap, fiber_mixing_unitary, opnorm, tail,
                       upset_from)
@@ -317,6 +319,43 @@ def test_graded_inputs_never_reach_the_dense_solver(monkeypatch, chain8, square4
     quarter = build_r2_pair(demo_family(4), EvaluationPoint.default(),
                             GridSpec(1, 5.0))
     assert len(commutant_basis(RepGens.from_pair(quarter))) == 1
+
+
+def test_graded_inputs_solve_the_centre_on_the_free_fibers(monkeypatch, chain8):
+    seen = []
+    restrict = commutant._restrict
+
+    def spy(elements, free):
+        seen.append(None if free is None else list(free))
+        return restrict(elements, free)
+
+    monkeypatch.setattr(commutant, "_restrict", spy)
+    monkeypatch.setattr(dilation, "_restrict", spy)
+    pair = direct_sum([build_pspace_pair(tail(chain8, 0), 2),
+                       build_pspace_pair(tail(chain8, 3), 1)])
+    q = fiber_mixing_unitary(pair, np.random.default_rng(5))
+    twin = WeylPair(chain8, dict(pair.fibers),
+                    [q @ g @ q.conj().T for g in pair.gens])
+    top = list(range(pair.dim)[pair.block_slice((7,))])
+    assert summarize(RepGens.from_pair(twin)).center_dim == 2
+    assert [(c.translation, c.multiplicity) for c in decompose(twin)] == \
+        [((0,), 2), ((3,), 1)]
+    # centre solve, central element, commutant check: all on the top fiber
+    assert seen == [top] * 4
+
+    # a generator list with no pair, and a pair with a stray entry below
+    # the grading tolerance, solve the centre in full space
+    seen.clear()
+    rep = RepGens.from_pair(twin)
+    g = pair.gens[0].copy()
+    g[0, -1] = 1e-11
+    stray = WeylPair(chain8, dict(pair.fibers), [g], validate=False)
+    for other in (RepGens(rep.dim, rep.gens, rep.labels),
+                  RepGens.from_pair(stray)):
+        s = summarize(other)
+        assert s.free is None and s.center_dim == 2
+        assert len(_minimal_central_projections(other, s)) == 2
+    assert seen == [None] * 6
 
 
 def test_dense_solver_serves_every_other_input(monkeypatch, chain8):

@@ -451,11 +451,13 @@ def test_central_projections_reject_incomplete_centre(chain8):
     rep = RepGens.from_pair(pair)
     s = summarize(rep)
     assert len(_minimal_central_projections(rep, s)) == s.center_dim == 3
+    assert s.free is not None
     for drop in range(s.center_dim):
         kept = s.center_basis[:drop] + s.center_basis[drop + 1:]
-        with pytest.raises(FiberMismatch):
-            _minimal_central_projections(
-                rep, AlgebraSummary(s.commutant_basis, kept))
+        for free in (None, s.free):
+            with pytest.raises(FiberMismatch):
+                _minimal_central_projections(
+                    rep, AlgebraSummary(s.commutant_basis, kept, free))
 
 
 def test_restriction_isomorphism_dims(chain8):

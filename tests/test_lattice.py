@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ def test_enumerate_budget_boundary(monkeypatch, lo, hi):
     monkeypatch.setattr(lat, "ENUMERATION_BUDGET", count - 1)
     with pytest.raises(BudgetExceeded):
         enumerate_pspaces(w)
+
+
+def test_enumerate_budget_fires_before_building(monkeypatch):
+    # the 2x10x10 window has 5,924,217,936 upward sets (MacMahon's box
+    # formula); its 10x10 slices alone have 184,756.  A budget below that
+    # must raise from the counts, before the chains are held: the chains
+    # up to 2**16 sets took about 50 MB of traced memory
+    monkeypatch.setattr(lat, "ENUMERATION_BUDGET", 2 ** 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            enumerate_pspaces(LatticeWindow((0, 0, 0), (1, 9, 9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    monkeypatch.undo()
+    assert len(enumerate_pspaces(LatticeWindow((0, 0), (7, 7)))) == 12869
+    assert len(enumerate_pspaces(LatticeWindow((0, 0, 0), (2, 2, 2)))) == 979
 
 
 def test_enumeration_runs_the_shared_closure_test(monkeypatch):

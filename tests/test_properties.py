@@ -23,7 +23,8 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylpair import (
@@ -48,9 +49,10 @@ from weylpair import (
     translate_pset,
     weyl_defect,
 )
-from weylpair.errors import EmptySetError
+from weylpair.errors import EmptySetError, WeylPairError
 from weylpair.lattice import PSet, SetKind
-from weylpair.dilation import decompose_full
+from weylpair import dilation
+from weylpair.dilation import _minimal_central_projections, decompose_full
 
 from conftest import (brute_force_upsets, dense_weyl_defect, fiber_mixing_unitary,
                       opnorm, upset_from)
@@ -206,6 +208,76 @@ def test_graded_solve_matches_dense_oracle(case):
                       (intertwiners(ra, rb), sylvester_nullspace(ra.gens, rb.gens))):
         assert len(got) == len(want)
         assert subspace_gap(got, want) <= 1e-8
+
+
+@st.composite
+def classified_pairs(draw):
+    """A fiber-mixed sum on the line or the plane window, or a pair with a
+    rank-deficient point; a block-unitary twin; the free points of both."""
+    kind = draw(st.sampled_from(["line", "plane", "deficient"]))
+    if kind == "deficient":
+        window = draw(st.sampled_from([LatticeWindow((0,), (7,)),
+                                       LatticeWindow((0, 0), (3, 3))]))
+        interior = [p for p in window.points() if p != window.hi]
+        point = draw(st.sampled_from(interior))
+        pair, free = rank_deficient_pair(window, point), [point, window.hi]
+    else:
+        pool = POOLS[0 if kind == "line" else 1]
+        parts = []
+        for _ in range(draw(st.integers(1, 3))):
+            part = build_pspace_pair(pool[draw(st.integers(0, len(pool) - 1))],
+                                     draw(st.integers(1, 3)))
+            if parts and sum(p.dim for p in parts) + part.dim > SOLVE_DIM_CAP:
+                break
+            parts.append(part)
+        pair = fiber_mixed(direct_sum(parts), draw(st.integers(0, 2 ** 32 - 1)))
+        free = [pair.window.hi]
+    return pair, fiber_mixed(pair, draw(st.integers(0, 2 ** 32 - 1))), free
+
+
+def _components(pair):
+    """Orbit-normalised components, or the type of the error raised."""
+    try:
+        return [(c.pspace.points, c.translation, c.multiplicity)
+                for c in decompose_full(pair).components]
+    except WeylPairError as exc:
+        return type(exc)
+
+
+def _dense_summarize(rep, tol, guard):
+    return summarize(RepGens(rep.dim, rep.gens, rep.labels), tol, guard)
+
+
+_DEFICIENT = rank_deficient_pair(LatticeWindow((0, 0), (3, 3)), (1, 2))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(classified_pairs())
+@example((_DEFICIENT, fiber_mixed(_DEFICIENT, 11), [(1, 2), (3, 3)]))
+def test_free_fiber_classification_matches_dense_path(case):
+    *pairs, free = case
+    for pair in pairs:
+        rep = RepGens.from_pair(pair)
+        graded = summarize(rep)
+        coords = np.arange(pair.dim)
+        assert list(graded.free) == [i for pt in free
+                                     for i in coords[pair.block_slice(pt)]]
+        plain = RepGens(rep.dim, rep.gens, rep.labels)
+        dense = summarize(plain)
+        assert dense.free is None
+        assert graded.center_dim == dense.center_dim
+        got = _minimal_central_projections(rep, graded)
+        want = _minimal_central_projections(plain, dense)
+        assert len(got) == len(want) == graded.center_dim
+        # the same projections; their order follows a random central element
+        match = [min(range(len(want)), key=lambda j: opnorm(p - want[j]))
+                 for p in got]
+        assert sorted(match) == list(range(len(want)))
+        assert max(opnorm(p - want[j]) for p, j in zip(got, match)) <= 1e-8
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dilation, "summarize", _dense_summarize)
+            dense_components = _components(pair)
+        assert _components(pair) == dense_components
 
 
 # ---------------------------------------------------------------------------
