@@ -157,11 +157,9 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
     for p in projs:
         support = []
         mult = None
-        bases = {}
         for pt, k in pair.fibers:
             s = pair.block_slice(pt)
-            block = p[s, s]
-            vals, vecs = np.linalg.eigh(block)
+            vals = np.linalg.eigvalsh(p[s, s])
             ones = vals > 0.5
             if np.abs(vals[ones] - 1.0).max(initial=0.0) > 1e-8 or \
                np.abs(vals[~ones]).max(initial=0.0) > 1e-8:
@@ -170,7 +168,6 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
             r = int(ones.sum())
             if r:
                 support.append(pt)
-                bases[pt] = vecs[:, ones]
                 if mult is None:
                     mult = r
                 elif mult != r:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -133,11 +134,11 @@ class LatticeWindow:
 
 
 def _add(x: Point, y: Sequence[int]) -> Point:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(operator.add, x, y))
 
 
 def _sub(x: Point, y: Sequence[int]) -> Point:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(operator.sub, x, y))
 
 
 def _leq(x: Sequence[int], y: Sequence[int]) -> bool:

@@ -12,6 +12,9 @@ forces at the matrix level.  Truncation at the window boundary is
 controlled by safe margins: isometry and commutation claims are asserted on
 the span of blocks that stay inside the window under all shifts up to the
 margin, and nowhere else.
+
+The checks read V_a block by block, composed from the generator blocks; a
+pair with entries outside its graded blocks is checked on dense products.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ class WeylPair:
     ``fibers`` maps window points to positive fiber dimensions; points not
     listed carry the zero fiber.  Blocks are laid out in lexicographic point
     order, so the grading data determines the matrix layout uniquely.
+
+    The generators are kept as read-only copies, so the generator blocks
+    found when the grading is checked, and the blocks of each V_a composed
+    from them (:meth:`shift_blocks`), stay valid for the life of the pair.
     """
 
     def __init__(self, window: LatticeWindow, fibers, gens, label: str = "",
@@ -70,25 +77,45 @@ class WeylPair:
             self.offsets[p] = (off, k)
             off += k
         self.dim = off
-        gens = tuple(np.asarray(g, dtype=complex) for g in gens)
+        gens = tuple(np.array(g, dtype=complex) for g in gens)
         if len(gens) != window.dim:
             raise PairInvariantViolation("one generator matrix per axis required")
         for g in gens:
             if g.shape != (self.dim, self.dim):
                 raise PairInvariantViolation(
                     f"generator shape {g.shape} does not match dim {self.dim}")
+            g.flags.writeable = False
         self.gens = gens
         self.label = label
+        self._paths: dict[tuple[Point, bool], dict] = {}
+        self._shifts: dict[Point, dict] = {}
+        self._safe: dict[int, tuple[Point, ...]] = {}
         if validate:
             self._check_grading()
 
     def _check_grading(self):
-        for axis in range(self.window.dim):
-            _, stray = self.graded_blocks(axis)
+        for axis, (_, stray) in enumerate(self._graded):
             if stray > GRADING_TOL:
                 raise PairInvariantViolation(
                     f"generator {axis} leaks outside the graded blocks "
                     f"(max stray entry {stray:.3e})")
+
+    @functools.cached_property
+    def _graded(self) -> tuple[tuple[dict, float], ...]:
+        """Per axis: the generator blocks and the largest entry outside them."""
+        found = []
+        for e, g in zip(self.window.generators(), self.gens):
+            blocks = {}
+            rest = g.copy()
+            for p, (off, k) in self.offsets.items():
+                q = _add(p, e)
+                if q in self.offsets:
+                    qoff, qk = self.offsets[q]
+                    cut = (slice(qoff, qoff + qk), slice(off, off + k))
+                    blocks[p] = g[cut]
+                    rest[cut] = 0.0
+            found.append((blocks, float(np.abs(rest).max(initial=0.0))))
+        return tuple(found)
 
     def graded_blocks(self, axis: int) -> tuple[dict, float]:
         """Blocks of generator ``axis`` and the largest entry outside them.
@@ -96,18 +123,68 @@ class WeylPair:
         The block of y maps the fiber of y into the fiber of y + e_i; it is
         listed for every y whose shifted point carries a fiber.
         """
-        e = self.window.generators()[axis]
-        g = self.gens[axis]
-        blocks = {}
-        rest = g.copy()
-        for p, (off, k) in self.offsets.items():
-            q = _add(p, e)
-            if q in self.offsets:
-                qoff, qk = self.offsets[q]
-                cut = (slice(qoff, qoff + qk), slice(off, off + k))
-                blocks[p] = g[cut]
-                rest[cut] = 0.0
-        return blocks, float(np.abs(rest).max(initial=0.0))
+        blocks, stray = self._graded[axis]
+        return dict(blocks), stray
+
+    @property
+    def graded(self) -> bool:
+        """Whether every generator entry lies inside the graded blocks."""
+        return all(stray == 0.0 for _, stray in self._graded)
+
+    def shift_blocks(self, a) -> dict[Point, np.ndarray] | None:
+        """Blocks of V_a by source point y; the block of y maps the fiber of
+        y into the fiber of y + a, and y is missing where V_a sends the
+        fiber of y to zero.
+
+        V_a is composed one generator step at a time in the order of
+        :func:`isometry_v` (axis 0 first), and the reverse order is compared
+        block by block: a discrepancy above 1e-10 raises
+        :class:`NonCommutingGenerators`.  Shifts are kept on the pair, so
+        each is composed once.  Returns None for a pair with entries
+        outside the graded blocks; only the dense :func:`isometry_v` covers
+        those.
+        """
+        a = tuple(int(c) for c in a)
+        if a in self._shifts:
+            return self._shifts[a]
+        if len(a) != self.window.dim or any(c < 0 for c in a):
+            raise ValueError("semigroup exponent must be a nonnegative vector")
+        if not self.graded:
+            return None
+        fwd = self._path(a, False)
+        if sum(c > 0 for c in a) > 1:
+            bwd = self._path(a, True)
+            diffs = [fwd.get(y, 0.0) - bwd.get(y, 0.0)
+                     for y in fwd.keys() | bwd.keys()]
+            if _max_opnorm([s for _, s in _stacks(diffs)], 1e-10) > 1e-10:
+                raise NonCommutingGenerators(
+                    f"generator products differ for exponent {a}")
+        self._shifts[a] = fwd
+        return fwd
+
+    def _path(self, a: Point, reverse: bool) -> dict:
+        """Blocks of the product of generator steps making up V_a, with the
+        last axis stepped first when ``reverse`` is set."""
+        axes = [i for i, c in enumerate(a) if c > 0]
+        if len(axes) <= 1:
+            reverse = False
+        if (a, reverse) in self._paths:
+            return self._paths[(a, reverse)]
+        if not axes:
+            return {p: np.eye(k, dtype=complex) for p, k in self.fibers}
+        j = axes[0] if reverse else axes[-1]
+        prev_a = a[:j] + (a[j] - 1,) + a[j + 1:]
+        step = self._graded[j][0]
+        if not any(prev_a):
+            out = dict(step)
+        else:
+            out = {}
+            for y, b in self._path(prev_a, reverse).items():
+                mid = _add(y, prev_a)
+                if mid in step:
+                    out[y] = step[mid] @ b
+        self._paths[(a, reverse)] = out
+        return out
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -149,9 +226,11 @@ class WeylPair:
         """Points with a nonzero fiber and y + margin*1 inside the window."""
         if safe.margin > min(self.window.sides):
             raise MarginTooSmall("margin exceeds window side length")
-        return tuple(p for p in self.offsets
-                     if all(c + safe.margin <= h
-                            for c, h in zip(p, self.window.hi)))
+        if safe.margin not in self._safe:
+            self._safe[safe.margin] = tuple(
+                p for p in self.offsets
+                if all(c + safe.margin <= h for c, h in zip(p, self.window.hi)))
+        return self._safe[safe.margin]
 
     def safe_indices(self, safe: SafeRegion) -> np.ndarray:
         """Coordinate indices of blocks with y + margin*1 inside the window."""
@@ -280,44 +359,47 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
     """Norm of U V_a - exp(i theta.a) V_a U compressed to the safe blocks.
 
     ``theta`` is one angle vector or a stack of shape (m, d); the result is
-    the maximum over the stack.  V_a is computed once, so generators that
-    fail to commute still raise :class:`NonCommutingGenerators`.
+    the maximum over the stack.  Generators that fail to commute raise
+    :class:`NonCommutingGenerators`.
 
     V_a maps the block of y into the block of y + a, and U scales each
     block by one phase, so the compressed defect is a partial block
     permutation whose norm is the largest ``|phase(y + a) - phase(a)
-    phase(y)| * ||B_y||`` over the blocks B_y of V_a with y and y + a safe.
-    Whatever V_a holds outside those blocks (the remainder R) adds, for
-    each angle, the Frobenius norm of R scaled entrywise by its phase
-    deviations.  R is exactly zero for every pair this package builds, and
-    the value is then the exact defect; otherwise (stray entries up to
-    ``GRADING_TOL``, or a pair built with ``validate=False``) it is an
-    upper bound that is never below the exact defect.
+    phase(y)| * ||B_y||`` over the blocks B_y of V_a with y and y + a safe;
+    on a graded pair they are read from :meth:`WeylPair.shift_blocks` and
+    the value is the exact defect.  A pair with entries outside the graded
+    blocks (stray entries up to ``GRADING_TOL``, or a pair built with
+    ``validate=False``) takes the blocks from the dense :func:`isometry_v`,
+    and whatever V_a holds outside them (the remainder R) adds, for each
+    angle, the Frobenius norm of R scaled entrywise by its phase
+    deviations: an upper bound that is never below the exact defect.
     """
-    avec = tuple(int(c) for c in a)
-    if any(c > safe.margin for c in avec):
-        raise MarginTooSmall(f"shift {avec} exceeds safe margin {safe.margin}")
+    avec = _check_shift(a, safe)
     thetas = np.atleast_2d(np.asarray(theta, dtype=float))
-    v = isometry_v(pair, avec)
+    blocks = pair.shift_blocks(avec)
     safe_pts = pair.safe_points(safe)
     members = set(safe_pts)
     src = [y for y in safe_pts if _add(y, avec) in members]
-    cuts = [(pair.block_slice(_add(y, avec)), pair.block_slice(y))
-            for y in src]
+    if blocks is None:
+        v = isometry_v(pair, avec)
+        cuts = [(pair.block_slice(_add(y, avec)), pair.block_slice(y))
+                for y in src]
+        mats = [v[cut] for cut in cuts]
+    else:
+        src = [y for y in src if y in blocks]
+        mats = [blocks[y] for y in src]
     # one stacked 2-norm per block shape: ||B_y|| is computed once per block
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, cut in enumerate(cuts):
-        by_shape.setdefault(v[cut].shape, []).append(i)
-    norms = np.empty(len(cuts))
-    for group in by_shape.values():
-        norms[group] = np.linalg.norm(np.stack([v[cuts[i]] for i in group]),
-                                      2, axis=(1, 2))
+    norms = np.empty(len(mats))
+    for group, stack in _stacks(mats):
+        norms[group] = np.linalg.norm(stack, 2, axis=(1, 2))
     av = np.array(avec, dtype=float)
     per_angle = np.zeros(len(thetas))
     if src:
         coords = np.array(src, dtype=float)
         dev = _phase_deviation(thetas, coords, coords + av, av)
         per_angle = (dev * norms).max(axis=1)
+    if blocks is not None:
+        return float(per_angle.max())
     remainder = v.copy()
     for cut in cuts:
         remainder[cut] = 0.0
@@ -333,6 +415,13 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
     return float(per_angle.max())
 
 
+def _check_shift(a, safe: SafeRegion) -> Point:
+    avec = tuple(int(c) for c in a)
+    if any(c > safe.margin for c in avec):
+        raise MarginTooSmall(f"shift {avec} exceeds safe margin {safe.margin}")
+    return avec
+
+
 def _phase_deviation(thetas, src, dst, a) -> np.ndarray:
     """``|exp(i theta.dst) - exp(i theta.a) exp(i theta.src)|``.
 
@@ -345,17 +434,55 @@ def _phase_deviation(thetas, src, dst, a) -> np.ndarray:
     return np.abs(phases(dst) - phases(a[None, :]) * phases(src))
 
 
+def _stacks(mats) -> list[tuple[list[int], np.ndarray]]:
+    """The matrices grouped by shape: (positions in ``mats``, their stack)."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(mats):
+        by_shape.setdefault(m.shape, []).append(i)
+    return [(group, np.stack([mats[i] for i in group]))
+            for group in by_shape.values()]
+
+
+def _max_opnorm(stacks, floor: float = 0.0) -> float:
+    """Largest spectral norm in stacks of matrices, and at least ``floor``.
+
+    ``||m||_F / sqrt(rank) <= ||m||_2 <= ||m||_F``, so a matrix whose
+    Frobenius norm is at most the floor, or below the largest of those
+    lower bounds, cannot raise the maximum and is never decomposed; a zero
+    matrix never is.
+    """
+    fros = [np.linalg.norm(s, axis=(1, 2)) for s in stacks]
+    bound = max([floor] + [f.max(initial=0.0) / np.sqrt(min(s.shape[1:]))
+                           for s, f in zip(stacks, fros)])
+    worst = floor
+    for s, f in zip(stacks, fros):
+        keep = (f > floor) & (f >= bound)
+        if keep.any():
+            worst = max(worst, float(np.linalg.norm(s[keep], 2, axis=(1, 2)).max()))
+    return worst
+
+
 def isometry_defect(pair: WeylPair, a, safe: SafeRegion) -> float:
-    """Norm of (V_a* V_a - 1) compressed to the safe blocks."""
-    avec = tuple(int(c) for c in a)
-    if any(c > safe.margin for c in avec):
-        raise MarginTooSmall(f"shift {avec} exceeds safe margin {safe.margin}")
-    v = isometry_v(pair, avec)
-    m = v.conj().T @ v - np.eye(pair.dim)
-    idx = pair.safe_indices(safe)
-    if idx.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m[np.ix_(idx, idx)], 2))
+    """Norm of (V_a* V_a - 1) compressed to the safe blocks.
+
+    V_a* V_a is block diagonal, so on a graded pair this is the largest
+    ``||B_y* B_y - 1||`` over the safe points y, and 1 at a safe y whose
+    fiber V_a sends to zero.  Other pairs take the dense :func:`isometry_v`.
+    """
+    avec = _check_shift(a, safe)
+    blocks = pair.shift_blocks(avec)
+    if blocks is None:
+        v = isometry_v(pair, avec)
+        m = v.conj().T @ v - np.eye(pair.dim)
+        idx = pair.safe_indices(safe)
+        if idx.size == 0:
+            return 0.0
+        return float(np.linalg.norm(m[np.ix_(idx, idx)], 2))
+    safe_pts = pair.safe_points(safe)
+    mats = [blocks[y] for y in safe_pts if y in blocks]
+    floor = 1.0 if len(mats) < len(safe_pts) else 0.0
+    return _max_opnorm([s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[2])
+                        for _, s in _stacks(mats)], floor)
 
 
 def range_projection(pair: WeylPair, a) -> np.ndarray:
@@ -372,9 +499,18 @@ def default_probe(dim: int) -> list[Point]:
 
 
 def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
-    """Largest commutator norm among range projections over the probe set."""
+    """Largest commutator norm among range projections over the probe set.
+
+    V_a V_a* is block diagonal, its block at z being B B* for the block B
+    of V_a into z, so on a graded pair each commutator is read per target
+    point, from the blocks of the two shifts there (a point only one shift
+    reaches contributes nothing); the commutator blocks are stacked by
+    fiber dimension.  Other pairs take the dense :func:`range_projection`.
+    """
     if probe is None:
         probe = default_probe(pair.window.dim)
+    if pair.graded:
+        return _block_range_commutator(pair, probe)
     projs = [range_projection(pair, a) for a in probe]
     worst = 0.0
     for i in range(len(projs)):
@@ -385,6 +521,34 @@ def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
             if np.linalg.norm(comm) > worst:
                 worst = max(worst, float(np.linalg.norm(comm, 2)))
     return worst
+
+
+def _block_range_commutator(pair: WeylPair, probe) -> float:
+    # the range projection blocks by fiber dimension, and for each target
+    # point the positions of its blocks among them: only two blocks at one
+    # point can fail to commute
+    projs: dict[int, list[np.ndarray]] = {}
+    at: dict[Point, list[int]] = {}
+    for a in probe:
+        found = pair.shift_blocks(a)
+        srcs = list(found)
+        for group, b in _stacks([found[y] for y in srcs]):
+            e = b @ b.conj().transpose(0, 2, 1)
+            mats = projs.setdefault(e.shape[1], [])
+            for g, m in zip(group, 0.5 * (e + e.conj().transpose(0, 2, 1))):
+                at.setdefault(_add(srcs[g], a), []).append(len(mats))
+                mats.append(m)
+    both: dict[int, list[tuple[int, int]]] = {}
+    for z, hits in at.items():
+        both.setdefault(pair.offsets[z][1], []).extend(
+            itertools.combinations(hits, 2))
+    comms = []
+    for k, pairs in both.items():
+        if pairs:
+            p = np.stack(projs[k])
+            first, second = np.array(pairs).T
+            comms.append(p[first] @ p[second] - p[second] @ p[first])
+    return _max_opnorm(comms)
 
 
 def direct_sum(pairs: list[WeylPair], label: str = "") -> WeylPair:

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from weylpair import LatticeWindow, SetKind, isometry_v, validate_pset
+from weylpair import (LatticeWindow, SetKind, isometry_v, range_projection,
+                      validate_pset)
 from weylpair.errors import MarginTooSmall
 
 
@@ -94,6 +95,27 @@ def dense_grid_defect(pair, thetas, shifts, safe):
     """Oracle maximum over every angle vector and shift, one SVD each."""
     return max(dense_weyl_defect(pair, theta, a, safe)
                for theta in thetas for a in shifts)
+
+
+def dense_isometry_defect(pair, a, safe):
+    """Oracle: ||V_a* V_a - 1|| compressed to the safe blocks, from the
+    dense V_a and one SVD."""
+    avec = tuple(int(c) for c in a)
+    if any(c > safe.margin for c in avec):
+        raise MarginTooSmall(f"shift {avec} exceeds safe margin {safe.margin}")
+    v = isometry_v(pair, avec)
+    m = v.conj().T @ v - np.eye(pair.dim)
+    idx = pair.safe_indices(safe)
+    if idx.size == 0:
+        return 0.0
+    return opnorm(m[np.ix_(idx, idx)])
+
+
+def dense_range_commutator(pair, probe):
+    """Oracle: one SVD of every dense range-projection commutator."""
+    projs = [range_projection(pair, a) for a in probe]
+    return max((opnorm(p @ q - q @ p)
+                for p, q in itertools.combinations(projs, 2)), default=0.0)
 
 
 def dense_subspace_gap(basis_a, basis_b):

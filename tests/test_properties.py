@@ -7,7 +7,9 @@ centre one dimension per set, and ``decompose`` returns every (S, m_S) with
 a witness residual <= 1e-8.
 
 The graded ``weyl_defect``, given the whole dual grid as one stack, must
-match the dense per-angle oracle within 1e-13 at every shift.
+match the dense per-angle oracle within 1e-13 at every shift, and so must
+the block forms of ``isometry_defect`` and ``check_commuting_ranges`` match
+the dense V_a formulas; on canonical sums they are exactly 0.0.
 
 The graded commutant and intertwiner solve must span the same space as the
 dense ``sylvester_nullspace`` on the same generator lists.
@@ -36,11 +38,13 @@ from weylpair import (
     WeylPair,
     build_pspace_pair,
     build_r2_pair,
+    check_commuting_ranges,
     commutant_basis,
     direct_sum,
     dual_grid,
     enumerate_pspaces,
     intertwiners,
+    isometry_defect,
     random_family,
     reflect_pset,
     subspace_gap,
@@ -54,8 +58,9 @@ from weylpair.lattice import PSet, SetKind
 from weylpair import dilation
 from weylpair.dilation import _minimal_central_projections, decompose_full
 
-from conftest import (brute_force_upsets, dense_weyl_defect, fiber_mixing_unitary,
-                      opnorm, upset_from)
+from conftest import (brute_force_upsets, dense_isometry_defect,
+                      dense_range_commutator, dense_weyl_defect,
+                      fiber_mixing_unitary, opnorm, upset_from)
 
 POOLS = [enumerate_pspaces(LatticeWindow((0,), (7,))),
          enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))]
@@ -135,6 +140,45 @@ def test_graded_defect_matches_dense_oracle(case):
     for a in itertools.product(range(margin + 1), repeat=pair.window.dim):
         dense = max(dense_weyl_defect(pair, theta, a, safe) for theta in grid)
         assert abs(weyl_defect(pair, thetas, a, safe) - dense) <= 1e-13
+
+
+@st.composite
+def checked_pairs(draw):
+    """A graded pair, a margin and whether it is a canonical sum.
+
+    Three-dimensional sums are checked at margin 1 only: the dense oracle
+    takes one SVD per pair of probe shifts."""
+    kind = draw(st.sampled_from(["canonical", "mixed", "quarterplane"]))
+    if kind == "quarterplane":
+        kappa = draw(st.integers(2, 4))
+        parts = draw(st.integers(2, min(kappa, 3)))
+        fam = random_family(kappa, parts, parts, seed=draw(st.integers(0, 10 ** 6)))
+        pair = build_r2_pair(fam, EvaluationPoint.default(), GridSpec(1, parts + 1.0))
+        return pair, draw(st.integers(1, 2)), False
+    pool = DEFECT_POOLS[draw(st.integers(0, len(DEFECT_POOLS) - 1))]
+    pair = direct_sum([build_pspace_pair(pool[draw(st.integers(0, len(pool) - 1))],
+                                         draw(st.integers(1, 2)))
+                       for _ in range(draw(st.integers(1, 3)))])
+    margin = 1 if pair.window.dim == 3 else draw(st.integers(1, 2))
+    if kind == "mixed":
+        pair = fiber_mixed(pair, draw(st.integers(0, 2 ** 32 - 1)))
+    return pair, margin, kind == "canonical"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(checked_pairs())
+def test_block_checks_match_dense_oracles(case):
+    pair, margin, canonical = case
+    safe = SafeRegion(margin)
+    shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
+    probe = [a for a in shifts if any(a)]
+    iso = [isometry_defect(pair, a, safe) for a in shifts]
+    ranges = check_commuting_ranges(pair, probe)
+    if canonical:
+        assert iso == [0.0] * len(shifts) and ranges == 0.0
+    for a, value in zip(shifts, iso):
+        assert abs(value - dense_isometry_defect(pair, a, safe)) <= 1e-13
+    assert abs(ranges - dense_range_commutator(pair, probe)) <= 1e-13
 
 
 #: Largest canonical sum the solver comparison builds; the dense oracle
