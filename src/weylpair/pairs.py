@@ -106,7 +106,7 @@ class WeylPair:
         found = []
         for e, g in zip(self.window.generators(), self.gens):
             blocks = {}
-            rest = g.copy()
+            rest = np.abs(g)
             for p, (off, k) in self.offsets.items():
                 q = _add(p, e)
                 if q in self.offsets:
@@ -114,7 +114,7 @@ class WeylPair:
                     cut = (slice(qoff, qoff + qk), slice(off, off + k))
                     blocks[p] = g[cut]
                     rest[cut] = 0.0
-            found.append((blocks, float(np.abs(rest).max(initial=0.0))))
+            found.append((blocks, float(rest.max(initial=0.0))))
         return tuple(found)
 
     def graded_blocks(self, axis: int) -> tuple[dict, float]:
@@ -140,7 +140,8 @@ class WeylPair:
         :func:`isometry_v` (axis 0 first), and the reverse order is compared
         block by block: a discrepancy above 1e-10 raises
         :class:`NonCommutingGenerators`.  Shifts are kept on the pair, so
-        each is composed once.  Returns None for a pair with entries
+        each is composed once; the dict returned is the pair's own and is
+        read, not changed, by its callers.  Returns None for a pair with entries
         outside the graded blocks; only the dense :func:`isometry_v` covers
         those.
         """
