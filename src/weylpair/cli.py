@@ -36,10 +36,9 @@ DEFAULT_TOL = 1e-10
 
 def export_heatmap(rows, path: str) -> str:
     """Write (s, t, value) rows as CSV with 17 significant digits."""
+    text = "".join(f"{s:.17g},{t:.17g},{value:.17g}\n" for s, t, value in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("s,t,value\n")
-        for s, t, value in rows:
-            fh.write(f"{s:.17g},{t:.17g},{value:.17g}\n")
+        fh.write("s,t,value\n" + text)
     return path
 
 
@@ -262,10 +261,11 @@ def _cmd_counterexample(doc, out, seed, tol):
         sample = fp.sample_field(family, ev, grid)
         violation = fp.check_increasing(sample)
         checks.add("field-increasing", violation, 1e-12)
-        vals = sample.vals
+        vals = sample.vals.tolist()
         ranks = [float(np.trace(e).real) for e in sample.mats]
-        rows = [(float(vals[i]), float(vals[j]), ranks[k])
-                for (i, j), k in np.ndenumerate(sample.ids)]
+        rows = [(vals[i], vals[j], ranks[k])
+                for i, row in enumerate(sample.ids.tolist())
+                for j, k in enumerate(row)]
         path = os.path.join(out, doc.get("heatmap", "field_rank.csv"))
         export_heatmap(rows, path)
         artifacts.append(path)

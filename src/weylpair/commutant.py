@@ -24,7 +24,10 @@ hands the coordinates on to the central projections of ``dilation``.
 Every other generator list goes to ``sylvester_nullspace``: it seeds the
 search with the exact kernel of a well-chosen Hermitian map (eigenvectors
 with equal eigenvalues give a factored basis u v* of that kernel) and
-refines the seed through the remaining maps with thin SVDs.
+refines the seed through the remaining maps with thin SVDs.  A map listed
+more than once (a sampled field repeats the identity and the step
+projections) adds no condition, so repeated pairs (A_i, B_i), compared by
+bytes, are dropped before the seed is chosen.
 
 Kernel detection uses a relative singular-value cutoff (default 1e-8),
 which cleanly separates true kernels from roundoff at the dimensions the
@@ -46,6 +49,8 @@ DEFAULT_TOL = 1e-8
 DEFAULT_GUARD = 256
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
+#: Entries up to which ``_stacked_map`` materialises the stacked map whole.
+_DENSE_MAP_CAP = 4_000_000
 _CENTER_SEED = 20240502
 #: A generator block propagates the graded solve when sigma_min exceeds
 #: this fraction of sigma_max.
@@ -126,31 +131,46 @@ class AlgebraSummary:
 
 
 def _adjoint_closed_maps(a_list, b_list):
-    maps = []
-    for a, b in zip(a_list, b_list):
-        maps.append((a, b))
-        if np.linalg.norm(a - a.conj().T) > 0 or np.linalg.norm(b - b.conj().T) > 0:
-            maps.append((a.conj().T, b.conj().T))
-    return maps
+    """The pairs (A, B) of the maps and their adjoints, each distinct pair
+    once (compared by bytes) in the order first listed."""
+    pairs = list(zip(a_list, b_list))
+    if not pairs:
+        return []
+    # a pair needs its adjoint unless both A and B are Hermitian
+    skew = np.zeros(len(pairs), dtype=bool)
+    for side in zip(*pairs):
+        stack = np.stack(side)
+        skew |= np.any(stack != stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    maps = {}
+    for (a, b), adjoint in zip(pairs, skew):
+        maps.setdefault((a.tobytes(), b.tobytes()), (a, b))
+        if adjoint:
+            a, b = a.conj().T, b.conj().T
+            maps.setdefault((a.tobytes(), b.tobytes()), (a, b))
+    return list(maps.values())
 
 
 def _cluster_bins(values, ctol):
     order = np.sort(values)
-    edges = [order[0] - 1.0]
-    for prev, cur in zip(order, order[1:]):
-        if cur - prev > ctol:
-            edges.append(0.5 * (prev + cur))
-    edges.append(order[-1] + 1.0)
-    return np.array(edges)
+    mids = 0.5 * (order[:-1] + order[1:])
+    return np.concatenate([[order[0] - 1.0], mids[np.diff(order) > ctol],
+                           [order[-1] + 1.0]])
 
 
-def _hermitian_eig(h):
-    n = h.shape[0]
-    off = np.abs(h - np.diag(np.diag(h))).max() if n else 0.0
-    if off == 0.0:
-        return np.real(np.diag(h)), np.eye(n, dtype=complex)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
+def _hermitian_eigs(mats):
+    """(eigenvalues, eigenvectors) of each Hermitian matrix, all of one size:
+    a diagonal one is read off its diagonal, the rest take one stacked eigh."""
+    out, full = [], []
+    for h in mats:
+        if not h.size or np.abs(h - np.diag(np.diag(h))).max() == 0.0:
+            out.append((np.real(np.diag(h)), np.eye(h.shape[0], dtype=complex)))
+        else:
+            out.append(None)
+            full.append(h)
+    if full:
+        solved = zip(*np.linalg.eigh(np.stack(full)))
+        out = [pair if pair is not None else next(solved) for pair in out]
+    return out
 
 
 def _spectral_seed(maps, n_b, n_a, same_space):
@@ -160,26 +180,28 @@ def _spectral_seed(maps, n_b, n_a, same_space):
     eigenvalue pairing is smallest, and returns (lefts, rights) columns so
     that element j is lefts[:, j] rights[:, j]^*.
     """
-    best = None
+    parts_a, parts_b = [], []
     for a, b in maps:
         for hermitise in (lambda m: 0.5 * (m + m.conj().T),
                           lambda m: (m - m.conj().T) / 2j):
             ha = hermitise(a)
             if np.abs(ha).max() == 0.0:
                 continue
-            va, ua = _hermitian_eig(ha)
-            if same_space:
-                vb, ub = va, ua
-            else:
-                vb, ub = _hermitian_eig(hermitise(b))
-            spread = max(va.max() - va.min(), vb.max() - vb.min(), 1.0)
-            edges = _cluster_bins(np.concatenate([va, vb]), 1e-8 * spread)
-            ia = np.digitize(va, edges)
-            ib = np.digitize(vb, edges)
-            score = sum(int(np.sum(ib == t)) * int(np.sum(ia == t))
-                        for t in np.unique(np.concatenate([ia, ib])))
-            if best is None or score < best[0]:
-                best = (score, ua, ub, ia, ib)
+            parts_a.append(ha)
+            if not same_space:
+                parts_b.append(hermitise(b))
+    eigs_a = _hermitian_eigs(parts_a)
+    eigs_b = eigs_a if same_space else _hermitian_eigs(parts_b)
+    best = None
+    for (va, ua), (vb, ub) in zip(eigs_a, eigs_b):
+        spread = max(va.max() - va.min(), vb.max() - vb.min(), 1.0)
+        edges = _cluster_bins(np.concatenate([va, vb]), 1e-8 * spread)
+        ia = np.digitize(va, edges)
+        ib = np.digitize(vb, edges)
+        score = int(np.bincount(ia, minlength=edges.size + 1)
+                    @ np.bincount(ib, minlength=edges.size + 1))
+        if best is None or score < best[0]:
+            best = (score, ua, ub, ia, ib)
     if best is None or best[0] > _SEED_CAP:
         if n_a * n_b > _FULL_SEED_CAP:
             raise DimensionGuard(
@@ -211,7 +233,7 @@ def _stacked_map(lefts, w, z, rights, n_a):
     """
     r = lefts.shape[1]
     n_b = lefts.shape[0]
-    if n_b * n_a * r <= 4_000_000:
+    if n_b * n_a * r <= _DENSE_MAP_CAP:
         full = (lefts[:, None, :] * w.conj()[None, :, :]
                 - z[:, None, :] * rights.conj()[None, :, :])
         return full.reshape(n_b * n_a, r)
@@ -287,8 +309,12 @@ def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
     # bounds each map on the Frobenius-orthonormal seed, whereas the largest
     # singular value of a map restricted to the near-kernel of the steps
     # before it can be roundoff, and true solutions would fall below it
-    cutoff = tol * max((np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
-                        for a, b in maps), default=0.0)
+    cutoff = 0.0
+    if maps:
+        norms_a = np.linalg.norm(np.stack([a for a, _ in maps]), 2, axis=(1, 2))
+        norms_b = norms_a if same else np.linalg.norm(
+            np.stack([b for _, b in maps]), 2, axis=(1, 2))
+        cutoff = tol * float(np.max(norms_a + norms_b))
     coeff = None  # None stands for the identity on the seed space
     for a, b in maps:
         if coeff is not None and coeff.shape[1] == 0:

@@ -18,6 +18,12 @@ transfer, the represented pair, minimality) reads that sample.
 :func:`check_increasing` and :func:`plateau` take the sample itself, so a
 caller that runs several of them on one grid samples once.
 :func:`cell_projection` is the per-point definition.
+
+The kappa x kappa checks are stacked: :class:`ProjectionFamily` takes the
+2-norms of every Hermitian, idempotent and orthogonality defect in one
+call, :func:`check_increasing` takes the eigenvalues of every comparable
+difference in one call, and the range bases of the represented pair come
+from one stacked ``eigh`` of the sampled field values.
 """
 
 from __future__ import annotations
@@ -60,16 +66,28 @@ class ProjectionFamily:
             if m.shape != (kappa, kappa):
                 raise PairInvariantViolation("family projections must share a size")
         self.kappa = kappa
-        for seq in (self.plist, self.qlist):
-            for i, p in enumerate(seq):
-                if np.linalg.norm(p - p.conj().T, 2) > PROJ_TOL or \
-                   np.linalg.norm(p @ p - p, 2) > PROJ_TOL:
-                    raise PairInvariantViolation(
-                        f"family member {i} is not a projection")
-                for j in range(i):
-                    if np.linalg.norm(seq[i] @ seq[j], 2) > PROJ_TOL:
-                        raise PairInvariantViolation(
-                            f"family members {j},{i} are not orthogonal")
+        # the Hermitian, idempotent and pairwise (i, j < i) defects of both
+        # sequences, stacked so that one call takes their 2-norms; scan keys
+        # (sequence, member, earlier member or -1) order the failures as the
+        # member-by-member scan meets them
+        defects, keys = [], []
+        for s, seq in enumerate((self.plist, self.qlist)):
+            if not seq:
+                continue
+            stack = np.stack(seq)
+            later, earlier = np.tril_indices(len(seq), -1)
+            defects += [stack - stack.conj().transpose(0, 2, 1),
+                        stack @ stack - stack, stack[later] @ stack[earlier]]
+            keys += [(s, i, -1) for i in range(len(seq))] * 2
+            keys += [(s, i, j) for i, j in zip(later.tolist(), earlier.tolist())]
+        bad = np.linalg.norm(np.concatenate(defects), 2, axis=(1, 2)) > PROJ_TOL
+        if bad.any():
+            _, i, j = min(key for key, b in zip(keys, bad) if b)
+            if j < 0:
+                raise PairInvariantViolation(
+                    f"family member {i} is not a projection")
+            raise PairInvariantViolation(
+                f"family members {j},{i} are not orthogonal")
 
     @property
     def np_count(self) -> int:
@@ -121,7 +139,9 @@ class GridSpec:
         return 1.0 / self.denominator
 
     def values(self) -> np.ndarray:
-        count = int(round((self.extent - self.offset) * self.denominator))
+        # every offset + k step below extent; the slack keeps out a point
+        # that roundoff puts just below an extent on the grid
+        count = math.ceil((self.extent - self.offset) * self.denominator - 1e-9)
         return self.offset + np.arange(count) * self.step
 
 
@@ -261,14 +281,12 @@ def check_increasing(sample: FieldSample) -> float:
     sampled selections, and each such pair is compared once; an honest
     family yields zero up to roundoff.
     """
-    worst = 0.0
-    for (m, n), lo in zip(sample.sels, sample.mats):
-        for (mm, nn), hi in zip(sample.sels, sample.mats):
-            if m <= mm and n <= nn:
-                diff = hi - lo
-                lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0]
-                worst = max(worst, -float(lam))
-    return worst
+    sels = np.array(sample.sels)
+    lo, hi = np.nonzero(np.all(sels[:, None] <= sels[None, :], axis=2))
+    mats = np.stack(sample.mats)
+    diff = mats[hi] - mats[lo]
+    lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().transpose(0, 2, 1)))
+    return max(0.0, -float(lam[:, 0].min()))
 
 
 def plateau(sample: FieldSample, m: int,
@@ -276,12 +294,17 @@ def plateau(sample: FieldSample, m: int,
     """Grid points of the unit cell at (m, n) where the sampled field equals
     the step projection of (m, n)."""
     target = sample.step(m, n)
-    equal = np.array([np.abs(e - target).max() <= PLATEAU_TOL
-                      for e in sample.mats], dtype=bool)
+    equal = np.abs(np.asarray(sample.mats) - target).max(axis=(1, 2)) \
+        <= PLATEAU_TOL
     vals = sample.vals
     cell = np.outer((m <= vals) & (vals < m + 1), (n <= vals) & (vals < n + 1))
-    return [(float(vals[i]), float(vals[j]))
-            for i, j in zip(*np.nonzero(cell & equal[sample.ids]))]
+    return _grid_points(vals, cell & equal[sample.ids])
+
+
+def _grid_points(vals, mask) -> list[tuple[float, float]]:
+    """The grid points (vals[i], vals[j]) where ``mask`` holds, row by row."""
+    vals = vals.tolist()
+    return [(vals[i], vals[j]) for i, j in np.argwhere(mask).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +367,12 @@ def coordinate_family(kappa: int, p_coords, q_coords) -> ProjectionFamily:
 
 def _field_bases(mats) -> list[np.ndarray]:
     """Orthonormal basis of the range of each sampled field value."""
-    bases = []
-    for e in mats:
-        lam, vec = np.linalg.eigh(e)
-        ones = lam > 0.5
-        if np.abs(lam[ones] - 1.0).max(initial=0.0) > 1e-10 or \
-           np.abs(lam[~ones]).max(initial=0.0) > 1e-10:
-            raise MonotonicityBroken("field value is not a projection")
-        bases.append(vec[:, ones])
-    return bases
+    lam, vec = np.linalg.eigh(np.stack(mats))
+    ones = lam > 0.5
+    if np.abs(lam[ones] - 1.0).max(initial=0.0) > 1e-10 or \
+       np.abs(lam[~ones]).max(initial=0.0) > 1e-10:
+        raise MonotonicityBroken("field value is not a projection")
+    return [v[:, o] for v, o in zip(vec, ones)]
 
 
 def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
@@ -430,10 +450,8 @@ def spec_support(family: ProjectionFamily, ev: EvaluationPoint,
     spectral support cannot separate pairs without commuting ranges.
     """
     sample = sample_field(family, ev, grid)
-    vals = sample.vals
-    nonzero = np.array([np.abs(e).max() > 0 for e in sample.mats], dtype=bool)
-    return [(float(vals[i]), float(vals[j]))
-            for i, j in zip(*np.nonzero(nonzero[sample.ids]))]
+    nonzero = np.abs(np.asarray(sample.mats)).max(axis=(1, 2)) > 0
+    return _grid_points(sample.vals, nonzero[sample.ids])
 
 
 def minimality_defect(family: ProjectionFamily, ev: EvaluationPoint,

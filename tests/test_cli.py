@@ -274,6 +274,26 @@ def test_export_heatmap(tmp_path):
     assert open(empty).read() == "s,t,value\n"
 
 
+def test_export_heatmap_bytes_match_the_per_row_writer(tmp_path):
+    def per_row(rows, path):
+        """Oracle: one formatted write per row."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("s,t,value\n")
+            for s, t, value in rows:
+                fh.write(f"{s:.17g},{t:.17g},{value:.17g}\n")
+        return path
+
+    special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300,
+               5e-324, 0.1, 1 / 3, 2.5, 1e300]
+    rows = [(s, t, v) for s in special[:4] for t in (0.0, -0.0, 0.35)
+            for v in special]
+    rows += [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (1, 2, 3)]
+    got = export_heatmap(rows, str(tmp_path / "got.csv"))
+    want = per_row(rows, str(tmp_path / "want.csv"))
+    assert open(got, "rb").read() == open(want, "rb").read()
+    assert b"-0," in open(got, "rb").read()
+
+
 def test_run_scenario_seed_override(tmp_path):
     sc = write_scenario(tmp_path, "s.json", {
         "command": "pspace-enum", "window": {"lo": [0], "hi": [2]},

@@ -396,3 +396,102 @@ def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
     got = commutant_basis(RepGens(rep.dim, rep.gens, rep.labels))
     assert len(calls) == 5
     assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# branches of the dense solver that no represented pair reaches
+
+
+def _sparse_factors(rng, n_b, n_a, r):
+    """Factor columns with most entries zero, as graded problems give them."""
+    def draw(rows):
+        m = rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
+        return m * (rng.random((rows, r)) < 0.4)
+    return draw(n_b), draw(n_a), draw(n_b), draw(n_a)
+
+
+def test_sparse_stacked_map_matches_the_dense_broadcast(monkeypatch):
+    rng = np.random.default_rng(5)
+    for n_b, n_a, r in [(4, 3, 7), (5, 5, 12), (2, 6, 3)]:
+        lefts, w, z, rights = _sparse_factors(rng, n_b, n_a, r)
+        dense = commutant._stacked_map(lefts, w, z, rights, n_a)
+        assert dense.shape == (n_b * n_a, r)
+        # rows (p, q) that some column can reach: u_p w_q* or z_p v_q*
+        reach = (np.abs(lefts) @ np.abs(w).T + np.abs(z) @ np.abs(rights).T) > 0
+        rows = np.flatnonzero(reach)
+        monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
+        sparse = commutant._stacked_map(lefts, w, z, rights, n_a)
+        monkeypatch.undo()
+        np.testing.assert_allclose(sparse, dense[rows], rtol=0, atol=1e-15)
+        assert not np.any(np.delete(dense, rows, axis=0))
+    zero = np.zeros((3, 4), dtype=complex)
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
+    assert commutant._stacked_map(zero, zero, zero, zero, 3).shape == (0, 4)
+
+
+def test_sparse_stacked_map_gives_the_same_solutions(monkeypatch, chain8):
+    pair = build_pspace_pair(upset_from(chain8, [(2,)]), 2)
+    rep = RepGens.from_pair(pair)
+    u = fiber_mixing_unitary(pair, np.random.default_rng(3))
+    other = [u @ g @ u.conj().T for g in rep.gens]
+    want = [sylvester_nullspace(rep.gens, rep.gens),
+            sylvester_nullspace(rep.gens, other)]
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
+    got = [sylvester_nullspace(rep.gens, rep.gens),
+           sylvester_nullspace(rep.gens, other)]
+    for g, w in zip(got, want):
+        assert len(g) == len(w) == 4
+        assert subspace_gap(g, w) <= 1e-12
+
+
+def test_identity_seed_when_no_map_has_a_spectrum():
+    # every Hermitian part of A vanishes: the seed is the whole space
+    basis = sylvester_nullspace([np.zeros((3, 3))], [np.zeros((2, 2))])
+    assert len(basis) == 6
+    flat = np.stack([b.ravel() for b in basis])
+    assert np.allclose(flat @ flat.conj().T, np.eye(6), atol=1e-14)
+    # B alone constrains: T 0 = B T and T 0 = B* T leave ker B for columns
+    b = np.diag([1.0, 2.0, 0.0])
+    basis = sylvester_nullspace([np.zeros((2, 2))], [b])
+    assert len(basis) == 2
+    for t in basis:
+        assert np.abs(t[:2]).max() == 0.0
+    # past _FULL_SEED_CAP the identity seed is refused by name
+    n = int(np.sqrt(commutant._FULL_SEED_CAP)) + 1
+    with pytest.raises(DimensionGuard):
+        sylvester_nullspace([np.zeros((n, n))], [np.zeros((n, n))])
+    # so is a spectral seed past _SEED_CAP (one eigenvalue of multiplicity n)
+    n = int(np.sqrt(commutant._SEED_CAP)) + 1
+    with pytest.raises(DimensionGuard):
+        sylvester_nullspace([np.eye(n)], [np.eye(n)])
+
+
+#: Indices of ``_distinct_generators`` in a list that repeats some of them.
+REPEATS = [0, 1, 2, 3, 4, 5, 5, 0, 4, 5, 2]
+
+
+def _distinct_generators():
+    """Coordinate projections, a non-Hermitian matrix unit and the identity."""
+    eye = np.eye(4, dtype=complex)
+    proj = [np.diag(d).astype(complex)
+            for d in ([1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1])]
+    return proj + [np.outer(eye[0], eye[1]), eye]
+
+
+def test_repeated_generators_leave_the_nullspace_unchanged():
+    distinct = _distinct_generators()
+    repeated = [distinct[i].copy() for i in REPEATS]
+    # commutant: diagonal, with equal entries 0 and 1 (the matrix unit)
+    want = sylvester_nullspace(distinct, distinct)
+    got = sylvester_nullspace(repeated, repeated)
+    assert len(got) == len(want) == 3
+    assert subspace_gap(got, want) <= 1e-12
+    # intertwiners to a unitary conjugate, repeated at the same places
+    rng = np.random.default_rng(8)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                        + 1j * rng.standard_normal((4, 4)))
+    conj = [u @ g @ u.conj().T for g in distinct]
+    got = sylvester_nullspace(repeated, [conj[i].copy() for i in REPEATS])
+    assert len(got) == 3
+    assert subspace_gap(got, sylvester_nullspace(distinct, conj)) <= 1e-12
+    assert subspace_gap(got, [u @ t for t in want]) <= 1e-8

@@ -32,7 +32,8 @@ from weylpair import (
     weyl_defect,
 )
 from weylpair.cli import export_heatmap, main
-from weylpair.freeproduct import PLATEAU_TOL, coordinate_family, sample_field
+from weylpair.freeproduct import (PLATEAU_TOL, PROJ_TOL, coordinate_family,
+                                  sample_field)
 from weylpair.serialize import matrix_to_json
 
 from conftest import opnorm
@@ -85,6 +86,100 @@ def test_family_validation_rejects_overlap():
         ProjectionFamily([p, q], [])
     with pytest.raises(PairInvariantViolation):
         ProjectionFamily([np.diag([0.5, 0.0]).astype(complex)], [])
+
+
+def _per_member_verdict(plist, qlist):
+    """Oracle: the member-by-member scan, one 2-norm per check."""
+    for seq in (plist, qlist):
+        for i, p in enumerate(seq):
+            if opnorm(p - p.conj().T) > PROJ_TOL or opnorm(p @ p - p) > PROJ_TOL:
+                return f"family member {i} is not a projection"
+            for j in range(i):
+                if opnorm(seq[i] @ seq[j]) > PROJ_TOL:
+                    return f"family members {j},{i} are not orthogonal"
+    return None
+
+
+def _perturbed(p, u, w, kind, size):
+    """``p`` with a defect of 2-norm ``size`` of one kind; u is a unit vector
+    in its range, w a unit vector in the range of another member."""
+    if kind == "hermitian":  # skew part 2 eps (u w* - w u*), squares to O(eps^2)
+        return p + 0.5 * size * (np.outer(u, w.conj()) - np.outer(w, u.conj()))
+    if kind == "idempotent":  # eigenvalue 1 + eps on u, Hermitian
+        return p + size * np.outer(u, u.conj())
+    # orthogonal: u turned towards w, still a Hermitian projection
+    v = np.sqrt(1.0 - size ** 2) * u + size * w
+    return p - np.outer(u, u.conj()) + np.outer(v, v.conj())
+
+
+def _sliced_family(seed):
+    rng = np.random.default_rng(seed)
+    bases = []
+    for _ in range(2):
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        bases.append(np.linalg.qr(g)[0])
+    groups = [[[0, 1], [2], [3, 4], [5]], [[0], [1, 2], [3], [4, 5]]]
+    return bases, [[u[:, g] @ u[:, g].conj().T for g in gs]
+                   for u, gs in zip(bases, groups)]
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "idempotent", "orthogonal"])
+def test_family_validation_matches_the_per_member_scan(kind):
+    # member 2 of one sequence gets a defect just below or just above
+    # PROJ_TOL, towards member 0: basis column 3 lies in the range of
+    # member 2 of either sequence, column 0 in that of member 0
+    want = {"orthogonal": "family members 0,2 are not orthogonal"}.get(
+        kind, "family member 2 is not a projection")
+    for seed in range(3):
+        bases, seqs = _sliced_family(seed)
+        for s in (0, 1):
+            for factor in (0.95, 1.05):
+                lists = [list(seq) for seq in seqs]
+                lists[s][2] = _perturbed(lists[s][2], bases[s][:, 3],
+                                         bases[s][:, 0], kind,
+                                         factor * PROJ_TOL)
+                verdict = _per_member_verdict(*lists)
+                assert verdict == (None if factor < 1 else want)
+                if verdict is None:
+                    ProjectionFamily(*lists)
+                else:
+                    with pytest.raises(PairInvariantViolation) as err:
+                        ProjectionFamily(*lists)
+                    assert str(err.value) == verdict
+    # several defects: the scan meets the earliest first
+    bases, seqs = _sliced_family(0)
+    lists = [list(seq) for seq in seqs]
+    lists[0][2] = _perturbed(lists[0][2], bases[0][:, 3], bases[0][:, 0],
+                             kind, 2 * PROJ_TOL)
+    lists[0][3] = _perturbed(lists[0][3], bases[0][:, 5], bases[0][:, 0],
+                             "idempotent", 2 * PROJ_TOL)
+    lists[1][1] = _perturbed(lists[1][1], bases[1][:, 1], bases[1][:, 0],
+                             kind, 2 * PROJ_TOL)
+    for plist, qlist in [lists, lists[::-1], (lists[0][::-1], lists[1])]:
+        verdict = _per_member_verdict(plist, qlist)
+        with pytest.raises(PairInvariantViolation) as err:
+            ProjectionFamily(plist, qlist)
+        assert verdict is not None and str(err.value) == verdict
+
+
+def test_grid_values_keep_every_point_below_the_extent():
+    def points(*args, **kwargs):
+        return GridSpec(*args, **kwargs).values().tolist()
+
+    assert points(1, 4.5) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert points(1, 5.5) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert points(2, 3.25)[-1] == 3.0 and len(points(2, 3.25)) == 7
+    assert points(10, 4.04)[-1] == 4.0 and len(points(10, 4.04)) == 41
+    assert points(1, 0.3) == [0.0]
+    # a whole multiple of the step stays out, even when roundoff puts the
+    # number of steps just above or below a whole number
+    assert len(points(10, 4.0)) == 40 and len(points(1, 4.0)) == 4
+    assert len(points(10, 0.3)) == 3  # 0.3 * 10 = 3.0000000000000004
+    assert len(points(10, 1.0, offset=0.7)) == 3  # 0.3 * 10 again
+    assert len(points(4, 3.0, offset=0.25)) == 11
+    for denom in range(1, 13):
+        for whole in range(1, 9):
+            assert len(points(denom, whole / denom)) == whole
 
 
 def test_step_projection_cases():
