@@ -35,8 +35,15 @@ DEFAULT_TOL = 1e-10
 
 
 def export_heatmap(rows, path: str) -> str:
-    """Write (s, t, value) rows as CSV with 17 significant digits."""
-    text = "".join(f"{s:.17g},{t:.17g},{value:.17g}\n" for s, t, value in rows)
+    """Write (s, t, value) rows as CSV with 17 significant digits.
+
+    Each distinct float, told apart by its bits so that -0.0 keeps its sign,
+    is formatted once; the table is then one ``%`` format."""
+    cells = np.array(rows, dtype=float).reshape(-1)
+    bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    texts = [f"{v:.17g}" for v in bits.view(float).tolist()]
+    text = ("%s,%s,%s\n" * (cells.size // 3)) % tuple(
+        map(texts.__getitem__, inverse.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("s,t,value\n" + text)
     return path
@@ -165,11 +172,11 @@ def _cmd_dilate(doc, out, seed, tol):
                float(np.linalg.norm(embed.conj().T @ embed - np.eye(pair.dim), 2)),
                1e-12)
     worst = 0.0
-    for e in pair.window.generators():
-        diff = bundle.w(e) @ embed - embed @ pr.isometry_v(pair, e)
+    for e, v in zip(pair.window.generators(), pair.gens):
+        diff = bundle.apply_w(e, embed) - embed @ v
         worst = max(worst, float(np.linalg.norm(diff, 2)))
     checks.add("dilation-extends-isometries", worst, tol)
-    cols = [bundle.w(tuple(-c for c in np.array(a))) @ embed
+    cols = [bundle.apply_w(tuple(-c for c in a), embed)
             for a in itertools.product(range(depth + 1), repeat=pair.window.dim)]
     stack = np.hstack(cols)
     u, sv, _ = np.linalg.svd(stack, full_matrices=False)

@@ -16,10 +16,12 @@ dilated generators are the block shifts of the enlarged supports.  Inside
 the declared budget every dilation identity holds exactly; outside it
 nothing is claimed.  The reassembled sum of a decomposition and the dilated
 sum are both ``pairs.canonical_sum``, and every W_x is the same
-``pairs.block_shift`` on the dilated layout.
+``pairs.shift_map`` on the dilated layout: ``DilationBundle.apply_w``
+applies it as a row gather, ``DilationBundle.w`` writes it out dense.
 
 The module also carries the covariant projection family E_x (projections
-onto shifted copies of the embedded base space, read off as diagonals),
+onto shifted copies of the embedded base space, read off as 0/1 diagonals
+by a shift and a mask lookup on a per-bundle table),
 integration of test functions against it, the joint spectrum of the
 commuting family, and the extension of the base character unitaries to the
 dilation space.
@@ -45,9 +47,8 @@ from .errors import (
     PatternNotYSet,
     WellDefinednessViolation,
 )
-from .lattice import (LatticeWindow, PSet, Point, SetKind, _add, _extremal_points,
-                      _leq, _sub, translate_pset)
-from .pairs import (WeylPair, block_shift, canonical_sum, check_commuting_ranges,
+from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _sub, translate_pset
+from .pairs import (WeylPair, canonical_sum, check_commuting_ranges, shift_map,
                     unitary_u)
 
 RANGE_TOL = 1e-10
@@ -235,6 +236,7 @@ class DilationBundle:
     dilated: WeylPair = field(repr=False)
     index: dict = field(repr=False)
     embed: np.ndarray = field(repr=False)
+    _maps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -268,8 +270,19 @@ class DilationBundle:
             keep &= member[comp, np.ravel_multi_index(q.T, sides, mode="clip")]
         return np.flatnonzero(keep[owner])
 
-    def w(self, x) -> np.ndarray:
-        """Dilated group element W_x as a clipped block shift.
+    @cached_property
+    def _range_table(self):
+        """Each block's point as an offset from the base window's corner, and
+        each component's members as a mask over the base window."""
+        window = self.base.window
+        member = np.zeros((len(self.components), window.cardinality), dtype=bool)
+        for ci, (raw, _) in enumerate(self.components):
+            member[ci, list(raw.indices)] = True
+        delta = np.subtract(self.window_ext.lo, window.lo)
+        return self._block_table[0] + delta, member
+
+    def _check_shift(self, x) -> Point:
+        """``x`` as a point, if W_x is available.
 
         Semigroup directions are always available; mixed or negative shifts
         require a positive depth and are budgeted by the supremum norm.
@@ -281,8 +294,34 @@ class DilationBundle:
                     "depth-zero dilation supports forward shifts only")
             if max(abs(c) for c in xv) > self.budget:
                 raise BudgetExceeded(f"shift {xv} exceeds budget {self.budget}")
-        comps = [(supp, k) for supp, (_, k) in zip(self.supports, self.components)]
-        return block_shift(self.dim, comps, self.index, xv)
+        return xv
+
+    def _shift_map(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The :func:`pairs.shift_map` of W_x, kept per shift."""
+        xv = self._check_shift(x)
+        if xv not in self._maps:
+            comps = [(supp, k) for supp, (_, k)
+                     in zip(self.supports, self.components)]
+            self._maps[xv] = shift_map(comps, self.index, xv)
+        return self._maps[xv]
+
+    def w(self, x) -> np.ndarray:
+        """Dilated group element W_x as a dense clipped block shift."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self._shift_map(x)] = 1.0
+        return out
+
+    def apply_w(self, x, m) -> np.ndarray:
+        """W_x @ m, as a row gather of the complex ``m``.
+
+        W_x is a 0/1 partial permutation, so the gather has the values of
+        the product; only the sign of a zero entry may differ.
+        """
+        rows, cols = self._shift_map(x)
+        m = np.asarray(m, dtype=complex)
+        out = np.zeros((self.dim,) + m.shape[1:], dtype=complex)
+        out[rows] = m[cols]
+        return out
 
 
 def _extended_support(raw: PSet, wext: LatticeWindow, depth: int):
@@ -329,20 +368,21 @@ def e_diagonal(bundle: DilationBundle, x) -> np.ndarray:
     """Diagonal of E_x, the projection onto W_x(embedded base space).
 
     Computed from the model: the block of y belongs to the range exactly
-    when y - x dominates a minimal element of the component.
+    when y - x dominates a minimal element of the component, that is when
+    y - x >= lo and min(y - x, hi) lies in the component's set.  One shift
+    and one mask lookup on the bundle's table serve every block.
     """
     xv = tuple(int(c) for c in x)
     if xv and max(abs(c) for c in xv) > bundle.budget:
         raise BudgetExceeded(f"shift {xv} exceeds budget {bundle.budget}")
-    out = np.zeros(bundle.dim)
-    for ci, ((raw, k), supp) in enumerate(zip(bundle.components, bundle.supports)):
-        minimals = _extremal_points(raw)
-        for p in supp:
-            shifted = _sub(p, xv)
-            if any(_leq(m, shifted) for m in minimals):
-                r0 = bundle.index[(ci, p)]
-                out[r0:r0 + k] = 1.0
-    return out
+    _, comp, owner, _ = bundle._block_table
+    points, member = bundle._range_table
+    sides = bundle.base.window.sides
+    z = points - np.asarray(xv, dtype=int)
+    inside = np.all(z >= 0, axis=1)
+    clipped = np.minimum(z, np.subtract(sides, 1))
+    inside &= member[comp, np.ravel_multi_index(clipped.T, sides, mode="clip")]
+    return inside[owner].astype(float)
 
 
 def project_e(bundle: DilationBundle, x) -> np.ndarray:
@@ -512,7 +552,6 @@ def compress_to_base(rep: CovariantRep) -> WeylPair:
     window = b.base.window
     gens = []
     for e in window.generators():
-        w = b.w(e)
-        gens.append(b.embed.conj().T @ w @ b.embed)
+        gens.append(b.embed.conj().T @ b.apply_w(e, b.embed))
     fibers = dict(b.base.fibers)
     return WeylPair(window, fibers, gens, label=f"compressed({b.base.label})")

@@ -66,6 +66,8 @@ class ProjectionFamily:
             if m.shape != (kappa, kappa):
                 raise PairInvariantViolation("family projections must share a size")
         self.kappa = kappa
+        if not np.isfinite(np.stack(mats)).all():
+            raise PairInvariantViolation("family projections must be finite")
         # the Hermitian, idempotent and pairwise (i, j < i) defects of both
         # sequences, stacked so that one call takes their 2-norms; scan keys
         # (sequence, member, earlier member or -1) order the failures as the

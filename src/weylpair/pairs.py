@@ -94,6 +94,10 @@ class WeylPair:
             self._check_grading()
 
     def _check_grading(self):
+        for axis, g in enumerate(self.gens):
+            if not np.isfinite(g).all():
+                raise PairInvariantViolation(
+                    f"generator {axis} has a non-finite entry")
         for axis, (_, stray) in enumerate(self._graded):
             if stray > GRADING_TOL:
                 raise PairInvariantViolation(

@@ -180,7 +180,7 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _matrix_text(m: np.ndarray, level: int, templates: dict) -> str:
     """A matrix's [re, im] lists: one template per shape and level, with a
-    slot for each float's ``repr``."""
+    slot for each float's ``repr``, made once per distinct bit pattern."""
     a = np.ascontiguousarray(m, dtype=complex)
     rows, cols = a.shape
     key = (rows, cols, level)
@@ -190,11 +190,11 @@ def _matrix_text(m: np.ndarray, level: int, templates: dict) -> str:
         row = "[" + ",".join([entry] * cols) + pad[1] + "]" if cols else "[]"
         templates[key] = ("[" + ",".join([pad[1] + row] * rows) + pad[0] + "]"
                           if rows else "[]")
-    floats = a.view(float).ravel()
-    texts = list(map(float.__repr__, floats.tolist()))
-    if not np.isfinite(floats).all():
-        texts = [_NONFINITE.get(t, t) for t in texts]
-    return templates[key] % tuple(texts)
+    # keyed by bits, not value: -0.0 keeps its sign and every nan its text
+    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+    texts = [_NONFINITE.get(t, t)
+             for t in map(float.__repr__, bits.view(float).tolist())]
+    return templates[key] % tuple(map(texts.__getitem__, inverse.tolist()))
 
 
 def family_from_json(doc):

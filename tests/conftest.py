@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from weylpair import (LatticeWindow, SetKind, isometry_v, range_projection,
-                      validate_pset)
-from weylpair.errors import MarginTooSmall
+from weylpair import (LatticeWindow, SetKind, intertwiners, isometry_v,
+                      range_projection, validate_pset)
+from weylpair.errors import CheckFailed, MarginTooSmall
 
 
 @pytest.fixture
@@ -128,3 +128,33 @@ def dense_subspace_gap(basis_a, basis_b):
     vb = np.stack([b.ravel() for b in basis_b], axis=1) if basis_b else \
         np.zeros((dim, 0), dtype=complex)
     return opnorm(va @ va.conj().T - vb @ vb.conj().T)
+
+
+def equivalence_by_draws(ra, rb, tol=1e-8, guard=256, draws=20,
+                         seed=20240405):
+    """Oracle: the intertwiner solve and up to 20 random draws over its
+    basis, each tested by an SVD of the whole n x n draw, with no use of
+    fiber sizes or fiber blocks; the witness is the polar unitary of the
+    first invertible draw, its global phase fixed by the trace."""
+    if ra.dim != rb.dim:
+        return False, None
+    basis = intertwiners(ra, rb, tol, guard)
+    if not basis:
+        return False, None
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        t = sum(c * b for c, b in zip(coeff, basis))
+        u, s, vh = np.linalg.svd(t)
+        if s[0] <= 0 or s[-1] < 1e-6 * s[0]:
+            continue
+        witness = u @ vh
+        trace = np.trace(witness)
+        if abs(trace) > 1e-8:
+            witness = witness * (trace.conjugate() / abs(trace))
+        worst = max(opnorm(witness @ xa @ witness.conj().T - xb)
+                    / (1.0 + opnorm(xb)) for xa, xb in zip(ra.gens, rb.gens))
+        if worst <= 1e-8:
+            return True, witness
+        raise CheckFailed(f"conjugation residual {worst:.2e}")
+    return False, None

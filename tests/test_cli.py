@@ -233,6 +233,36 @@ def test_counterexample_subcommands(tmp_path, capsys):
     assert os.path.exists(tmp_path / "spec_support.csv")
 
 
+def _nan_scenario(case):
+    """A scenario whose input holds a NaN: inside a graded block of a pair,
+    at a stray position of a pair, or in a family member."""
+    if case == "family":
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        return "counterexample", {
+            "sub": "increasing",
+            "family": {"P": [[[[1.0, 0.0], [0.0, 0.0]], zero]],
+                       "Q": [[[[float("nan"), 0.0], [0.0, 0.0]], zero]]},
+            "grid": {"denominator": 1, "extent": 2.0}}
+    w = LatticeWindow((0,), (3,))
+    doc = pair_to_json(build_pspace_pair(tail(w, 1), 2))
+    # rows 0-1 hold the fiber of 1, rows 2-3 that of 2: entry (2, 0) lies in
+    # the block from 1 to 2, entry (0, 4) maps the fiber of 3 down to 1
+    row, col = (2, 0) if case == "block" else (0, 4)
+    doc["generators"][0][row][col] = [float("nan"), 0.0]
+    return ("pair-check" if case == "block" else "dilate"), {"pair": doc}
+
+
+@pytest.mark.parametrize("case", ["block", "stray", "family"])
+def test_non_finite_input_gives_a_json_error_report(tmp_path, capsys, case):
+    command, doc = _nan_scenario(case)
+    sc = write_scenario(tmp_path, f"{case}.json", dict(doc, command=command))
+    code, out = run(capsys, [command, "--scenario", sc, "--out", str(tmp_path)])
+    report = json.loads(out)
+    assert code == 1
+    assert report["kind"] == "PairInvariantViolation"
+    assert "finite" in report["error"]
+
+
 def test_report_determinism(tmp_path, capsys):
     sc = write_scenario(tmp_path, "s.json", {
         "command": "counterexample", "sub": "spec", "seed": 7,

@@ -30,8 +30,8 @@ from weylpair import (
 from weylpair.commutant import check_central, residual, span_distance
 from weylpair.dilation import _minimal_central_projections
 
-from conftest import (dense_subspace_gap, fiber_mixing_unitary, opnorm, tail,
-                      upset_from)
+from conftest import (dense_subspace_gap, equivalence_by_draws,
+                      fiber_mixing_unitary, opnorm, tail, upset_from)
 
 
 def kron_nullspace_dim(gens, tol=1e-8):
@@ -239,6 +239,51 @@ def test_nonzero_intertwiners_without_invertible_element():
     ok, witness = unitarily_equivalent(RepGens.from_pair(mixed),
                                        RepGens.from_pair(two_a))
     assert not ok and witness is None
+
+
+def test_equal_fibers_without_invertible_intertwiner():
+    # a + b + e and (a | b) + (a & b) + e have the same fiber at every point
+    # and a one-dimensional intertwiner space, but no invertible element:
+    # the draws reach the fiber-block test and every one fails it
+    w = LatticeWindow((0, 0), (2, 2))
+    pts = list(w.points())
+    a = [p for p in pts if p[0] >= 1]
+    b = [p for p in pts if p[1] >= 1]
+
+    def canon(points):
+        return build_pspace_pair(PSet(w, tuple(points), SetKind.PSPACE), 1)
+
+    split = direct_sum([canon(a), canon(b), canon(pts)])
+    merged = direct_sum([canon(set(a) | set(b)), canon(set(a) & set(b)),
+                         canon(pts)])
+    assert split.dim == merged.dim == 21 and split.fibers == merged.fibers
+    ra, rb = RepGens.from_pair(split), RepGens.from_pair(merged)
+    assert len(intertwiners(ra, rb)) == 1
+    ok, witness = unitarily_equivalent(ra, rb)
+    assert not ok and witness is None
+    assert equivalence_by_draws(ra, rb) == (False, None)
+
+
+def test_different_fibers_are_inequivalent_before_any_solve(monkeypatch,
+                                                            chain8):
+    def refuse(*args, **kwargs):
+        raise AssertionError("intertwiners solved for different fibers")
+
+    pa = direct_sum([build_pspace_pair(tail(chain8, 0), 1),
+                     build_pspace_pair(tail(chain8, 4), 1)])
+    pb = direct_sum([build_pspace_pair(tail(chain8, 2), 1),
+                     build_pspace_pair(tail(chain8, 2), 1)])
+    assert pa.dim == pb.dim and pa.fibers != pb.fibers
+    ra, rb = RepGens.from_pair(pa), RepGens.from_pair(pb)
+    assert equivalence_by_draws(ra, rb) == (False, None)
+    monkeypatch.setattr(commutant, "_graded_nullspace", refuse)
+    monkeypatch.setattr(commutant, "sylvester_nullspace", refuse)
+    assert unitarily_equivalent(ra, rb) == (False, None)
+    # the label and guard checks still come first
+    with pytest.raises(DimensionGuard):
+        unitarily_equivalent(ra, rb, guard=pa.dim - 1)
+    with pytest.raises(LabelMismatch):
+        unitarily_equivalent(RepGens.from_pair(pa, dual_samples=True), rb)
 
 
 def test_random_conjugate_recovered(chain8):

@@ -32,7 +32,9 @@ from weylpair import (
     unitary_u,
 )
 from weylpair.commutant import AlgebraSummary, span_distance, summarize
-from weylpair.dilation import _minimal_central_projections, decompose_full
+from weylpair.dilation import (_minimal_central_projections, decompose_full,
+                               e_diagonal)
+from weylpair.lattice import _extremal_points, _leq, _sub
 
 from conftest import fiber_mixing_unitary, opnorm, tail, upset_from
 
@@ -127,6 +129,77 @@ def test_safe_indices_match_the_per_point_predicate(chain8, square4):
             got = bundle.safe_indices(shifts)
             want = _safe_indices_oracle(bundle, shifts)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _e_diagonal_oracle(bundle, x):
+    """Per point: the block of y is in the range of E_x when y - x dominates
+    a minimal element of its component."""
+    out = np.zeros(bundle.dim)
+    for ci, ((raw, k), supp) in enumerate(zip(bundle.components,
+                                              bundle.supports)):
+        minimals = _extremal_points(raw)
+        for p in supp:
+            if any(_leq(m, _sub(p, x)) for m in minimals):
+                r0 = bundle.index[(ci, p)]
+                out[r0:r0 + k] = 1.0
+    return out
+
+
+def _bundle_cases(chain8, square4):
+    """Bundles on the line and the plane at depths 0 to 3, with single
+    components, multiplicities and multi-component sums."""
+    pairs = [
+        build_pspace_pair(tail(chain8, 0), 1),
+        build_pspace_pair(tail(chain8, 5), 2),
+        direct_sum([build_pspace_pair(tail(chain8, 1), 1),
+                    build_pspace_pair(tail(chain8, 4), 2),
+                    build_pspace_pair(tail(chain8, 7), 1)]),
+        build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 1),
+        direct_sum([build_pspace_pair(upset_from(square4, [(1, 1)]), 2),
+                    build_pspace_pair(upset_from(square4, [(2, 0), (0, 3)]), 1),
+                    build_pspace_pair(upset_from(square4, [(3, 3)]), 1)]),
+    ]
+    return [minimal_dilation(pair, depth) for pair in pairs
+            for depth in range(4)]
+
+
+def test_e_diagonal_matches_the_per_point_loop(chain8, square4):
+    for bundle in _bundle_cases(chain8, square4):
+        r = bundle.budget
+        d = bundle.base.window.dim
+        for x in itertools.product(range(-r, r + 1), repeat=d):
+            got = e_diagonal(bundle, x)
+            want = _e_diagonal_oracle(bundle, x)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for x in [(r + 1,) * d, (0,) * (d - 1) + (-r - 1,)]:
+            with pytest.raises(BudgetExceeded):
+                e_diagonal(bundle, x)
+
+
+def test_apply_w_is_the_dense_product(chain8, square4):
+    rng = np.random.default_rng(8)
+    for bundle in _bundle_cases(chain8, square4):
+        n = bundle.dim
+        noise = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        noise[::2, 0] = -0.0  # signed zeros in the input
+        mats = [bundle.embed, noise, np.eye(n)]
+        r = bundle.budget
+        d = bundle.base.window.dim
+        low = -r if bundle.depth else 0
+        for x in itertools.product(range(low, r + 2), repeat=d):
+            if min(x) < 0 and max(x) > r:
+                continue  # mixed shifts are budgeted, forward ones are not
+            wx = bundle.w(x)
+            for m in mats:
+                got = bundle.apply_w(x, m)
+                # equal values; only the sign of a zero may differ
+                assert got.dtype == complex and np.array_equal(got, wx @ m)
+        if bundle.depth == 0:
+            with pytest.raises(DepthZeroDegenerate):
+                bundle.apply_w((-1,) + (0,) * (d - 1), bundle.embed)
+        else:
+            with pytest.raises(BudgetExceeded):
+                bundle.apply_w((-r - 1,) * d, bundle.embed)
 
 
 def test_depth_zero_degenerate(chain8):

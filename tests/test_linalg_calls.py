@@ -1,18 +1,29 @@
-"""LAPACK call counts of the stacked kappa x kappa checks.
+"""LAPACK call counts of the stacked kappa x kappa checks, of the
+equivalence decision and of the dilate command.
 
-Each test spies on ``numpy.linalg`` and counts calls, so a check that falls
-back to one call per matrix fails here whatever the machine's speed.
+Each test spies on ``numpy.linalg`` (or on a solver or W_x builder) and
+counts calls, so a check that falls back to one call per matrix, or to a
+solve it can skip, fails here whatever the machine's speed.
 """
 
 import collections
+import json
 
 import numpy as np
 import pytest
 
-from weylpair import (EvaluationPoint, GridSpec, ProjectionFamily,
-                      check_increasing, demo_family, random_family,
-                      sylvester_nullspace)
+import weylpair.commutant as commutant
+import weylpair.dilation as dilation
+from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, PSet,
+                      ProjectionFamily, RepGens, SetKind, WeylPair,
+                      build_pspace_pair, check_increasing, demo_family,
+                      direct_sum, random_family, sylvester_nullspace,
+                      unitarily_equivalent)
+from weylpair.cli import run_scenario
 from weylpair.freeproduct import sample_field
+from weylpair.serialize import pair_to_json
+
+from conftest import fiber_mixing_unitary
 
 
 @pytest.fixture
@@ -65,3 +76,83 @@ def test_repeated_generators_take_no_more_kernel_svds(calls):
         # the seed's candidate spectra: one stacked eigh for the space
         assert calls["eigh"] == 1
     assert 0 < counts[1] <= counts[0]
+
+
+@pytest.fixture
+def full_svds(monkeypatch):
+    """Shapes of the matrices that numpy.linalg.svd factors with singular
+    vectors, one entry per call."""
+    shapes = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def _tail_sum(window, parts):
+    return direct_sum([build_pspace_pair(
+        PSet(window, tuple(p for p in window.points() if p[0] >= start),
+             SetKind.PSPACE), k) for start, k in parts])
+
+
+def test_different_fibers_take_no_svd_and_no_solve(calls, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graded solve for pairs of different fibers")
+
+    monkeypatch.setattr(commutant, "_graded_nullspace", refuse)
+    w = LatticeWindow((0,), (7,))
+    pa = _tail_sum(w, [(0, 1), (4, 1)])
+    pb = _tail_sum(w, [(2, 2)])
+    ok, witness = unitarily_equivalent(RepGens.from_pair(pa),
+                                       RepGens.from_pair(pb))
+    assert not ok and witness is None
+    assert calls["svd"] == 0
+
+
+def test_equivalent_graded_pair_takes_one_full_svd(full_svds):
+    w = LatticeWindow((0, 0), (3, 3))
+    pair = _tail_sum(w, [(0, 1), (2, 2)])
+    q = fiber_mixing_unitary(pair, np.random.default_rng(4))
+    twin = WeylPair(w, dict(pair.fibers), [q @ g @ q.conj().T for g in pair.gens])
+    ok, _ = unitarily_equivalent(RepGens.from_pair(pair), RepGens.from_pair(twin))
+    assert ok
+    n = pair.dim
+    assert full_svds.count((n, n)) == 1
+
+
+def test_equal_fibers_without_witness_take_no_full_svd(full_svds):
+    # one intertwiner, singular on a fiber block: every draw fails the
+    # block test, so no n x n SVD runs
+    w = LatticeWindow((0, 0), (2, 2))
+    pts = list(w.points())
+    sets = {"a": {p for p in pts if p[0] >= 1}, "b": {p for p in pts if p[1] >= 1}}
+
+    def canon(points):
+        return build_pspace_pair(PSet(w, tuple(sorted(points)), SetKind.PSPACE), 1)
+
+    split = direct_sum([canon(sets["a"]), canon(sets["b"]), canon(pts)])
+    merged = direct_sum([canon(sets["a"] | sets["b"]),
+                         canon(sets["a"] & sets["b"]), canon(pts)])
+    ok, _ = unitarily_equivalent(RepGens.from_pair(split),
+                                 RepGens.from_pair(merged))
+    assert not ok
+    assert full_svds.count((split.dim, split.dim)) == 0
+
+
+def test_dilate_applies_w_without_dense_matrices(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense W_x built by the dilate command")
+
+    monkeypatch.setattr(dilation.DilationBundle, "w", refuse)
+    w = LatticeWindow((0, 0), (3, 3))
+    scenario = tmp_path / "d.json"
+    scenario.write_text(json.dumps({
+        "command": "dilate", "depth": 2,
+        "pair": pair_to_json(_tail_sum(w, [(0, 1), (2, 2)]))}))
+    report, code = run_scenario("dilate", str(scenario), str(tmp_path))
+    assert code == 0 and report["ok"]

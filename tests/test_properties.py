@@ -49,6 +49,7 @@ from weylpair import (
     reflect_pset,
     subspace_gap,
     summarize,
+    unitarily_equivalent,
     sylvester_nullspace,
     translate_pset,
     weyl_defect,
@@ -60,7 +61,8 @@ from weylpair.dilation import _minimal_central_projections, decompose_full
 
 from conftest import (brute_force_upsets, dense_isometry_defect,
                       dense_range_commutator, dense_weyl_defect,
-                      fiber_mixing_unitary, opnorm, upset_from)
+                      equivalence_by_draws, fiber_mixing_unitary, opnorm,
+                      upset_from)
 
 POOLS = [enumerate_pspaces(LatticeWindow((0,), (7,))),
          enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))]
@@ -322,6 +324,72 @@ def test_free_fiber_classification_matches_dense_path(case):
             mp.setattr(dilation, "summarize", _dense_summarize)
             dense_components = _components(pair)
         assert _components(pair) == dense_components
+
+
+def _sum_of(window, data):
+    return direct_sum([build_pspace_pair(
+        PSet(window, tuple(sorted(pts)), SetKind.PSPACE), k) for pts, k in data])
+
+
+def _minimal_points(pts):
+    return [p for p in pts
+            if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)]
+
+
+#: Pairs of sets of the plane pool where neither holds the other.
+CROSSING = [(s, t) for s, t in itertools.combinations(POOLS[1], 2)
+            if not set(s.points) <= set(t.points)
+            and not set(t.points) <= set(s.points)]
+
+
+@st.composite
+def equivalence_cases(draw):
+    """A fiber-mixed sum and a fiber-mixed partner of its dimension: its
+    block-unitary twin; the sum with a minimal point of one set moved into
+    a singleton at the top corner (other fibers); or, on the plane, a sum of
+    two crossing sets S, T and the whole window at one multiplicity, with
+    S and T regrouped as S | T and S & T (the same fibers, no invertible
+    intertwiner)."""
+    kind = draw(st.sampled_from(["twin", "moved", "regrouped"]))
+    pool = POOLS[1 if kind == "regrouped" else draw(st.integers(0, 1))]
+    window = pool[0].window
+    drawn = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(1, 2)),
+                          min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    data = [(pool[i].points, k) for i, k in drawn]
+    movable = [j for j, (pts, _) in enumerate(data) if len(pts) > 1]
+    if kind == "moved" and movable:
+        j = draw(st.sampled_from(movable))
+        pts, k = data[j]
+        drop = draw(st.sampled_from(_minimal_points(pts)))
+        other = data[:j] + data[j + 1:] + [
+            (tuple(p for p in pts if p != drop), k), ((window.hi,), k)]
+    elif kind == "regrouped":
+        s, t = (ps.points for ps in draw(st.sampled_from(CROSSING)))
+        k = data[0][1]
+        # the whole window as a third set gives nonzero intertwiners
+        data = [(s, k), (t, k), (tuple(window.points()), k)] + data[1:2]
+        meet = set(s) & set(t)
+        other = [(set(s) | set(t), k)] + [(meet, k)] * bool(meet) + data[2:]
+    else:
+        other = None
+    pair = fiber_mixed(_sum_of(window, data), draw(st.integers(0, 2 ** 32 - 1)))
+    partner = pair if other is None else _sum_of(window, other)
+    return pair, fiber_mixed(partner, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(equivalence_cases())
+def test_equivalence_matches_the_full_draw_loop(case):
+    pair, partner = case
+    ra, rb = RepGens.from_pair(pair), RepGens.from_pair(partner)
+    ok, witness = unitarily_equivalent(ra, rb)
+    want_ok, want_witness = equivalence_by_draws(ra, rb)
+    assert ok == want_ok
+    if ok:
+        assert witness.tobytes() == want_witness.tobytes()
+    else:
+        assert witness is None and want_witness is None
 
 
 # ---------------------------------------------------------------------------
