@@ -35,15 +35,8 @@ DEFAULT_TOL = 1e-10
 
 
 def export_heatmap(rows, path: str) -> str:
-    """Write (s, t, value) rows as CSV with 17 significant digits.
-
-    Each distinct float, told apart by its bits so that -0.0 keeps its sign,
-    is formatted once; the table is then one ``%`` format."""
-    cells = np.array(rows, dtype=float).reshape(-1)
-    bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-    texts = [f"{v:.17g}" for v in bits.view(float).tolist()]
-    text = ("%s,%s,%s\n" * (cells.size // 3)) % tuple(
-        map(texts.__getitem__, inverse.tolist()))
+    """Write (s, t, value) rows as CSV with 17 significant digits."""
+    text = "".join(f"{s:.17g},{t:.17g},{value:.17g}\n" for s, t, value in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("s,t,value\n" + text)
     return path
@@ -196,9 +189,8 @@ def _cmd_dilate(doc, out, seed, tol):
         above = np.all(x <= box, axis=1)
         worst_mono = max(worst_mono, float((diags[above] - dx).max()))
     at = dict(zip(pts, diags))
-    comps = [(supp, k) for supp, (_, k) in zip(bundle.supports, bundle.components)]
     for e in pair.window.generators():
-        rows, cols = pr.shift_map(comps, bundle.index, e)
+        rows, cols = bundle.shift_map(e)
         for x in pts:
             y = tuple(a + b for a, b in zip(x, e))
             if y in at:

@@ -22,10 +22,8 @@ and lifts the solution through its coefficients; ``AlgebraSummary.free``
 hands the coordinates on to the central projections of ``dilation``.
 
 Unitary equivalence of two represented pairs on one window is read from
-the fibers first: different fiber sizes decide it at once, and with equal
-ones every intertwiner is block diagonal with square fiber blocks, so a
-random draw is screened on the singular values of those blocks before the
-full SVD that yields the witness.
+the fibers first: different fiber sizes decide it at once, before any
+solve.
 
 Every other generator list goes to ``sylvester_nullspace``: it seeds the
 search with the exact kernel of a well-chosen Hermitian map (eigenvectors
@@ -575,15 +573,6 @@ def _check_lists(ra: RepGens, rb: RepGens, guard: int):
         raise DimensionGuard(f"dimension exceeds guard {guard}")
 
 
-def _intertwiners(ra: RepGens, rb: RepGens, tol: float, guard: int):
-    """Intertwiner basis, and whether the graded solve found it."""
-    _check_lists(ra, rb, guard)
-    solved = _graded_nullspace(ra.pair, rb.pair, tol)
-    if solved is not None:
-        return solved[0], True
-    return sylvester_nullspace(ra.gens, rb.gens, tol), False
-
-
 def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
                  guard: int = DEFAULT_GUARD):
     """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned.
@@ -591,28 +580,11 @@ def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
     Two lists read from pairs on one window take the graded solve when
     neither pair has an entry outside its graded blocks.
     """
-    return _intertwiners(ra, rb, tol, guard)[0]
-
-
-def _fiber_stacks(pair):
-    """Index arrays (rows, cols), one pair per fiber size, such that
-    ``t[rows, cols]`` stacks the square fiber blocks of that size of an
-    n x n matrix ``t``."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for y, k in pair.fibers:
-        by_size.setdefault(k, []).append(np.arange(k) + pair.offsets[y][0])
-    stacks = [np.stack(c) for c in by_size.values()]
-    return [(idx[:, :, None], idx[:, None, :]) for idx in stacks]
-
-
-def _blocks_singular(t, stacks, ratio: float) -> bool:
-    """Whether the square fiber blocks of the block-diagonal ``t`` have
-    sigma_min < ratio sigma_max over all of their singular values, which
-    are the singular values of ``t``."""
-    svals = np.concatenate([np.linalg.svd(t[rows, cols], compute_uv=False)
-                            .ravel() for rows, cols in stacks])
-    top = svals.max()
-    return bool(top <= 0 or svals.min() < ratio * top)
+    _check_lists(ra, rb, guard)
+    solved = _graded_nullspace(ra.pair, rb.pair, tol)
+    if solved is not None:
+        return solved[0]
+    return sylvester_nullspace(ra.gens, rb.gens, tol)
 
 
 def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
@@ -627,12 +599,7 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
 
     Lists read from pairs on one window are inequivalent when the fiber
     sizes differ, since the position observables then have different
-    spectra; that is decided before any solve.  When the graded solve found
-    the intertwiners, every element is block diagonal with square fiber
-    blocks, whose singular values are those of the whole: a draw is
-    rejected from them, at half the threshold of the full test, so that no
-    draw the full test accepts is lost.  The full SVD and the polar run on
-    the draws that pass, which keeps the accepted draw and its witness.
+    spectra; that is decided before any solve.
     """
     if ra.dim != rb.dim:
         return False, None
@@ -641,16 +608,13 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
     if one_window and pa.fibers != pb.fibers:
         _check_lists(ra, rb, guard)
         return False, None
-    basis, graded = _intertwiners(ra, rb, tol, guard)
+    basis = intertwiners(ra, rb, tol, guard)
     if not basis:
         return False, None
-    stacks = _fiber_stacks(pa) if graded else None
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         t = sum(c * b for c, b in zip(coeff, basis))
-        if stacks is not None and _blocks_singular(t, stacks, 0.5e-6):
-            continue
         u, s, vh = np.linalg.svd(t)
         if s[0] <= 0 or s[-1] < 1e-6 * s[0]:
             continue

@@ -48,8 +48,8 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _sub, translate_pset
-from .pairs import (WeylPair, canonical_sum, check_commuting_ranges, shift_map,
-                    unitary_u)
+from .pairs import (WeylPair, block_shift, canonical_sum, check_commuting_ranges,
+                    shift_map, unitary_u)
 
 RANGE_TOL = 1e-10
 #: Largest disagreement between two evaluation routes of ``extend_u``.
@@ -296,7 +296,7 @@ class DilationBundle:
                 raise BudgetExceeded(f"shift {xv} exceeds budget {self.budget}")
         return xv
 
-    def _shift_map(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def shift_map(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The :func:`pairs.shift_map` of W_x, kept per shift."""
         xv = self._check_shift(x)
         if xv not in self._maps:
@@ -307,9 +307,7 @@ class DilationBundle:
 
     def w(self, x) -> np.ndarray:
         """Dilated group element W_x as a dense clipped block shift."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[self._shift_map(x)] = 1.0
-        return out
+        return block_shift(self.dim, self.shift_map(x))
 
     def apply_w(self, x, m) -> np.ndarray:
         """W_x @ m, as a row gather of the complex ``m``.
@@ -317,7 +315,7 @@ class DilationBundle:
         W_x is a 0/1 partial permutation, so the gather has the values of
         the product; only the sign of a zero entry may differ.
         """
-        rows, cols = self._shift_map(x)
+        rows, cols = self.shift_map(x)
         m = np.asarray(m, dtype=complex)
         out = np.zeros((self.dim,) + m.shape[1:], dtype=complex)
         out[rows] = m[cols]

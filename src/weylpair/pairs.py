@@ -310,11 +310,10 @@ def shift_map(comps, index: dict, x) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=int), np.array(cols, dtype=int)
 
 
-def block_shift(dim: int, comps, index: dict, x) -> np.ndarray:
-    """Shift by ``x`` on a direct sum of canonical summands: the dense
-    matrix of :func:`shift_map`."""
+def block_shift(dim: int, smap: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The dense dim x dim matrix of a :func:`shift_map` ``smap``."""
     out = np.zeros((dim, dim), dtype=complex)
-    out[shift_map(comps, index, x)] = 1.0
+    out[smap] = 1.0
     return out
 
 
@@ -326,7 +325,8 @@ def canonical_sum(window: LatticeWindow, comps, label: str):
     axis generator.
     """
     fibers, dim, index = sum_layout([[(p, k) for p in pts] for pts, k in comps])
-    gens = [block_shift(dim, comps, index, e) for e in window.generators()]
+    gens = [block_shift(dim, shift_map(comps, index, e))
+            for e in window.generators()]
     return WeylPair(window, fibers, gens, label=label), index
 
 

@@ -244,7 +244,7 @@ def test_nonzero_intertwiners_without_invertible_element():
 def test_equal_fibers_without_invertible_intertwiner():
     # a + b + e and (a | b) + (a & b) + e have the same fiber at every point
     # and a one-dimensional intertwiner space, but no invertible element:
-    # the draws reach the fiber-block test and every one fails it
+    # every draw of the loop is singular
     w = LatticeWindow((0, 0), (2, 2))
     pts = list(w.points())
     a = [p for p in pts if p[0] >= 1]

@@ -125,25 +125,6 @@ def test_equivalent_graded_pair_takes_one_full_svd(full_svds):
     assert full_svds.count((n, n)) == 1
 
 
-def test_equal_fibers_without_witness_take_no_full_svd(full_svds):
-    # one intertwiner, singular on a fiber block: every draw fails the
-    # block test, so no n x n SVD runs
-    w = LatticeWindow((0, 0), (2, 2))
-    pts = list(w.points())
-    sets = {"a": {p for p in pts if p[0] >= 1}, "b": {p for p in pts if p[1] >= 1}}
-
-    def canon(points):
-        return build_pspace_pair(PSet(w, tuple(sorted(points)), SetKind.PSPACE), 1)
-
-    split = direct_sum([canon(sets["a"]), canon(sets["b"]), canon(pts)])
-    merged = direct_sum([canon(sets["a"] | sets["b"]),
-                         canon(sets["a"] & sets["b"]), canon(pts)])
-    ok, _ = unitarily_equivalent(RepGens.from_pair(split),
-                                 RepGens.from_pair(merged))
-    assert not ok
-    assert full_svds.count((split.dim, split.dim)) == 0
-
-
 def test_dilate_applies_w_without_dense_matrices(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense W_x built by the dilate command")
