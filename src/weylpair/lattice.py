@@ -17,6 +17,7 @@ functions against indicator functions, which on a finite window is exact.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -145,6 +146,14 @@ def _leq(x: Sequence[int], y: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
+def _gather(seq: Sequence, indices: Sequence[int]) -> tuple:
+    """``tuple(seq[i] for i in indices)`` for nonempty ``indices``, gathered
+    by one C-level ``itemgetter`` call."""
+    if len(indices) == 1:
+        return (seq[indices[0]],)
+    return operator.itemgetter(*indices)(seq)
+
+
 def _closed(table: _WindowTable, mask: int, kind: SetKind) -> bool:
     """Shift-and-mask closure test, one per axis: the members that may step
     along the axis, stepped, must be members again."""
@@ -204,15 +213,16 @@ class PSet:
     @classmethod
     def _from_indices(cls, window: LatticeWindow, indices: tuple[int, ...],
                       mask: int, kind: SetKind) -> "PSet":
-        """Set of the sorted window indices ``indices`` with bitmask ``mask``.
+        """Set of the sorted, nonempty window indices ``indices`` with
+        bitmask ``mask``.
 
         Skips the point lookup of ``__post_init__`` but not the closure test.
         """
         table = window._table
-        points = table.points
         ps = object.__new__(cls)
-        vars(ps).update(window=window, kind=kind, indices=indices, _mask=mask,
-                        points=tuple([points[i] for i in indices]))
+        object.__setattr__(ps, "__dict__", {
+            "window": window, "points": _gather(table.points, indices),
+            "kind": kind, "indices": indices, "_mask": mask})
         if not _closed(table, mask, kind):
             ps._raise_first_violation()
         return ps
@@ -265,11 +275,20 @@ def enumerate_pspaces(window: LatticeWindow) -> list[PSet]:
     indices order points lexicographically.  Every set passes the closure
     test of ``PSet``.  Raises BudgetExceeded when there are more than
     ``ENUMERATION_BUDGET`` sets, before materialising many more.
+
+    The cyclic garbage collector is paused while the sets are built: they
+    hold no cycles and all stay alive, so its passes would free nothing.
     """
-    chains = _upsets(window.sides)
-    chains.sort()
-    return [PSet._from_indices(window, indices, mask, SetKind.PSPACE)
-            for indices, mask in chains[1:]]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chains = _upsets(window.sides)
+        chains.sort()
+        return [PSet._from_indices(window, indices, mask, SetKind.PSPACE)
+                for indices, mask in chains[1:]]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _upsets(sides: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,7 +366,8 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
 
     ``theta`` is one angle vector or a stack of shape (m, d); the result is
     the maximum over the stack.  Generators that fail to commute raise
-    :class:`NonCommutingGenerators`.
+    :class:`NonCommutingGenerators`.  A non-finite block B_y (below) gives
+    NaN.
 
     V_a maps the block of y into the block of y + a, and U scales each
     block by one phase, so the compressed defect is a partial block
@@ -396,7 +398,9 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
     # one stacked 2-norm per block shape: ||B_y|| is computed once per block
     norms = np.empty(len(mats))
     for group, stack in _stacks(mats):
-        norms[group] = np.linalg.norm(stack, 2, axis=(1, 2))
+        # a non-finite block reads NaN, which the maximum below keeps
+        norms[group] = (np.linalg.norm(stack, 2, axis=(1, 2))
+                        if np.isfinite(stack).all() else math.nan)
     av = np.array(avec, dtype=float)
     per_angle = np.zeros(len(thetas))
     if src:
@@ -454,9 +458,12 @@ def _max_opnorm(stacks, floor: float = 0.0) -> float:
     ``||m||_F / sqrt(rank) <= ||m||_2 <= ||m||_F``, so a matrix whose
     Frobenius norm is at most the floor, or below the largest of those
     lower bounds, cannot raise the maximum and is never decomposed; a zero
-    matrix never is.
+    matrix never is.  A non-finite entry anywhere gives NaN, and no matrix
+    is decomposed.
     """
     fros = [np.linalg.norm(s, axis=(1, 2)) for s in stacks]
+    if not all(map(_finite, stacks, fros)):
+        return math.nan
     bound = max([floor] + [f.max(initial=0.0) / np.sqrt(min(s.shape[1:]))
                            for s, f in zip(stacks, fros)])
     worst = floor
@@ -467,12 +474,19 @@ def _max_opnorm(stacks, floor: float = 0.0) -> float:
     return worst
 
 
+def _finite(m, fro) -> bool:
+    """Whether ``m``, of Frobenius norm(s) ``fro``, has only finite entries;
+    ``m`` is scanned only when a norm is not finite (NaN, or an overflow)."""
+    return bool(np.isfinite(fro).all() or np.isfinite(m).all())
+
+
 def isometry_defect(pair: WeylPair, a, safe: SafeRegion) -> float:
     """Norm of (V_a* V_a - 1) compressed to the safe blocks.
 
     V_a* V_a is block diagonal, so on a graded pair this is the largest
     ``||B_y* B_y - 1||`` over the safe points y, and 1 at a safe y whose
     fiber V_a sends to zero.  Other pairs take the dense :func:`isometry_v`.
+    A non-finite entry on the safe blocks gives NaN.
     """
     avec = _check_shift(a, safe)
     blocks = pair.shift_blocks(avec)
@@ -482,7 +496,8 @@ def isometry_defect(pair: WeylPair, a, safe: SafeRegion) -> float:
         idx = pair.safe_indices(safe)
         if idx.size == 0:
             return 0.0
-        return float(np.linalg.norm(m[np.ix_(idx, idx)], 2))
+        m = m[np.ix_(idx, idx)]
+        return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else math.nan
     safe_pts = pair.safe_points(safe)
     mats = [blocks[y] for y in safe_pts if y in blocks]
     floor = 1.0 if len(mats) < len(safe_pts) else 0.0
@@ -511,6 +526,7 @@ def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
     point, from the blocks of the two shifts there (a point only one shift
     reaches contributes nothing); the commutator blocks are stacked by
     fiber dimension.  Other pairs take the dense :func:`range_projection`.
+    A non-finite entry in a commutator gives NaN.
     """
     if probe is None:
         probe = default_probe(pair.window.dim)
@@ -521,9 +537,12 @@ def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
     for i in range(len(projs)):
         for j in range(i + 1, len(projs)):
             comm = projs[i] @ projs[j] - projs[j] @ projs[i]
+            fro = np.linalg.norm(comm)
+            if not _finite(comm, fro):
+                return math.nan
             # ||comm||_2 <= ||comm||_F: a commutator skipped here cannot
             # raise the maximum, so no SVD runs on a zero commutator
-            if np.linalg.norm(comm) > worst:
+            if fro > worst:
                 worst = max(worst, float(np.linalg.norm(comm, 2)))
     return worst
 

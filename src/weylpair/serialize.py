@@ -7,9 +7,10 @@ that reports are reproducible byte for byte under a fixed seed.
 Every report and artifact file is written by :func:`document_to_json`, which
 emits the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``.  The
 standard library falls back to its pure-Python encoder whenever ``indent``
-is set, so the writer renders the bulk of a document itself: point sets from
-per-window text of each point, matrices from a per-shape template filled with
-the float texts.  The rest of the document is left to ``json``.
+is set, so the writer renders the bulk of a document itself: point sets, and
+whole lists of them, from per-window text of each point, matrices from a
+per-shape template filled with the float texts.  The rest of the document is
+left to ``json``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import numpy as np
 
 from .errors import ScenarioParseError
-from .lattice import LatticeWindow, PSet, SetKind
+from .lattice import LatticeWindow, PSet, SetKind, _gather
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -109,9 +110,19 @@ def bundle_to_json(bundle) -> dict:
 # the writer
 
 
-#: What ``json`` writes in place of a point set or an array, to be replaced.
+#: What ``json`` writes in place of a held value, to be replaced.
 _HOLE = "\x00weylpair.serialize.hole\x00"
 _HOLE_TEXT = json.dumps(_HOLE)
+
+
+class _SetList:
+    """A nonempty list of point sets of one window and one kind, held by
+    the writer as one value."""
+
+    __slots__ = ("sets",)
+
+    def __init__(self, sets):
+        self.sets = sets
 
 
 def document_to_json(doc) -> str:
@@ -121,19 +132,22 @@ def document_to_json(doc) -> str:
     lists.
 
     ``json`` writes the document in one pass and puts a placeholder string
-    where it meets a point set or an array; each placeholder is then
+    where it meets a held value: a point set, an array, or a whole list of
+    point sets of one window and one kind; each placeholder is then
     replaced by that value's text at the indent of its line.  A document
-    that holds neither costs what ``json.dumps`` costs."""
+    that holds none costs a walk over its containers more than
+    ``json.dumps`` does."""
     held = []
 
     def hold(obj):
-        if not isinstance(obj, (PSet, np.ndarray)):
+        if not isinstance(obj, (PSet, np.ndarray, _SetList)):
             raise TypeError(f"Object of type {type(obj).__name__} "
                             f"is not JSON serializable")
         held.append(obj)
         return _HOLE
 
-    text = json.dumps(doc, sort_keys=True, indent=1, default=hold)
+    text = json.dumps(_hold_set_lists(doc, set()), sort_keys=True, indent=1,
+                      default=hold)
     if not held:
         return text
     pieces = text.split(_HOLE_TEXT)
@@ -144,10 +158,50 @@ def document_to_json(doc) -> str:
     for obj, before, after in zip(held, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
         level = len(line) - len(line.lstrip(" "))
-        out.append(_pset_text(obj, level, templates) if isinstance(obj, PSet)
-                   else _matrix_text(obj, level, templates))
+        if type(obj) is _SetList:
+            out += _set_list_pieces(obj.sets, level, templates)
+        elif isinstance(obj, PSet):
+            out.append(_pset_text(obj, level, templates))
+        else:
+            out.append(_matrix_text(obj, level, templates))
         out.append(after)
     return "".join(out)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _hold_set_lists(v, seen: set):
+    """``v`` with each nonempty list of point sets of one window (the same
+    object) and one kind replaced by a :class:`_SetList`.  A container is
+    copied only when something inside it is replaced, so ``v`` is never
+    changed; a container met again inside itself is left for ``json`` to
+    report."""
+    if isinstance(v, dict):
+        items = v.items()
+    elif isinstance(v, _CONTAINERS):
+        if v and type(v[0]) is PSet:
+            w, kind = v[0].window, v[0].kind
+            if all(type(ps) is PSet and ps.window is w and ps.kind is kind
+                   for ps in v):
+                return _SetList(v)
+        items = enumerate(v)
+    else:
+        return v
+    if id(v) in seen:
+        return v
+    seen.add(id(v))
+    copy = None
+    for k, x in items:
+        if not isinstance(x, _CONTAINERS):
+            continue  # a scalar holds nothing; skipping it halves the calls
+        y = _hold_set_lists(x, seen)
+        if y is not x:
+            if copy is None:
+                copy = dict(v) if isinstance(v, dict) else list(v)
+            copy[k] = y
+    seen.discard(id(v))
+    return v if copy is None else copy
 
 
 def _dumps(doc, level: int) -> str:
@@ -157,9 +211,10 @@ def _dumps(doc, level: int) -> str:
     return text.replace("\n", "\n" + " " * level) if level else text
 
 
-def _pset_text(ps: PSet, level: int, templates: dict) -> str:
-    """A point set's document from the text of its window's points, made
-    once per window document, kind and level."""
+def _pset_template(ps: PSet, level: int, templates: dict):
+    """(head, point texts, tail) of a point set's document: the text of
+    each of its window's points, made once per window document, kind and
+    level."""
     w = ps.window
     key = (w.lo, w.hi, repr(w.weight), ps.kind, level)
     if key not in templates:
@@ -170,8 +225,23 @@ def _pset_text(ps: PSet, level: int, templates: dict) -> str:
         points = [pad + _dumps(list(p), level + 2) for p in w.points()]
         templates[key] = (head + '"points": [', points,
                           "\n" + " " * (level + 1) + "]" + tail)
-    head, points, tail = templates[key]
-    return head + ",".join(map(points.__getitem__, ps.indices)) + tail
+    return templates[key]
+
+
+def _pset_text(ps: PSet, level: int, templates: dict) -> str:
+    head, points, tail = _pset_template(ps, level, templates)
+    return head + ",".join(_gather(points, ps.indices)) + tail
+
+
+def _set_list_pieces(sets, level: int, templates: dict) -> list[str]:
+    """The text of a :class:`_SetList` as pieces of the writer's output:
+    each set's points gathered from one template, with the text between
+    two sets (a tail, a comma, a head) shared."""
+    head, points, tail = _pset_template(sets[0], level + 1, templates)
+    pad = "\n" + " " * (level + 1)
+    pieces = [tail + "," + pad + head] * (2 * len(sets) - 1)
+    pieces[::2] = [",".join(_gather(points, ps.indices)) for ps in sets]
+    return ["[" + pad + head, *pieces, tail + "\n" + " " * level + "]"]
 
 
 #: ``json``'s text of the non-finite floats, keyed by their ``repr``.

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -22,6 +23,7 @@ from weylpair import (
 from weylpair.serialize import pset_from_json, pset_to_json
 
 from conftest import brute_force_upsets, tail, upset_from
+from test_serialize import WINDOWS
 
 
 def test_window_basics(chain8):
@@ -166,6 +168,39 @@ def test_enumeration_runs_the_shared_closure_test(monkeypatch):
         enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))
     with pytest.raises(InvarianceViolation):
         validate_pset([(0, 0)], LatticeWindow((0, 0), (0, 0)), SetKind.PSPACE)
+
+
+@pytest.mark.parametrize("lo,hi", WINDOWS)
+def test_enumerated_sets_are_the_validated_sets(lo, hi):
+    w = LatticeWindow(lo, hi)
+    for ps in enumerate_pspaces(w):
+        ref = validate_pset(ps.points, w, SetKind.PSPACE)
+        assert ps == ref and hash(ps) == hash(ref)
+        assert (ps.indices, ps._mask) == (ref.indices, ref._mask)
+        assert type(ps.points) is tuple and type(ps.indices) is tuple
+
+
+def test_enumeration_restores_the_collector(monkeypatch):
+    w = LatticeWindow((0, 0), (2, 2))
+    assert gc.isenabled()
+    assert len(enumerate_pspaces(w)) == 19
+    assert gc.isenabled()
+    with monkeypatch.context() as m:
+        m.setattr(lat, "ENUMERATION_BUDGET", 4)
+        with pytest.raises(BudgetExceeded):
+            enumerate_pspaces(w)
+    assert gc.isenabled()
+    # a caller that paused the collector keeps it paused
+    gc.disable()
+    try:
+        assert len(enumerate_pspaces(w)) == 19
+        assert not gc.isenabled()
+        monkeypatch.setattr(lat, "ENUMERATION_BUDGET", 4)
+        with pytest.raises(BudgetExceeded):
+            enumerate_pspaces(w)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_enumerate_closed_under_lattice_ops():

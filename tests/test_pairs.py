@@ -398,3 +398,53 @@ def test_pair_json_roundtrip(chain8):
     assert back.dim == pair.dim
     assert back.fibers == pair.fibers
     assert np.allclose(back.gens[0], pair.gens[0])
+
+
+@pytest.fixture
+def no_svd_of_nonfinite(monkeypatch):
+    """Fails a test whose code takes a 2-norm of a non-finite matrix."""
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            assert np.isfinite(x).all(), "SVD of a non-finite matrix"
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+
+
+def test_a_nan_entry_reads_nan_in_every_pair_check(no_svd_of_nonfinite):
+    # the chain tail {1..4} of [0, 4] with k = 2, built unvalidated with a
+    # NaN inside the graded block from 1 to 2
+    w = LatticeWindow((0,), (4,))
+    pair = build_pspace_pair(tail(w, 1), 2)
+    g = pair.gens[0].copy()
+    g[2, 0] = np.nan
+    bad = WeylPair(w, dict(pair.fibers), [g], validate=False)
+    # the same NaN, with a stray entry that sends every check to the dense path
+    g = g.copy()
+    g[pair.dim - 1, 0] = 1e-3
+    leaky = WeylPair(w, dict(pair.fibers), [g], validate=False)
+    assert bad.graded and not leaky.graded
+    thetas = np.array(dual_grid(w))
+    for p in (bad, leaky):
+        for margin in (1, 2):
+            safe = SafeRegion(margin)
+            # the shift by 0 never meets the NaN
+            assert isometry_defect(p, (0,), safe) == 0.0
+            assert weyl_defect(p, thetas, (0,), safe) == 0.0
+            assert np.isnan(isometry_defect(p, (1,), safe))
+            assert np.isnan(weyl_defect(p, thetas, (1,), safe))
+            assert np.isnan(weyl_defect(p, thetas[0], (1,), safe))
+        assert np.isnan(check_commuting_ranges(p))
+
+
+def test_a_nan_defect_fails_its_check():
+    from weylpair.cli import _Checks
+
+    checks = _Checks()
+    checks.add("finite", 0.0, 1e-10)
+    checks.add("nan", float("nan"), 1e-10)
+    checks.add("nan-larger-ok", float("nan"), 0.1, larger_ok=True)
+    assert [c["pass"] for c in checks.items] == [True, False, False]
+    assert checks.first_failure() == "nan"

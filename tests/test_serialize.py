@@ -164,3 +164,86 @@ DOCUMENTS = st.recursive(
 @given(DOCUMENTS)
 def test_generated_documents_are_the_json_text(doc):
     assert document_to_json(doc) == oracle(doc)
+
+
+# lists of point sets: a list of one window (the same object) and one kind
+# is written as one held value, every other list set by set
+
+CHAIN = enumerate_pspaces(LatticeWindow((0,), (3,)))
+SQUARE = enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))
+OFFSET = enumerate_pspaces(LatticeWindow((1, -2), (3, 0)))
+WEIGHTED = enumerate_pspaces(LatticeWindow((1, -2), (2, 0), weight=0.25))
+
+
+def test_empty_and_one_set_lists():
+    for doc in ([], [CHAIN[0]], [SQUARE[-1]], {"a": [], "b": [CHAIN[2]]},
+                [[], [OFFSET[0]], []]):
+        assert document_to_json(doc) == oracle(doc)
+
+
+def test_a_list_across_two_windows():
+    for doc in (CHAIN + SQUARE, SQUARE[:3] + CHAIN[:1] + SQUARE[3:5],
+                [CHAIN[1], OFFSET[4], CHAIN[0]]):
+        assert document_to_json(doc) == oracle(doc)
+    # equal windows, distinct objects: written as json writes each weight
+    same = [enumerate_pspaces(LatticeWindow((0,), (1,), weight=w))[0]
+            for w in (2, 2.0)]
+    assert same[0].window == same[1].window
+    assert document_to_json(same) == oracle(same)
+
+
+def test_pspace_and_yset_sets_in_one_list():
+    ysets = [reflect_pset(ps) for ps in SQUARE]
+    for doc in (SQUARE + ysets, ysets, [ysets[0], SQUARE[0], ysets[1]]):
+        assert document_to_json(doc) == oracle(doc)
+
+
+def test_weighted_and_offset_windows():
+    for doc in (WEIGHTED, OFFSET, {"w": WEIGHTED, "o": OFFSET},
+                [reflect_pset(ps) for ps in WEIGHTED]):
+        assert document_to_json(doc) == oracle(doc)
+
+
+def test_set_lists_nested_and_beside_other_values():
+    doc = [[CHAIN], [[SQUARE, 1.5]], {"x": [OFFSET, "s", -3, None]}]
+    assert document_to_json(doc) == oracle(doc)
+    doc = {"count": len(SQUARE), "label": "a\n\"b\"", "psets": SQUARE,
+           "also": [0.1, SQUARE[:2], True, "z", CHAIN[3:]]}
+    assert document_to_json(doc) == oracle(doc)
+    # tuples are json lists, and the caller's document is left as it was
+    doc = {"t": tuple(CHAIN), "l": [tuple(SQUARE)]}
+    before = repr(doc)
+    assert document_to_json(doc) == oracle(doc)
+    assert repr(doc) == before and type(doc["t"]) is tuple
+
+
+def test_a_document_holding_itself_is_refused():
+    doc = {"psets": SQUARE}
+    doc["self"] = [doc]
+    with pytest.raises(ValueError, match="Circular reference"):
+        document_to_json(doc)
+
+
+SETS = CHAIN + SQUARE + OFFSET + WEIGHTED
+SETS += [reflect_pset(ps) for ps in SETS[::5]]
+
+
+@st.composite
+def nested_set_lists(draw):
+    """A random sublist of enumerated sets, nested at random depth."""
+    picks = draw(st.lists(st.integers(0, len(SETS) - 1), max_size=12))
+    one_window = draw(st.booleans())
+    doc = [SETS[i] for i in picks]
+    if one_window and doc:
+        doc = [ps for ps in doc if ps.window is doc[0].window
+               and ps.kind is doc[0].kind]
+    for _ in range(draw(st.integers(0, 4))):
+        doc = draw(st.sampled_from([[doc], {"k": doc}, [1, doc, "x"],
+                                    {"a": 0.5, "b": doc, "c": [doc]}]))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(nested_set_lists())
+def test_generated_set_lists_are_the_json_text(doc):
+    assert document_to_json(doc) == oracle(doc)
