@@ -229,6 +229,7 @@ def _pset_template(ps: PSet, level: int, templates: dict):
 
 
 def _pset_text(ps: PSet, level: int, templates: dict) -> str:
+    """A lone point set's document, its points gathered from the template."""
     head, points, tail = _pset_template(ps, level, templates)
     return head + ",".join(_gather(points, ps.indices)) + tail
 
