@@ -63,7 +63,6 @@ from .pairs import (
     dual_grid,
     isometry_defect,
     isometry_v,
-    range_projection,
     recover_position_projections,
     unitary_u,
     weyl_defect,

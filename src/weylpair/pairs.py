@@ -14,7 +14,9 @@ the span of blocks that stay inside the window under all shifts up to the
 margin, and nowhere else.
 
 The checks read V_a block by block, composed from the generator blocks; a
-pair with entries outside its graded blocks is checked on dense products.
+pair with entries outside its graded blocks adds a bound on what they can
+change (:meth:`WeylPair.remainder_bound`), never falling below the dense
+value.
 """
 
 from __future__ import annotations
@@ -136,27 +138,56 @@ class WeylPair:
         """Whether every generator entry lies inside the graded blocks."""
         return all(stray == 0.0 for _, stray in self._graded)
 
-    def shift_blocks(self, a) -> dict[Point, np.ndarray] | None:
-        """Blocks of V_a by source point y; the block of y maps the fiber of
-        y into the fiber of y + a, and y is missing where V_a sends the
-        fiber of y to zero.
+    @functools.cached_property
+    def _axis_norms(self) -> tuple[tuple[float, float], ...]:
+        """Per axis: g_j = ||G_j||, the largest 2-norm of a generator block
+        (the graded part G_j is a partial block permutation), and r_j, the
+        Frobenius norm of the stray remainder (the generator less G_j).
+        Taken only on a pair with a stray entry; without one both read 0.0,
+        which makes every eps of :meth:`remainder_bound` 0."""
+        if self.graded:
+            return ((0.0, 0.0),) * self.window.dim
+        found = []
+        for e, g, (blocks, _) in zip(self.window.generators(), self.gens,
+                                     self._graded):
+            rest = g.copy()
+            for y in blocks:
+                rest[self.block_slice(_add(y, e)), self.block_slice(y)] = 0.0
+            found.append((_max_opnorm([s for _, s in _stacks(list(blocks.values()))]),
+                          float(np.linalg.norm(rest))))
+        return tuple(found)
 
-        V_a is composed one generator step at a time in the order of
+    def remainder_bound(self, a) -> tuple[float, float]:
+        """(gamma_a, eps_a), with gamma_a >= ||W|| and eps_a >= ||V_a - W||
+        for the graded part W of V_a, the block shift of :meth:`shift_blocks`.
+
+        gamma_a = prod g_j^a_j and eps_a = prod (g_j + r_j)^a_j - gamma_a,
+        both over the axes with a_j > 0 (so eps_0 = 0 exactly), for the
+        norms of :attr:`_axis_norms`.  Without stray entries eps_a = 0, and
+        gamma_a, read only as a factor of an eps, bounds nothing.
+        """
+        axes = [(g, r, c) for (g, r), c in zip(self._axis_norms, a) if c > 0]
+        gamma = float(math.prod(g ** c for g, _, c in axes))
+        return gamma, float(math.prod((g + r) ** c for g, r, c in axes)) - gamma
+
+    def shift_blocks(self, a) -> dict[Point, np.ndarray]:
+        """Blocks of the graded part of V_a by source point y; the block of
+        y maps the fiber of y into the fiber of y + a, and y is missing
+        where V_a sends the fiber of y to zero.
+
+        V_a is composed one generator block at a time in the order of
         :func:`isometry_v` (axis 0 first), and the reverse order is compared
         block by block: a discrepancy above 1e-10 raises
-        :class:`NonCommutingGenerators`.  Shifts are kept on the pair, so
-        each is composed once; the dict returned is the pair's own and is
-        read, not changed, by its callers.  Returns None for a pair with entries
-        outside the graded blocks; only the dense :func:`isometry_v` covers
-        those.
+        :class:`NonCommutingGenerators`.  Entries outside the graded blocks
+        are left out; :meth:`remainder_bound` bounds what they add to V_a.
+        Shifts are kept on the pair, so each is composed once; the dict
+        returned is the pair's own and is read, not changed, by its callers.
         """
         a = tuple(int(c) for c in a)
         if a in self._shifts:
             return self._shifts[a]
         if len(a) != self.window.dim or any(c < 0 for c in a):
             raise ValueError("semigroup exponent must be a nonnegative vector")
-        if not self.graded:
-            return None
         fwd = self._path(a, False)
         if sum(c > 0 for c in a) > 1:
             bwd = self._path(a, True)
@@ -237,14 +268,6 @@ class WeylPair:
                 p for p in self.offsets
                 if all(c + safe.margin <= h for c, h in zip(p, self.window.hi)))
         return self._safe[safe.margin]
-
-    def safe_indices(self, safe: SafeRegion) -> np.ndarray:
-        """Coordinate indices of blocks with y + margin*1 inside the window."""
-        keep = []
-        for p in self.safe_points(safe):
-            off, k = self.offsets[p]
-            keep.extend(range(off, off + k))
-        return np.array(keep, dtype=int)
 
 
 def build_pspace_pair(pspace: PSet, k: int, label: str = "") -> WeylPair:
@@ -339,9 +362,10 @@ def unitary_u(pair: WeylPair, theta) -> np.ndarray:
 def isometry_v(pair: WeylPair, a) -> np.ndarray:
     """Semigroup element V_a as the ordered product of generator powers.
 
-    The two extreme evaluation orders are compared; a discrepancy above
-    1e-10 means the generator matrices do not commute and the pair is
-    corrupted.
+    This is the dense reference: it multiplies the whole generator
+    matrices, stray entries included, and no pair check calls it.  The two
+    extreme evaluation orders are compared; a discrepancy above 1e-10 means
+    the generator matrices do not commute and the pair is corrupted.
     """
     avec = tuple(int(c) for c in a)
     if len(avec) != pair.window.dim or any(c < 0 for c in avec):
@@ -373,28 +397,20 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
     block by one phase, so the compressed defect is a partial block
     permutation whose norm is the largest ``|phase(y + a) - phase(a)
     phase(y)| * ||B_y||`` over the blocks B_y of V_a with y and y + a safe;
-    on a graded pair they are read from :meth:`WeylPair.shift_blocks` and
+    they are read from :meth:`WeylPair.shift_blocks`, and on a graded pair
     the value is the exact defect.  A pair with entries outside the graded
     blocks (stray entries up to ``GRADING_TOL``, or a pair built with
-    ``validate=False``) takes the blocks from the dense :func:`isometry_v`,
-    and whatever V_a holds outside them (the remainder R) adds, for each
-    angle, the Frobenius norm of R scaled entrywise by its phase
-    deviations: an upper bound that is never below the exact defect.
+    ``validate=False``) adds 2 eps_a of :meth:`WeylPair.remainder_bound`:
+    the rest of V_a has norm at most eps_a and meets U on either side, so
+    the value is an upper bound, never below the exact defect.
     """
     avec = _check_shift(a, safe)
     thetas = np.atleast_2d(np.asarray(theta, dtype=float))
     blocks = pair.shift_blocks(avec)
     safe_pts = pair.safe_points(safe)
     members = set(safe_pts)
-    src = [y for y in safe_pts if _add(y, avec) in members]
-    if blocks is None:
-        v = isometry_v(pair, avec)
-        cuts = [(pair.block_slice(_add(y, avec)), pair.block_slice(y))
-                for y in src]
-        mats = [v[cut] for cut in cuts]
-    else:
-        src = [y for y in src if y in blocks]
-        mats = [blocks[y] for y in src]
+    src = [y for y in safe_pts if y in blocks and _add(y, avec) in members]
+    mats = [blocks[y] for y in src]
     # one stacked 2-norm per block shape: ||B_y|| is computed once per block
     norms = np.empty(len(mats))
     for group, stack in _stacks(mats):
@@ -407,21 +423,8 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
         coords = np.array(src, dtype=float)
         dev = _phase_deviation(thetas, coords, coords + av, av)
         per_angle = (dev * norms).max(axis=1)
-    if blocks is not None:
-        return float(per_angle.max())
-    remainder = v.copy()
-    for cut in cuts:
-        remainder[cut] = 0.0
-    idx = pair.safe_indices(safe)
-    rest = remainder[np.ix_(idx, idx)]
-    rows, cols = np.nonzero(rest)
-    if rows.size:
-        where = np.repeat(np.array(safe_pts, dtype=float),
-                          [pair.offsets[p][1] for p in safe_pts], axis=0)
-        dev = _phase_deviation(thetas, where[cols], where[rows], av)
-        per_angle = per_angle + np.linalg.norm(
-            dev * np.abs(rest[rows, cols]), axis=1)
-    return float(per_angle.max())
+    _, eps = pair.remainder_bound(avec)
+    return float(per_angle.max()) + 2 * eps
 
 
 def _check_shift(a, safe: SafeRegion) -> Point:
@@ -462,7 +465,9 @@ def _max_opnorm(stacks, floor: float = 0.0) -> float:
     is decomposed.
     """
     fros = [np.linalg.norm(s, axis=(1, 2)) for s in stacks]
-    if not all(map(_finite, stacks, fros)):
+    # a stack is scanned only when a norm is not finite (NaN, or an overflow)
+    if not all(np.isfinite(f).all() or np.isfinite(s).all()
+               for s, f in zip(stacks, fros)):
         return math.nan
     bound = max([floor] + [f.max(initial=0.0) / np.sqrt(min(s.shape[1:]))
                            for s, f in zip(stacks, fros)])
@@ -474,42 +479,25 @@ def _max_opnorm(stacks, floor: float = 0.0) -> float:
     return worst
 
 
-def _finite(m, fro) -> bool:
-    """Whether ``m``, of Frobenius norm(s) ``fro``, has only finite entries;
-    ``m`` is scanned only when a norm is not finite (NaN, or an overflow)."""
-    return bool(np.isfinite(fro).all() or np.isfinite(m).all())
-
-
 def isometry_defect(pair: WeylPair, a, safe: SafeRegion) -> float:
     """Norm of (V_a* V_a - 1) compressed to the safe blocks.
 
-    V_a* V_a is block diagonal, so on a graded pair this is the largest
-    ``||B_y* B_y - 1||`` over the safe points y, and 1 at a safe y whose
-    fiber V_a sends to zero.  Other pairs take the dense :func:`isometry_v`.
-    A non-finite entry on the safe blocks gives NaN.
+    V_a* V_a is block diagonal, so this is the largest ``||B_y* B_y - 1||``
+    over the blocks B_y of :meth:`WeylPair.shift_blocks` at the safe points
+    y, and 1 at a safe y whose fiber V_a sends to zero.  Stray entries
+    change V_a* V_a by at most delta_a = eps_a (2 gamma_a + eps_a) of
+    :meth:`WeylPair.remainder_bound`, which a pair with them adds: an upper
+    bound, never below the dense value.  A non-finite entry on the safe
+    blocks gives NaN.
     """
     avec = _check_shift(a, safe)
     blocks = pair.shift_blocks(avec)
-    if blocks is None:
-        v = isometry_v(pair, avec)
-        m = v.conj().T @ v - np.eye(pair.dim)
-        idx = pair.safe_indices(safe)
-        if idx.size == 0:
-            return 0.0
-        m = m[np.ix_(idx, idx)]
-        return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else math.nan
     safe_pts = pair.safe_points(safe)
     mats = [blocks[y] for y in safe_pts if y in blocks]
     floor = 1.0 if len(mats) < len(safe_pts) else 0.0
+    gamma, eps = pair.remainder_bound(avec)
     return _max_opnorm([s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[2])
-                        for _, s in _stacks(mats)], floor)
-
-
-def range_projection(pair: WeylPair, a) -> np.ndarray:
-    """Range projection V_a V_a* of the semigroup element."""
-    v = isometry_v(pair, a)
-    e = v @ v.conj().T
-    return 0.5 * (e + e.conj().T)
+                        for _, s in _stacks(mats)], floor) + eps * (2 * gamma + eps)
 
 
 def default_probe(dim: int) -> list[Point]:
@@ -522,32 +510,18 @@ def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
     """Largest commutator norm among range projections over the probe set.
 
     V_a V_a* is block diagonal, its block at z being B B* for the block B
-    of V_a into z, so on a graded pair each commutator is read per target
-    point, from the blocks of the two shifts there (a point only one shift
-    reaches contributes nothing); the commutator blocks are stacked by
-    fiber dimension.  Other pairs take the dense :func:`range_projection`.
-    A non-finite entry in a commutator gives NaN.
+    of V_a into z (:meth:`WeylPair.shift_blocks`), so each commutator is
+    read per target point, from the blocks of the two shifts there (a point
+    only one shift reaches contributes nothing); the commutator blocks are
+    stacked by fiber dimension.  Stray entries move a range projection by at
+    most delta_a (see :func:`isometry_defect`) from one of norm at most
+    gamma_a^2, so a pair with them adds the largest, over pairs (a, b) of
+    the probe, of 2 (delta_a gamma_b^2 + gamma_a^2 delta_b + delta_a
+    delta_b): an upper bound, never below the dense value.  A non-finite
+    entry in a commutator gives NaN.
     """
     if probe is None:
         probe = default_probe(pair.window.dim)
-    if pair.graded:
-        return _block_range_commutator(pair, probe)
-    projs = [range_projection(pair, a) for a in probe]
-    worst = 0.0
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            comm = projs[i] @ projs[j] - projs[j] @ projs[i]
-            fro = np.linalg.norm(comm)
-            if not _finite(comm, fro):
-                return math.nan
-            # ||comm||_2 <= ||comm||_F: a commutator skipped here cannot
-            # raise the maximum, so no SVD runs on a zero commutator
-            if fro > worst:
-                worst = max(worst, float(np.linalg.norm(comm, 2)))
-    return worst
-
-
-def _block_range_commutator(pair: WeylPair, probe) -> float:
     # the range projection blocks by fiber dimension, and for each target
     # point the positions of its blocks among them: only two blocks at one
     # point can fail to commute
@@ -572,7 +546,12 @@ def _block_range_commutator(pair: WeylPair, probe) -> float:
             p = np.stack(projs[k])
             first, second = np.array(pairs).T
             comms.append(p[first] @ p[second] - p[second] @ p[first])
-    return _max_opnorm(comms)
+    # (gamma_a^2, delta_a) per shift; np.max keeps a NaN, which max() may drop
+    bounds = [(g * g, e * (2 * g + e))
+              for g, e in map(pair.remainder_bound, probe)]
+    extra = np.max([2 * (da * sb + sa * db + da * db) for (sa, da), (sb, db)
+                    in itertools.combinations(bounds, 2)], initial=0.0)
+    return _max_opnorm(comms) + float(extra)
 
 
 def direct_sum(pairs: list[WeylPair], label: str = "") -> WeylPair:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weylpair import (LatticeWindow, SetKind, intertwiners, isometry_v,
-                      range_projection, validate_pset)
+                      validate_pset)
 from weylpair.errors import CheckFailed, MarginTooSmall
 
 
@@ -71,6 +71,13 @@ def fiber_mixing_unitary(pair, rng):
     return q
 
 
+def safe_indices(pair, safe):
+    """Coordinate indices of the blocks of the pair's safe points."""
+    return np.array([i for p in pair.safe_points(safe)
+                     for i in range(*pair.block_slice(p).indices(pair.dim))],
+                    dtype=int)
+
+
 def dense_weyl_defect(pair, theta, a, safe):
     """Oracle: one angle vector, dense V_a and one SVD of the whole defect.
 
@@ -85,7 +92,7 @@ def dense_weyl_defect(pair, theta, a, safe):
     v = isometry_v(pair, avec)
     phase = np.exp(1j * float(th @ np.asarray(avec)))
     diff = u[:, None] * v - phase * (v * u[None, :])
-    idx = pair.safe_indices(safe)
+    idx = safe_indices(pair, safe)
     if idx.size == 0:
         return 0.0
     return opnorm(diff[np.ix_(idx, idx)])
@@ -105,10 +112,17 @@ def dense_isometry_defect(pair, a, safe):
         raise MarginTooSmall(f"shift {avec} exceeds safe margin {safe.margin}")
     v = isometry_v(pair, avec)
     m = v.conj().T @ v - np.eye(pair.dim)
-    idx = pair.safe_indices(safe)
+    idx = safe_indices(pair, safe)
     if idx.size == 0:
         return 0.0
     return opnorm(m[np.ix_(idx, idx)])
+
+
+def range_projection(pair, a):
+    """Oracle: the range projection V_a V_a* from the dense V_a."""
+    v = isometry_v(pair, a)
+    e = v @ v.conj().T
+    return 0.5 * (e + e.conj().T)
 
 
 def dense_range_commutator(pair, probe):
@@ -116,6 +130,22 @@ def dense_range_commutator(pair, probe):
     projs = [range_projection(pair, a) for a in probe]
     return max((opnorm(p @ q - q @ p)
                 for p, q in itertools.combinations(projs, 2)), default=0.0)
+
+
+def stray_terms(pair, shifts, probe):
+    """What a stray remainder adds to each check: 2 eps_a to the defect at
+    a, delta_a = eps_a (2 gamma_a + eps_a) to the isometry defect at a, and
+    the largest 2 (delta_a gamma_b^2 + gamma_a^2 delta_b + delta_a delta_b)
+    over pairs of the probe to the range commutator."""
+    def delta(a):
+        gamma, eps = pair.remainder_bound(a)
+        return gamma, eps * (2 * gamma + eps)
+    weyl = [2 * pair.remainder_bound(a)[1] for a in shifts]
+    iso = [delta(a)[1] for a in shifts]
+    ranges = max((2 * (da * gb ** 2 + ga ** 2 * db + da * db)
+                  for (ga, da), (gb, db)
+                  in itertools.combinations(map(delta, probe), 2)), default=0.0)
+    return weyl, iso, ranges
 
 
 def dense_subspace_gap(basis_a, basis_b):

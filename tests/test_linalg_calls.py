@@ -1,5 +1,5 @@
-"""LAPACK call counts of the stacked kappa x kappa checks, of the
-equivalence decision and of the dilate command.
+"""LAPACK call counts of the stacked kappa x kappa checks, of the pair
+checks, of the equivalence decision and of the dilate command.
 
 Each test spies on ``numpy.linalg`` (or on a solver or W_x builder) and
 counts calls, so a check that falls back to one call per matrix, or to a
@@ -7,6 +7,7 @@ solve it can skip, fails here whatever the machine's speed.
 """
 
 import collections
+import itertools
 import json
 
 import numpy as np
@@ -14,11 +15,13 @@ import pytest
 
 import weylpair.commutant as commutant
 import weylpair.dilation as dilation
+import weylpair.pairs as pairs
 from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, PSet,
-                      ProjectionFamily, RepGens, SetKind, WeylPair,
-                      build_pspace_pair, check_increasing, demo_family,
-                      direct_sum, random_family, sylvester_nullspace,
-                      unitarily_equivalent)
+                      ProjectionFamily, RepGens, SafeRegion, SetKind, WeylPair,
+                      build_pspace_pair, check_commuting_ranges,
+                      check_increasing, demo_family, direct_sum, dual_grid,
+                      isometry_defect, random_family, sylvester_nullspace,
+                      unitarily_equivalent, weyl_defect)
 from weylpair.cli import run_scenario
 from weylpair.freeproduct import sample_field
 from weylpair.serialize import pair_to_json
@@ -137,3 +140,34 @@ def test_dilate_applies_w_without_dense_matrices(tmp_path, monkeypatch):
         "pair": pair_to_json(_tail_sum(w, [(0, 1), (2, 2)]))}))
     report, code = run_scenario("dilate", str(scenario), str(tmp_path))
     assert code == 0 and report["ok"]
+
+
+def _pair_checks(pair, margin):
+    """The three checks of ``pair-check``: every shift up to the margin,
+    the whole dual grid as one stack, the default range probe."""
+    safe = SafeRegion(margin)
+    shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
+    thetas = np.array(dual_grid(pair.window))
+    return ([weyl_defect(pair, thetas, a, safe) for a in shifts],
+            [isometry_defect(pair, a, safe) for a in shifts],
+            check_commuting_ranges(pair))
+
+
+def test_pair_checks_take_no_dense_product_and_no_extra_norm(calls, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense V_a built by a pair check")
+
+    monkeypatch.setattr(pairs, "isometry_v", refuse)
+    w = LatticeWindow((0, 0), (3, 3))
+    pair = build_pspace_pair(PSet(w, tuple(w.points()), SetKind.PSPACE), 2)
+    g = pair.gens[0].copy()
+    g[pair.dim - 1, 0] = 1e-3
+    leaky = WeylPair(w, dict(pair.fibers), [g, pair.gens[1]], validate=False)
+    assert not leaky.graded
+    _pair_checks(leaky, 2)
+    # the stray bound takes its norms only on a pair with a stray entry: on
+    # the graded dim-32 pair the checks take as many as before it existed
+    calls.clear()
+    _pair_checks(pair, 2)
+    assert pair.dim == 32
+    assert calls["norm"] == 18 and calls["svd"] == 0

@@ -24,7 +24,6 @@ from weylpair import (
     enumerate_pspaces,
     isometry_defect,
     isometry_v,
-    range_projection,
     recover_position_projections,
     unitary_u,
     validate_pset,
@@ -34,8 +33,8 @@ from weylpair.pairs import canonical_sum, default_probe
 from weylpair.serialize import pair_from_json, pair_to_json
 
 from conftest import (dense_grid_defect, dense_isometry_defect,
-                      dense_range_commutator, dense_weyl_defect, opnorm, tail,
-                      upset_from)
+                      dense_range_commutator, dense_weyl_defect, opnorm,
+                      range_projection, stray_terms, tail, upset_from)
 
 
 def full_pair(k=1):
@@ -70,7 +69,7 @@ def test_2d_generators_commute(square4):
 def test_safe_region_margin_guard(chain8):
     pair = build_pspace_pair(tail(chain8, 0), 1)
     with pytest.raises(MarginTooSmall):
-        pair.safe_indices(SafeRegion(9))
+        pair.safe_points(SafeRegion(9))
     with pytest.raises(MarginTooSmall):
         SafeRegion(-1)
 
@@ -130,7 +129,7 @@ def test_shift_blocks_are_the_blocks_of_the_dense_shift(square4):
         assert np.array_equal(dense, isometry_v(pair, a))
 
 
-def test_stray_entry_pairs_keep_the_dense_checks(chain8, square4):
+def test_stray_entry_pairs_bound_the_dense_checks(chain8, square4):
     chain = build_pspace_pair(tail(chain8, 1), 2)
     plane = build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 1)
     # a stray entry from the first fiber into the last one: validated when
@@ -140,13 +139,28 @@ def test_stray_entry_pairs_keep_the_dense_checks(chain8, square4):
         g[pair.dim - 1, 0] = entry
         leaky = WeylPair(pair.window, dict(pair.fibers), [g, *pair.gens[1:]],
                          validate=entry < 1e-10)
-        assert not leaky.graded and leaky.shift_blocks((1,) * leaky.window.dim) is None
+        assert not leaky.graded
         safe = SafeRegion(margin)
         shifts = list(itertools.product(range(margin + 1), repeat=leaky.window.dim))
-        iso = [isometry_defect(leaky, a, safe) for a in shifts]
-        assert iso == [dense_isometry_defect(leaky, a, safe) for a in shifts]
         probe = default_probe(leaky.window.dim)
-        assert check_commuting_ranges(leaky) == dense_range_commutator(leaky, probe)
+        thetas = np.array(dual_grid(leaky.window))
+        weyl_terms, iso_terms, range_term = stray_terms(leaky, shifts, probe)
+        assert weyl_terms[0] == iso_terms[0] == 0.0 and range_term > 0.0
+        for a, weyl_term, iso_term in zip(shifts, weyl_terms, iso_terms):
+            # the checks read the graded blocks, which are the pair's
+            # without its stray entry, and add the stray terms
+            assert leaky.shift_blocks(a).keys() == pair.shift_blocks(a).keys()
+            value = weyl_defect(leaky, thetas, a, safe)
+            assert value == weyl_defect(pair, thetas, a, safe) + weyl_term
+            oracle = max(dense_weyl_defect(leaky, t, a, safe) for t in thetas)
+            assert oracle - 1e-15 <= value <= oracle + 2 * weyl_term + 1e-15
+            value = isometry_defect(leaky, a, safe)
+            assert value == isometry_defect(pair, a, safe) + iso_term
+            oracle = dense_isometry_defect(leaky, a, safe)
+            assert oracle - 1e-15 <= value <= oracle + 2 * iso_term + 1e-15
+        value = check_commuting_ranges(leaky)
+        oracle = dense_range_commutator(leaky, probe)
+        assert oracle - 1e-15 <= value <= oracle + 2 * range_term + 1e-15
 
 
 def test_generators_are_read_only_copies(chain8):
@@ -179,25 +193,19 @@ def test_weyl_defect_corrupted(chain8):
     assert weyl_defect(bad, (np.pi / 2,), (1,), SafeRegion(4)) > 0.1
 
     # with one more stray entry, below GRADING_TOL, the value stays an upper
-    # bound, above the dense defect by at most ||C o R||_F
+    # bound, above the dense defect by at most twice the 2 eps_a it adds
     both = g.copy()
     both[1, 3] = 1e-11
     stray = pair.gens[0].copy()
     stray[1, 3] = 1e-11
     safe = SafeRegion(4)
-    idx = pair.safe_indices(safe)
-    off_grade = np.ones((8, 8), dtype=bool)
-    off_grade[np.arange(1, 8), np.arange(7)] = False
     for leaky in (WeylPair(chain8, fibers, [both], validate=False),
                   WeylPair(chain8, fibers, [stray])):
+        added = 2 * leaky.remainder_bound((1,))[1]
         for theta in dual_grid(chain8) + [np.array([0.3])]:
-            u = leaky.position_phases(theta)
-            c = u[:, None] - np.exp(1j * theta[0]) * u[None, :]
-            r = np.where(off_grade, leaky.gens[0], 0.0)
-            bound = np.linalg.norm((c * r)[np.ix_(idx, idx)])
             oracle = dense_weyl_defect(leaky, theta, (1,), safe)
             value = weyl_defect(leaky, theta, (1,), safe)
-            assert oracle - 1e-15 <= value <= oracle + bound + 1e-15
+            assert oracle - 1e-15 <= value <= oracle + 2 * added + 1e-15
 
 
 def test_weyl_defect_stack_matches_single_angle(chain8):
@@ -421,7 +429,7 @@ def test_a_nan_entry_reads_nan_in_every_pair_check(no_svd_of_nonfinite):
     g = pair.gens[0].copy()
     g[2, 0] = np.nan
     bad = WeylPair(w, dict(pair.fibers), [g], validate=False)
-    # the same NaN, with a stray entry that sends every check to the dense path
+    # the same NaN, with a stray entry that adds a remainder bound to every check
     g = g.copy()
     g[pair.dim - 1, 0] = 1e-3
     leaky = WeylPair(w, dict(pair.fibers), [g], validate=False)
