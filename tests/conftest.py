@@ -73,9 +73,8 @@ def fiber_mixing_unitary(pair, rng):
 
 def safe_indices(pair, safe):
     """Coordinate indices of the blocks of the pair's safe points."""
-    return np.array([i for p in pair.safe_points(safe)
-                     for i in range(*pair.block_slice(p).indices(pair.dim))],
-                    dtype=int)
+    return np.array([i for s in map(pair.block_slice, pair.safe_points(safe))
+                     for i in range(s.start, s.stop)], dtype=int)
 
 
 def dense_weyl_defect(pair, theta, a, safe):
