@@ -54,9 +54,9 @@ for (m, n) in [(0, 0), (1, 0), (2, 2)]:
 ranks = [float(np.trace(e).real) for e in sample.mats]
 rows = [(float(sample.vals[i]), float(sample.vals[j]), ranks[k])
         for (i, j), k in np.ndenumerate(sample.ids)]
-path = export_heatmap(rows,
-                      os.path.join(tempfile.mkdtemp(), "field_rank.csv"))
-print(f"rank heatmap written to {path}")
+with tempfile.TemporaryDirectory() as tmp:
+    export_heatmap(rows, os.path.join(tmp, "field_rank.csv"))
+print(f"rank heatmap: {len(rows)} rows written to field_rank.csv")
 
 # the represented pair: fibers are the field ranges, generators the
 # compressed grid shifts

@@ -16,6 +16,7 @@ the first failing check is named in the report.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -372,6 +373,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
+    # pspace-enum builds tens of thousands of objects without cycles that
+    # live until its report is written: a collector pass over them frees
+    # nothing, so the collector stays paused until they are freed
+    paused = args.command == "pspace-enum" and gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _run(args) -> int:
+    """Run one parsed command line and print its report; returns the exit
+    code.  The report is freed when this returns."""
     try:
         report, code = run_scenario(args.command, args.scenario, args.out,
                                     args.seed, args.tol)

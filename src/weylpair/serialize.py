@@ -2,7 +2,9 @@
 
 Matrices travel as row-major nested arrays of [re, im] pairs.  Point sets,
 pairs, bundles and projection families each have a fixed document layout so
-that reports are reproducible byte for byte under a fixed seed.
+that reports are reproducible byte for byte under a fixed seed.  A pair
+document holds a graded pair as its generator blocks and any other pair as
+dense generators (:func:`pair_to_json`); both forms are read.
 
 Every report and artifact file is written by :func:`document_to_json`, which
 emits the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``.  The
@@ -20,7 +22,7 @@ import json
 import numpy as np
 
 from .errors import ScenarioParseError
-from .lattice import LatticeWindow, PSet, SetKind, _gather
+from .lattice import LatticeWindow, PSet, SetKind, _add, _gather
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -72,32 +74,89 @@ def pset_from_json(doc) -> PSet:
 
 
 def pair_to_json(pair, matrix=matrix_to_json) -> dict:
-    """The pair document; ``matrix`` writes each generator.  With
-    ``matrix=np.asarray`` the generators stay arrays, for
-    :func:`document_to_json`."""
-    return {
+    """The pair document; ``matrix`` writes each matrix.  With
+    ``matrix=np.asarray`` the matrices stay arrays, for
+    :func:`document_to_json`.
+
+    A graded pair (no entry outside its graded blocks) is written in its
+    graded form: ``blocks`` lists, per axis, ``[source point, block]`` for
+    every block of :meth:`WeylPair.graded_blocks`, zero blocks included,
+    in point order.  Any other pair keeps the dense ``generators``.
+    """
+    doc = {
         "window": window_to_json(pair.window),
         "fibers": [[list(p), k] for p, k in pair.fibers],
-        "generators": [matrix(g) for g in pair.gens],
         "label": pair.label,
     }
+    if pair.graded:
+        doc["blocks"] = [[[list(p), matrix(b)] for p, b in
+                          sorted(pair.graded_blocks(axis)[0].items())]
+                         for axis in range(pair.window.dim)]
+    else:
+        doc["generators"] = [matrix(g) for g in pair.gens]
+    return doc
 
 
 def pair_from_json(doc):
+    """The pair of a document in either form: graded ``blocks`` or dense
+    ``generators``.  Blocks are placed into zeroed dense generators, and
+    the pair is validated as a dense one is."""
     from .pairs import WeylPair
 
     try:
         w = window_from_json(doc["window"])
         fibers = {tuple(int(c) for c in p): int(k) for p, k in doc["fibers"]}
-        gens = [matrix_from_json(g) for g in doc["generators"]]
         label = str(doc.get("label", ""))
+        if ("blocks" in doc) == ("generators" in doc):
+            raise ScenarioParseError(
+                "pair document needs exactly one of 'blocks' and 'generators'")
+        if "blocks" in doc:
+            gens = _place_blocks(w, fibers, doc["blocks"])
+        else:
+            gens = [matrix_from_json(g) for g in doc["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"malformed pair document: {exc}") from exc
     return WeylPair(w, fibers, gens, label=label)
 
 
+def _place_blocks(window: LatticeWindow, fibers: dict, blocks) -> list:
+    """Dense generators holding the blocks of a graded pair document, in
+    the layout :class:`WeylPair` gives ``fibers``; zero elsewhere."""
+    from .pairs import sum_layout
+
+    sizes, dim, start = sum_layout([[(p, k) for p, k in fibers.items()
+                                     if k > 0]])
+    if len(blocks) != window.dim:
+        raise ScenarioParseError(f"pair document has blocks for {len(blocks)} "
+                                 f"axes in a {window.dim}-d window")
+    gens = []
+    for axis, (e, listed) in enumerate(zip(window.generators(), blocks)):
+        g = np.zeros((dim, dim), dtype=complex)
+        seen = set()
+        for p, block in listed:
+            p = tuple(int(c) for c in p)
+            q = _add(p, e)
+            for end in (p, q):
+                if end not in sizes:
+                    raise ScenarioParseError(
+                        f"axis {axis}: block point {end} carries no fiber")
+            if p in seen:
+                raise ScenarioParseError(
+                    f"axis {axis}: repeated block source point {p}")
+            seen.add(p)
+            b = matrix_from_json(block)
+            if b.shape != (sizes[q], sizes[p]):
+                raise ScenarioParseError(
+                    f"axis {axis}: block of {p} has shape {b.shape}, "
+                    f"not {(sizes[q], sizes[p])}")
+            g[start[(0, q)]:start[(0, q)] + sizes[q],
+              start[(0, p)]:start[(0, p)] + sizes[p]] = b
+        gens.append(g)
+    return gens
+
+
 def bundle_to_json(bundle) -> dict:
-    """The bundle document, its generators kept as arrays for
+    """The bundle document, its matrices kept as arrays for
     :func:`document_to_json`."""
     doc = pair_to_json(bundle.dilated, np.asarray)
     doc["depth"] = bundle.depth
@@ -165,6 +224,10 @@ def document_to_json(doc) -> str:
         else:
             out.append(_matrix_text(obj, level, templates))
         out.append(after)
+    # json's encoder functions form a reference cycle that holds ``hold``
+    # and through it ``held``: emptied, the held values are freed with the
+    # document, not by the next collector pass
+    held.clear()
     return "".join(out)
 
 

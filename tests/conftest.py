@@ -6,6 +6,7 @@ import pytest
 from weylpair import (LatticeWindow, SetKind, intertwiners, isometry_v,
                       validate_pset)
 from weylpair.errors import CheckFailed, MarginTooSmall
+from weylpair.serialize import matrix_to_json, window_to_json
 
 
 @pytest.fixture
@@ -55,6 +56,15 @@ def brute_force_upsets(window):
 
 def opnorm(m):
     return float(np.linalg.norm(m, 2))
+
+
+def dense_pair_doc(pair):
+    """The pair's document in the dense form, every generator entry listed,
+    as a pair file holds it when the pair has entries outside its blocks."""
+    return {"window": window_to_json(pair.window),
+            "fibers": [[list(p), k] for p, k in pair.fibers],
+            "generators": [matrix_to_json(g) for g in pair.gens],
+            "label": pair.label}
 
 
 def fiber_mixing_unitary(pair, rng):

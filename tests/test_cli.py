@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -9,13 +11,15 @@ import pytest
 import weylpair
 import weylpair.commutant as commutant
 import weylpair.dilation as dilation
+import weylpair.lattice as lattice
+import weylpair.serialize as serialize
 from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
                       SetKind, build_pspace_pair, build_r2_pair, demo_family,
                       direct_sum, validate_pset)
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import matrix_to_json, pair_to_json, pset_to_json
 
-from conftest import tail, upset_from
+from conftest import dense_pair_doc, tail, upset_from
 
 
 def write_scenario(tmp_path, name, doc):
@@ -38,6 +42,54 @@ def test_pspace_enum(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["ok"] and report["data"]["count"] == 8
+
+
+def test_pspace_enum_frees_its_sets_with_the_collector_paused(
+        tmp_path, capsys, monkeypatch):
+    """The collector stays paused until the report is written and freed:
+    no collector pass runs while the sets live, and they are freed by
+    reference counting."""
+    sc = write_scenario(tmp_path, "s.json", {
+        "command": "pspace-enum", "window": {"lo": [0, 0], "hi": [5, 5]}})
+    first, enabled = [], []
+    enumerate_pspaces = lattice.enumerate_pspaces
+    write = serialize.document_to_json
+
+    def spy_enumerate(window):
+        sets = enumerate_pspaces(window)
+        first.append(weakref.ref(sets[0]))
+        return sets
+
+    def spy_write(doc):
+        enabled.append(gc.isenabled())
+        return write(doc)
+
+    monkeypatch.setattr(lattice, "enumerate_pspaces", spy_enumerate)
+    monkeypatch.setattr(serialize, "document_to_json", spy_write)
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(bool(first) and first[0]() is not None)
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        code, out = run(capsys, ["pspace-enum", "--scenario", sc,
+                                 "--out", str(tmp_path)])
+        assert gc.isenabled()
+        assert first[0]() is None
+    finally:
+        gc.callbacks.remove(record)
+    assert code == 0 and json.loads(out)["data"]["count"] == 923
+    assert enabled == [False] and True not in passes
+    # a caller that paused the collector keeps it paused
+    gc.disable()
+    try:
+        run(capsys, ["pspace-enum", "--scenario", sc, "--out", str(tmp_path)])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_pair_build_and_check(tmp_path, capsys):
@@ -244,7 +296,8 @@ def _nan_scenario(case):
                        "Q": [[[[float("nan"), 0.0], [0.0, 0.0]], zero]]},
             "grid": {"denominator": 1, "extent": 2.0}}
     w = LatticeWindow((0,), (3,))
-    doc = pair_to_json(build_pspace_pair(tail(w, 1), 2))
+    # the dense form: a stray entry has no place in the graded one
+    doc = dense_pair_doc(build_pspace_pair(tail(w, 1), 2))
     # rows 0-1 hold the fiber of 1, rows 2-3 that of 2: entry (2, 0) lies in
     # the block from 1 to 2, entry (0, 4) maps the fiber of 3 down to 1
     row, col = (2, 0) if case == "block" else (0, 4)

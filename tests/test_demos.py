@@ -22,8 +22,7 @@ def test_every_demo_is_listed():
     assert sorted(demos) == sorted(KEY_LINES)
 
 
-@pytest.mark.parametrize("demo", sorted(KEY_LINES))
-def test_demo_runs(demo, tmp_path):
+def run_demo(demo, tmp_path):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(
@@ -32,4 +31,18 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert KEY_LINES[demo] in proc.stdout.splitlines()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", sorted(KEY_LINES))
+def test_demo_runs(demo, tmp_path):
+    assert KEY_LINES[demo] in run_demo(demo, tmp_path).splitlines()
+
+
+def test_quarterplane_demo_prints_the_same_and_leaves_nothing(tmp_path):
+    demo = "quarterplane_walkthrough.py"
+    runs = [run_demo(demo, tmp_path) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert "rank heatmap: 1600 rows written to field_rank.csv" \
+        in runs[0].splitlines()
+    assert os.listdir(tmp_path) == []

@@ -16,6 +16,9 @@ the dense oracle and the oracle plus twice the remainder term it adds.
 The graded commutant and intertwiner solve must span the same space as the
 dense ``sylvester_nullspace`` on the same generator lists.
 
+A graded pair's file, read back, gives its generators bit for bit, but for
+zeros outside the blocks, which may lose their sign.
+
 On drawn windows, ``enumerate_pspaces`` lists valid, distinct, upward closed
 sets, exactly the powerset oracle's in its order on windows of dimension 1
 to 4, and C(m+n, n) - 1 of them on an m x n rectangle; ``reflect_pset`` is an
@@ -24,6 +27,7 @@ and a translation that clips no point is undone by the opposite one.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -58,6 +62,7 @@ from weylpair import (
 )
 from weylpair.errors import EmptySetError, NonCommutingGenerators, WeylPairError
 from weylpair.lattice import PSet, SetKind
+from weylpair.serialize import document_to_json, pair_from_json, pair_to_json
 from weylpair import dilation
 from weylpair.dilation import _minimal_central_projections, decompose_full
 
@@ -140,6 +145,15 @@ strays = st.none() | st.tuples(st.floats(-12.0, -2.0).map(lambda x: 10.0 ** x),
                                 st.integers(0, 2 ** 32 - 1))
 
 
+def outside_blocks(pair, axis):
+    """Mask of the entries of generator ``axis`` outside its graded blocks."""
+    outside = np.ones((pair.dim, pair.dim), dtype=bool)
+    for y in pair.graded_blocks(axis)[0]:
+        z = tuple(c + (i == axis) for i, c in enumerate(y))
+        outside[pair.block_slice(z), pair.block_slice(y)] = False
+    return outside
+
+
 def with_stray(pair, stray):
     """The pair, or, for a drawn ``stray``, an unvalidated copy whose every
     generator has one to three entries of that Frobenius norm outside its
@@ -150,11 +164,7 @@ def with_stray(pair, stray):
     rng = np.random.default_rng(seed)
     gens = []
     for axis, g in enumerate(pair.gens):
-        outside = np.ones(g.shape, dtype=bool)
-        for y in pair.graded_blocks(axis)[0]:
-            z = tuple(c + (i == axis) for i, c in enumerate(y))
-            outside[pair.block_slice(z), pair.block_slice(y)] = False
-        rows, cols = np.nonzero(outside)
+        rows, cols = np.nonzero(outside_blocks(pair, axis))
         pick = rng.choice(rows.size, size=min(rows.size, rng.integers(1, 4)),
                           replace=False)
         r = np.zeros(g.shape, dtype=complex)
@@ -454,6 +464,40 @@ def test_equivalence_matches_the_full_draw_loop(case):
         assert witness.tobytes() == want_witness.tobytes()
     else:
         assert witness is None and want_witness is None
+
+
+def signed_zeros_outside(pair):
+    """The pair with every entry outside its graded blocks written -0.0."""
+    gens = []
+    for axis, g in enumerate(pair.gens):
+        g = g.copy()
+        g[outside_blocks(pair, axis)] = complex(-0.0, -0.0)
+        gens.append(g)
+    return WeylPair(pair.window, dict(pair.fibers), gens, label=pair.label)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(graded_pairs().map(lambda case: case[0]),
+                 checked_pairs().map(lambda case: case[0]),
+                 solver_pairs().map(lambda case: case[1])),
+       st.booleans())
+def test_pair_files_give_the_generators_bit_for_bit(pair, signed):
+    """The pair file of a graded pair holds its blocks; read back, every
+    generator entry has its bits, but for zeros outside the blocks, which
+    may lose their sign."""
+    if signed:
+        pair = signed_zeros_outside(pair)
+    doc = pair_to_json(pair, matrix=np.asarray)
+    assert "blocks" in doc and "generators" not in doc
+    back = pair_from_json(json.loads(document_to_json(doc)))
+    assert (back.window, back.fibers, back.label) \
+        == (pair.window, pair.fibers, pair.label)
+    for axis, (g, h) in enumerate(zip(pair.gens, back.gens)):
+        outside = outside_blocks(pair, axis)
+        assert not g[outside].any()
+        want = g.copy()
+        want[outside] = 0.0
+        assert h.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

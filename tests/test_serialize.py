@@ -73,8 +73,11 @@ def test_pair_and_bundle_files_are_the_json_text(tmp_path):
     assert document_to_json(pair_to_json(pair, matrix=np.asarray)) \
         == json.dumps(pair_to_json(pair), sort_keys=True, indent=1)
     bundle = minimal_dilation(pair, 2)
-    assert document_to_json(bundle_to_json(bundle)) \
-        == oracle(bundle_to_json(bundle))
+    doc = bundle_to_json(bundle)
+    assert document_to_json(doc) == oracle(doc)
+    # graded pairs, the dilated one and its base, are written as blocks
+    for part in (doc, doc["base"]):
+        assert "blocks" in part and "generators" not in part
     # the files the CLI writes are json's canonical text of what they hold
     sc = write_scenario(tmp_path, {"command": "pair-build", "k": 2,
                                    "pspace": pset_to_json(ps)})
@@ -88,6 +91,7 @@ def test_pair_and_bundle_files_are_the_json_text(tmp_path):
     text = open(report["data"]["file"]).read()
     assert code == 0
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
+    assert json.loads(text)["base"] == pair_to_json(pair)
 
 
 def test_decompose_report_is_the_json_text(tmp_path):
