@@ -86,25 +86,14 @@ class RepGens:
             raise LabelMismatch("one label per generator required")
 
     @classmethod
-    def from_pair(cls, pair, dual_samples: bool = False) -> "RepGens":
+    def from_pair(cls, pair) -> "RepGens":
         """Generators of the algebra of a represented pair.
 
-        By default the character unitaries enter through the position
-        observable (same commutant, one Hermitian generator); with
-        ``dual_samples`` every character on the finite dual grid is listed
-        explicitly instead.
+        The character unitaries enter through the position observable (same
+        commutant, one Hermitian generator), followed by the generators.
         """
-        from . import pairs as _pairs
-
-        if dual_samples:
-            grid = _pairs.dual_grid(pair.window)
-            gens = [_pairs.unitary_u(pair, th) for th in grid]
-            labels = [f"U{i}" for i in range(len(grid))]
-        else:
-            gens = [pair.position_observable()]
-            labels = ["pos"]
-        gens += list(pair.gens)
-        labels += [f"V{i}" for i in range(pair.window.dim)]
+        gens = [pair.position_observable(), *pair.gens]
+        labels = ["pos"] + [f"V{i}" for i in range(pair.window.dim)]
         rep = cls(pair.dim, gens, labels)
         rep.pair = pair
         return rep
@@ -377,19 +366,13 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
     taken by ``_kernel_cols`` at ``tol``.
 
     Returns the basis and the sorted free points, or None when the pairs
-    live on different windows or a generator has an entry outside its
-    graded blocks.
+    live on different windows.
     """
     if pair_a is None or pair_b is None or pair_a.window != pair_b.window:
         return None
     steps = pair_a.window.generators()
-    blocks_a, blocks_b = [], []
-    for pair, blocks in ((pair_a, blocks_a), (pair_b, blocks_b)):
-        for axis in range(len(steps)):
-            found, stray = pair.graded_blocks(axis)
-            if stray > 0.0:
-                return None
-            blocks.append(found)
+    blocks_a, blocks_b = [[pair.graded_blocks(axis) for axis in range(len(steps))]
+                          for pair in (pair_a, pair_b)]
     ka, kb = dict(pair_a.fibers), dict(pair_b.fibers)
     shared = sorted(ka.keys() & kb.keys(), reverse=True)
     pinvs = _injective_pinvs({(axis, y): found[y]
@@ -493,8 +476,8 @@ def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
                     guard: int = DEFAULT_GUARD):
     """Orthonormal basis of the commutant of a *-closed generator list.
 
-    Lists read from a represented pair take the graded solve when the pair
-    has no entry outside its graded blocks; all others the dense solver.
+    Lists read from a represented pair take the graded solve; all others
+    the dense solver.
     """
     return _commutant(rep, tol, guard)[0]
 
@@ -577,8 +560,7 @@ def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
                  guard: int = DEFAULT_GUARD):
     """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned.
 
-    Two lists read from pairs on one window take the graded solve when
-    neither pair has an entry outside its graded blocks.
+    Two lists read from pairs on one window take the graded solve.
     """
     _check_lists(ra, rb, guard)
     solved = _graded_nullspace(ra.pair, rb.pair, tol)

@@ -7,7 +7,7 @@ projections are the eigenprojections of one generic Hermitian element of
 the centre that ``commutant.summarize`` returns.  For a represented pair
 the centre and this split are solved on the free fibers of the graded
 solve and lifted to full space, where each projection is checked against
-the generators; generator lists without a graded pair stay dense.
+the generators.
 
 The minimal unitary dilation of such a pair is realised concretely: the
 window is extended downward by the depth, each component support grows to
@@ -94,14 +94,14 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
     They are the eigenprojections of one generic Hermitian element of the
     centre (Murota, Kanno, Kojima and Kojima 2010): a generic element of a
     c-dimensional commutative *-algebra has exactly c eigenvalue clusters,
-    so any other count raises FiberMismatch.  When the summary carries the
-    free-fiber coordinates of the graded solve, the element is split on its
-    restriction to them (an injective *-homomorphism of the commutant keeps
-    the spectrum) and each eigenprojection is lifted through its
-    coefficients in the centre basis.  The projections are checked in full
-    space to sum to one, to be idempotent and to commute with the
-    generators, and to commute with the commutant: on the free fibers when
-    they are known, in full space otherwise.
+    so any other count raises FiberMismatch.  ``summary`` is the graded
+    summary of a represented pair, so it carries the free-fiber coordinates:
+    the element is split on its restriction to them (an injective
+    *-homomorphism of the commutant keeps the spectrum) and each
+    eigenprojection is lifted through its coefficients in the centre
+    basis.  The projections are checked in full space to sum to one, to be
+    idempotent and to commute with the generators, and on the free fibers
+    to commute with the commutant.
     """
     rng = np.random.default_rng(seed)
     c = summary.center_dim
@@ -117,18 +117,16 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
             f"generic central element has {len(cuts) + 1} eigenvalue "
             f"clusters for a centre of dimension {c}")
     projs = [v @ v.conj().T for v in np.split(vecs, cuts, axis=1)]
-    if free is not None:
-        coords = np.linalg.lstsq(small.reshape(c, -1).T,
-                                 np.stack(projs).reshape(c, -1).T, rcond=None)[0]
-        projs = list(np.tensordot(coords.T, np.stack(summary.center_basis),
-                                  axes=1))
+    coords = np.linalg.lstsq(small.reshape(c, -1).T,
+                             np.stack(projs).reshape(c, -1).T, rcond=None)[0]
+    projs = list(np.tensordot(coords.T, np.stack(summary.center_basis), axes=1))
     gens = list(rep.gens)
     gens += [g.conj().T for g in gens]
     ops = list(_restrict(summary.commutant_basis, free))
     ops += [m.conj().T for m in ops]
     bad = opnorm_exceeds(sum(projs) - np.eye(rep.dim), RANGE_TOL)
     for p in projs:
-        rp = p if free is None else p[free[:, None], free]
+        rp = p[free[:, None], free]
         bad = bad or opnorm_exceeds(p @ p - p, RANGE_TOL) or any(
             opnorm_exceeds(p @ x - x @ p, 1e-8) for x in gens) or any(
             opnorm_exceeds(rp @ x - x @ rp, 1e-8) for x in ops)

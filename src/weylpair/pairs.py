@@ -13,10 +13,9 @@ controlled by safe margins: isometry and commutation claims are asserted on
 the span of blocks that stay inside the window under all shifts up to the
 margin, and nowhere else.
 
-The checks read V_a block by block, composed from the generator blocks; a
-pair with entries outside its graded blocks adds a bound on what they can
-change (:meth:`WeylPair.remainder_bound`), never falling below the dense
-value.
+A pair has no entry outside its graded blocks: the relation forbids one,
+and the constructor refuses it.  The checks therefore read V_a block by
+block, composed from the generator blocks, and their values are exact.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from .errors import (
     WindowMismatch,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add
-
-GRADING_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +60,7 @@ class WeylPair:
     from them (:meth:`shift_blocks`), stay valid for the life of the pair.
     """
 
-    def __init__(self, window: LatticeWindow, fibers, gens, label: str = "",
-                 validate: bool = True):
+    def __init__(self, window: LatticeWindow, fibers, gens, label: str = ""):
         self.window = window
         items = sorted((tuple(int(c) for c in p), int(k))
                        for p, k in dict(fibers).items() if int(k) > 0)
@@ -93,25 +89,21 @@ class WeylPair:
         self._paths: dict[tuple[Point, bool], dict] = {}
         self._shifts: dict[Point, dict] = {}
         self._safe: dict[int, tuple[Point, ...]] = {}
-        if validate:
-            self._check_grading()
+        self._blocks = self._check_grading()
 
-    def _check_grading(self):
+    def _check_grading(self) -> tuple[dict, ...]:
+        """Per axis, the generator blocks by source point.
+
+        A non-finite entry in any generator is refused first, then a nonzero
+        entry outside the graded blocks, naming the axis and the largest
+        such entry; both raise :class:`PairInvariantViolation`.
+        """
         for axis, g in enumerate(self.gens):
             if not np.isfinite(g).all():
                 raise PairInvariantViolation(
                     f"generator {axis} has a non-finite entry")
-        for axis, (_, stray) in enumerate(self._graded):
-            if stray > GRADING_TOL:
-                raise PairInvariantViolation(
-                    f"generator {axis} leaks outside the graded blocks "
-                    f"(max stray entry {stray:.3e})")
-
-    @functools.cached_property
-    def _graded(self) -> tuple[tuple[dict, float], ...]:
-        """Per axis: the generator blocks and the largest entry outside them."""
         found = []
-        for e, g in zip(self.window.generators(), self.gens):
+        for axis, (e, g) in enumerate(zip(self.window.generators(), self.gens)):
             blocks = {}
             rest = np.abs(g)
             for p, (off, k) in self.offsets.items():
@@ -121,67 +113,34 @@ class WeylPair:
                     cut = (slice(qoff, qoff + qk), slice(off, off + k))
                     blocks[p] = g[cut]
                     rest[cut] = 0.0
-            found.append((blocks, float(rest.max(initial=0.0))))
+            stray = float(rest.max(initial=0.0))
+            if stray > 0.0:
+                raise PairInvariantViolation(
+                    f"generator {axis} has an entry outside its graded blocks "
+                    f"(largest stray entry {stray:.3e})")
+            found.append(blocks)
         return tuple(found)
 
-    def graded_blocks(self, axis: int) -> tuple[dict, float]:
-        """Blocks of generator ``axis`` and the largest entry outside them.
+    def graded_blocks(self, axis: int) -> dict:
+        """Blocks of generator ``axis`` by source point.
 
         The block of y maps the fiber of y into the fiber of y + e_i; it is
-        listed for every y whose shifted point carries a fiber.
+        listed for every y whose shifted point carries a fiber.  Every other
+        entry of the generator is zero.
         """
-        blocks, stray = self._graded[axis]
-        return dict(blocks), stray
-
-    @property
-    def graded(self) -> bool:
-        """Whether every generator entry lies inside the graded blocks."""
-        return all(stray == 0.0 for _, stray in self._graded)
-
-    @functools.cached_property
-    def _axis_norms(self) -> tuple[tuple[float, float], ...]:
-        """Per axis: g_j = ||G_j||, the largest 2-norm of a generator block
-        (the graded part G_j is a partial block permutation), and r_j, the
-        Frobenius norm of the stray remainder (the generator less G_j).
-        Taken only on a pair with a stray entry; without one both read 0.0,
-        which makes every eps of :meth:`remainder_bound` 0."""
-        if self.graded:
-            return ((0.0, 0.0),) * self.window.dim
-        found = []
-        for e, g, (blocks, _) in zip(self.window.generators(), self.gens,
-                                     self._graded):
-            rest = g.copy()
-            for y in blocks:
-                rest[self.block_slice(_add(y, e)), self.block_slice(y)] = 0.0
-            found.append((_max_opnorm([s for _, s in _stacks(list(blocks.values()))]),
-                          float(np.linalg.norm(rest))))
-        return tuple(found)
-
-    def remainder_bound(self, a) -> tuple[float, float]:
-        """(gamma_a, eps_a), with gamma_a >= ||W|| and eps_a >= ||V_a - W||
-        for the graded part W of V_a, the block shift of :meth:`shift_blocks`.
-
-        gamma_a = prod g_j^a_j and eps_a = prod (g_j + r_j)^a_j - gamma_a,
-        both over the axes with a_j > 0 (so eps_0 = 0 exactly), for the
-        norms of :attr:`_axis_norms`.  Without stray entries eps_a = 0, and
-        gamma_a, read only as a factor of an eps, bounds nothing.
-        """
-        axes = [(g, r, c) for (g, r), c in zip(self._axis_norms, a) if c > 0]
-        gamma = float(math.prod(g ** c for g, _, c in axes))
-        return gamma, float(math.prod((g + r) ** c for g, r, c in axes)) - gamma
+        return dict(self._blocks[axis])
 
     def shift_blocks(self, a) -> dict[Point, np.ndarray]:
-        """Blocks of the graded part of V_a by source point y; the block of
-        y maps the fiber of y into the fiber of y + a, and y is missing
-        where V_a sends the fiber of y to zero.
+        """Blocks of V_a by source point y; the block of y maps the fiber
+        of y into the fiber of y + a, and y is missing where V_a sends the
+        fiber of y to zero.
 
         V_a is composed one generator block at a time in the order of
         :func:`isometry_v` (axis 0 first), and the reverse order is compared
         block by block: a discrepancy above 1e-10 raises
-        :class:`NonCommutingGenerators`.  Entries outside the graded blocks
-        are left out; :meth:`remainder_bound` bounds what they add to V_a.
-        Shifts are kept on the pair, so each is composed once; the dict
-        returned is the pair's own and is read, not changed, by its callers.
+        :class:`NonCommutingGenerators`.  Shifts are kept on the pair, so
+        each is composed once; the dict returned is the pair's own and is
+        read, not changed, by its callers.
         """
         a = tuple(int(c) for c in a)
         if a in self._shifts:
@@ -211,7 +170,7 @@ class WeylPair:
             return {p: np.eye(k, dtype=complex) for p, k in self.fibers}
         j = axes[0] if reverse else axes[-1]
         prev_a = a[:j] + (a[j] - 1,) + a[j + 1:]
-        step = self._graded[j][0]
+        step = self._blocks[j]
         if not any(prev_a):
             out = dict(step)
         else:
@@ -363,9 +322,9 @@ def isometry_v(pair: WeylPair, a) -> np.ndarray:
     """Semigroup element V_a as the ordered product of generator powers.
 
     This is the dense reference: it multiplies the whole generator
-    matrices, stray entries included, and no pair check calls it.  The two
-    extreme evaluation orders are compared; a discrepancy above 1e-10 means
-    the generator matrices do not commute and the pair is corrupted.
+    matrices, and no pair check calls it.  The two extreme evaluation
+    orders are compared; a discrepancy above 1e-10 means the generator
+    matrices do not commute and the pair is corrupted.
     """
     avec = tuple(int(c) for c in a)
     if len(avec) != pair.window.dim or any(c < 0 for c in avec):
@@ -397,12 +356,8 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
     block by one phase, so the compressed defect is a partial block
     permutation whose norm is the largest ``|phase(y + a) - phase(a)
     phase(y)| * ||B_y||`` over the blocks B_y of V_a with y and y + a safe;
-    they are read from :meth:`WeylPair.shift_blocks`, and on a graded pair
-    the value is the exact defect.  A pair with entries outside the graded
-    blocks (stray entries up to ``GRADING_TOL``, or a pair built with
-    ``validate=False``) adds 2 eps_a of :meth:`WeylPair.remainder_bound`:
-    the rest of V_a has norm at most eps_a and meets U on either side, so
-    the value is an upper bound, never below the exact defect.
+    they are read from :meth:`WeylPair.shift_blocks`, and the value is the
+    exact defect.
     """
     avec = _check_shift(a, safe)
     thetas = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -423,8 +378,7 @@ def weyl_defect(pair: WeylPair, theta, a, safe: SafeRegion) -> float:
         coords = np.array(src, dtype=float)
         dev = _phase_deviation(thetas, coords, coords + av, av)
         per_angle = (dev * norms).max(axis=1)
-    _, eps = pair.remainder_bound(avec)
-    return float(per_angle.max()) + 2 * eps
+    return float(per_angle.max())
 
 
 def _check_shift(a, safe: SafeRegion) -> Point:
@@ -484,20 +438,16 @@ def isometry_defect(pair: WeylPair, a, safe: SafeRegion) -> float:
 
     V_a* V_a is block diagonal, so this is the largest ``||B_y* B_y - 1||``
     over the blocks B_y of :meth:`WeylPair.shift_blocks` at the safe points
-    y, and 1 at a safe y whose fiber V_a sends to zero.  Stray entries
-    change V_a* V_a by at most delta_a = eps_a (2 gamma_a + eps_a) of
-    :meth:`WeylPair.remainder_bound`, which a pair with them adds: an upper
-    bound, never below the dense value.  A non-finite entry on the safe
-    blocks gives NaN.
+    y, and 1 at a safe y whose fiber V_a sends to zero.  A non-finite entry
+    on the safe blocks gives NaN.
     """
     avec = _check_shift(a, safe)
     blocks = pair.shift_blocks(avec)
     safe_pts = pair.safe_points(safe)
     mats = [blocks[y] for y in safe_pts if y in blocks]
     floor = 1.0 if len(mats) < len(safe_pts) else 0.0
-    gamma, eps = pair.remainder_bound(avec)
     return _max_opnorm([s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[2])
-                        for _, s in _stacks(mats)], floor) + eps * (2 * gamma + eps)
+                        for _, s in _stacks(mats)], floor)
 
 
 def default_probe(dim: int) -> list[Point]:
@@ -513,12 +463,8 @@ def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
     of V_a into z (:meth:`WeylPair.shift_blocks`), so each commutator is
     read per target point, from the blocks of the two shifts there (a point
     only one shift reaches contributes nothing); the commutator blocks are
-    stacked by fiber dimension.  Stray entries move a range projection by at
-    most delta_a (see :func:`isometry_defect`) from one of norm at most
-    gamma_a^2, so a pair with them adds the largest, over pairs (a, b) of
-    the probe, of 2 (delta_a gamma_b^2 + gamma_a^2 delta_b + delta_a
-    delta_b): an upper bound, never below the dense value.  A non-finite
-    entry in a commutator gives NaN.
+    stacked by fiber dimension.  A non-finite entry in a commutator gives
+    NaN.
     """
     if probe is None:
         probe = default_probe(pair.window.dim)
@@ -546,12 +492,7 @@ def check_commuting_ranges(pair: WeylPair, probe=None) -> float:
             p = np.stack(projs[k])
             first, second = np.array(pairs).T
             comms.append(p[first] @ p[second] - p[second] @ p[first])
-    # (gamma_a^2, delta_a) per shift; np.max keeps a NaN, which max() may drop
-    bounds = [(g * g, e * (2 * g + e))
-              for g, e in map(pair.remainder_bound, probe)]
-    extra = np.max([2 * (da * sb + sa * db + da * db) for (sa, da), (sb, db)
-                    in itertools.combinations(bounds, 2)], initial=0.0)
-    return _max_opnorm(comms) + float(extra)
+    return _max_opnorm(comms)
 
 
 def direct_sum(pairs: list[WeylPair], label: str = "") -> WeylPair:

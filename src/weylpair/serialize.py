@@ -2,9 +2,9 @@
 
 Matrices travel as row-major nested arrays of [re, im] pairs.  Point sets,
 pairs, bundles and projection families each have a fixed document layout so
-that reports are reproducible byte for byte under a fixed seed.  A pair
-document holds a graded pair as its generator blocks and any other pair as
-dense generators (:func:`pair_to_json`); both forms are read.
+that reports are reproducible byte for byte under a fixed seed.  A pair is
+written as its generator blocks (:func:`pair_to_json`); a document with
+dense generators is read as well.
 
 Every report and artifact file is written by :func:`document_to_json`, which
 emits the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``.  The
@@ -78,29 +78,25 @@ def pair_to_json(pair, matrix=matrix_to_json) -> dict:
     ``matrix=np.asarray`` the matrices stay arrays, for
     :func:`document_to_json`.
 
-    A graded pair (no entry outside its graded blocks) is written in its
-    graded form: ``blocks`` lists, per axis, ``[source point, block]`` for
-    every block of :meth:`WeylPair.graded_blocks`, zero blocks included,
-    in point order.  Any other pair keeps the dense ``generators``.
+    The generators are written as ``blocks``: per axis, ``[source point,
+    block]`` for every block of :meth:`WeylPair.graded_blocks`, zero blocks
+    included, in point order; a pair has no other nonzero entry.
     """
-    doc = {
+    return {
         "window": window_to_json(pair.window),
         "fibers": [[list(p), k] for p, k in pair.fibers],
         "label": pair.label,
+        "blocks": [[[list(p), matrix(b)] for p, b in
+                    sorted(pair.graded_blocks(axis).items())]
+                   for axis in range(pair.window.dim)],
     }
-    if pair.graded:
-        doc["blocks"] = [[[list(p), matrix(b)] for p, b in
-                          sorted(pair.graded_blocks(axis)[0].items())]
-                         for axis in range(pair.window.dim)]
-    else:
-        doc["generators"] = [matrix(g) for g in pair.gens]
-    return doc
 
 
 def pair_from_json(doc):
     """The pair of a document in either form: graded ``blocks`` or dense
-    ``generators``.  Blocks are placed into zeroed dense generators, and
-    the pair is validated as a dense one is."""
+    ``generators``.  Blocks are placed into zeroed dense generators; dense
+    generators are accepted only when exactly graded, as :class:`WeylPair`
+    accepts any."""
     from .pairs import WeylPair
 
     try:

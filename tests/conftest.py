@@ -60,7 +60,7 @@ def opnorm(m):
 
 def dense_pair_doc(pair):
     """The pair's document in the dense form, every generator entry listed,
-    as a pair file holds it when the pair has entries outside its blocks."""
+    as an old or hand-written pair file holds it."""
     return {"window": window_to_json(pair.window),
             "fibers": [[list(p), k] for p, k in pair.fibers],
             "generators": [matrix_to_json(g) for g in pair.gens],
@@ -139,22 +139,6 @@ def dense_range_commutator(pair, probe):
     projs = [range_projection(pair, a) for a in probe]
     return max((opnorm(p @ q - q @ p)
                 for p, q in itertools.combinations(projs, 2)), default=0.0)
-
-
-def stray_terms(pair, shifts, probe):
-    """What a stray remainder adds to each check: 2 eps_a to the defect at
-    a, delta_a = eps_a (2 gamma_a + eps_a) to the isometry defect at a, and
-    the largest 2 (delta_a gamma_b^2 + gamma_a^2 delta_b + delta_a delta_b)
-    over pairs of the probe to the range commutator."""
-    def delta(a):
-        gamma, eps = pair.remainder_bound(a)
-        return gamma, eps * (2 * gamma + eps)
-    weyl = [2 * pair.remainder_bound(a)[1] for a in shifts]
-    iso = [delta(a)[1] for a in shifts]
-    ranges = max((2 * (da * gb ** 2 + ga ** 2 * db + da * db)
-                  for (ga, da), (gb, db)
-                  in itertools.combinations(map(delta, probe), 2)), default=0.0)
-    return weyl, iso, ranges
 
 
 def dense_subspace_gap(basis_a, basis_b):

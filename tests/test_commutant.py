@@ -20,15 +20,16 @@ from weylpair import (
     decompose,
     demo_family,
     direct_sum,
+    dual_grid,
     intertwiners,
     subspace_gap,
     summarize,
     sylvester_nullspace,
     translate_pset,
     unitarily_equivalent,
+    unitary_u,
 )
 from weylpair.commutant import check_central, residual, span_distance
-from weylpair.dilation import _minimal_central_projections
 
 from conftest import (dense_subspace_gap, equivalence_by_draws,
                       fiber_mixing_unitary, opnorm, tail, upset_from)
@@ -72,10 +73,15 @@ def test_canonical_pair_commutant_vs_kron_oracle(k, expected):
 
 
 def test_dual_sample_generators_agree_with_position(chain8):
+    # every character on the finite dual grid listed explicitly, then the
+    # generators: a list with no pair, which the dense solver takes
     pair = build_pspace_pair(tail(chain8, 2), 2)
+    grid = [unitary_u(pair, theta) for theta in dual_grid(chain8)]
+    samples = RepGens(pair.dim, grid + list(pair.gens))
+    assert samples.pair is None
     via_pos = commutant_basis(RepGens.from_pair(pair))
-    via_grid = commutant_basis(RepGens.from_pair(pair, dual_samples=True))
-    assert len(via_pos) == len(via_grid)
+    via_grid = commutant_basis(samples)
+    assert len(via_pos) == len(via_grid) == 4
     assert subspace_gap(via_pos, via_grid) < 1e-8
 
 
@@ -282,8 +288,10 @@ def test_different_fibers_are_inequivalent_before_any_solve(monkeypatch,
     # the label and guard checks still come first
     with pytest.raises(DimensionGuard):
         unitarily_equivalent(ra, rb, guard=pa.dim - 1)
+    relabelled = RepGens.from_pair(pa)
+    relabelled.labels = ["pos", "W0"]
     with pytest.raises(LabelMismatch):
-        unitarily_equivalent(RepGens.from_pair(pa, dual_samples=True), rb)
+        unitarily_equivalent(relabelled, rb)
 
 
 def test_random_conjugate_recovered(chain8):
@@ -352,7 +360,6 @@ def test_graded_inputs_never_reach_the_dense_solver(monkeypatch, chain8, square4
     ra, rb = RepGens.from_pair(pair), RepGens.from_pair(twin)
     s = summarize(ra)
     assert (s.commutant_dim, s.center_dim) == (5, 2)
-    assert len(commutant_basis(RepGens.from_pair(pair, dual_samples=True))) == 5
     assert len(intertwiners(ra, rb)) == 5
     ok, witness = unitarily_equivalent(ra, rb)
     assert ok
@@ -388,19 +395,12 @@ def test_graded_inputs_solve_the_centre_on_the_free_fibers(monkeypatch, chain8):
     # centre solve, central element, commutant check: all on the top fiber
     assert seen == [top] * 4
 
-    # a generator list with no pair, and a pair with a stray entry below
-    # the grading tolerance, solve the centre in full space
+    # a generator list with no pair solves the centre in full space
     seen.clear()
     rep = RepGens.from_pair(twin)
-    g = pair.gens[0].copy()
-    g[0, -1] = 1e-11
-    stray = WeylPair(chain8, dict(pair.fibers), [g], validate=False)
-    for other in (RepGens(rep.dim, rep.gens, rep.labels),
-                  RepGens.from_pair(stray)):
-        s = summarize(other)
-        assert s.free is None and s.center_dim == 2
-        assert len(_minimal_central_projections(other, s)) == 2
-    assert seen == [None] * 6
+    s = summarize(RepGens(rep.dim, rep.gens, rep.labels))
+    assert s.free is None and s.center_dim == 2
+    assert seen == [None]
 
 
 def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
@@ -416,15 +416,16 @@ def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
     graded = commutant_basis(RepGens.from_pair(clean))
     assert len(graded) == 4 and not calls
 
-    # an entry outside the graded blocks, below the grading tolerance; for
-    # k > 1 the kernel cutoff must not follow the map restricted to the
-    # near-kernel of the V step, or the V* step drops every solution
+    # the lists of a pair with one entry of 1e-11 outside its graded blocks
+    # (no pair: one is refused); for k > 1 the kernel cutoff must not follow
+    # the map restricted to the near-kernel of the V step, or the V* step
+    # drops every solution
     for k in (1, 2, 3):
         canonical = build_pspace_pair(tail(chain8, 1), k)
         g = canonical.gens[0].copy()
         g[0, -1] = 1e-11
-        stray = WeylPair(chain8, dict(canonical.fibers), [g], validate=False)
-        got = commutant_basis(RepGens.from_pair(stray))
+        got = commutant_basis(
+            RepGens(canonical.dim, [canonical.position_observable(), g]))
         assert len(calls) == k
         want = commutant_basis(RepGens.from_pair(canonical))
         assert len(got) == len(want) == k * k

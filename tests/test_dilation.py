@@ -525,9 +525,10 @@ def test_central_projections_reject_incomplete_centre(chain8):
     s = summarize(rep)
     assert len(_minimal_central_projections(rep, s)) == s.center_dim == 3
     assert s.free is not None
+    # split in full space (every coordinate free) and on the free fibers
     for drop in range(s.center_dim):
         kept = s.center_basis[:drop] + s.center_basis[drop + 1:]
-        for free in (None, s.free):
+        for free in (np.arange(pair.dim), s.free):
             with pytest.raises(FiberMismatch):
                 _minimal_central_projections(
                     rep, AlgebraSummary(s.commutant_basis, kept, free))

@@ -1,10 +1,12 @@
 """Pair files in their two forms.
 
-A graded pair is written as its generator blocks (``blocks``), any other
-pair as dense ``generators``; ``pair_from_json`` reads both.  A malformed
-graded document is a ``ScenarioParseError`` naming what is wrong, a NaN
-inside a block the ``PairInvariantViolation`` of a dense file.  An old
-dense file and its graded rewrite give the same CLI reports, byte for byte.
+Every pair is written as its generator blocks (``blocks``);
+``pair_from_json`` also reads dense ``generators``, as old and hand-written
+files hold them.  A malformed graded document is a ``ScenarioParseError``
+naming what is wrong, a NaN inside a block the ``PairInvariantViolation`` of
+a dense file, and so is a dense file with a nonzero entry outside the
+blocks.  An old dense file and its graded rewrite give the same CLI
+reports, byte for byte.
 """
 
 import json
@@ -15,8 +17,8 @@ import pytest
 from weylpair import (LatticeWindow, WeylPair, build_pspace_pair, direct_sum)
 from weylpair.cli import main
 from weylpair.errors import PairInvariantViolation, ScenarioParseError
-from weylpair.pairs import GRADING_TOL
-from weylpair.serialize import document_to_json, pair_from_json, pair_to_json
+from weylpair.serialize import (document_to_json, matrix_to_json,
+                                pair_from_json, pair_to_json)
 
 from conftest import dense_pair_doc, fiber_mixing_unitary, upset_from
 
@@ -54,7 +56,7 @@ def test_graded_pairs_are_written_as_every_block():
     doc = pair_to_json(pair)
     assert sorted(doc) == ["blocks", "fibers", "label", "window"]
     for axis, listed in enumerate(doc["blocks"]):
-        blocks = pair.graded_blocks(axis)[0]
+        blocks = pair.graded_blocks(axis)
         assert [tuple(p) for p, _ in listed] == sorted(blocks)
         for p, block in listed:
             want = blocks[tuple(p)]
@@ -180,29 +182,38 @@ def test_an_old_dense_file_reads_as_its_graded_rewrite(tmp_path, capsys):
             assert witnesses[0] == witnesses[1]
 
 
-def test_a_leaky_pair_is_written_dense(tmp_path, capsys):
+def test_a_leaky_pair_is_refused_when_built_or_read():
     pair = build_pspace_pair(upset_from(SQUARE, [(0, 0)]), 1)
     gens = [g.copy() for g in pair.gens]
     # from the fiber of (0, 0) into that of (2, 2): outside every block
-    gens[0][pair.block_slice((2, 2)), pair.block_slice((0, 0))] = GRADING_TOL / 2
-    leaky = WeylPair(pair.window, dict(pair.fibers), gens)
-    assert not leaky.graded
-    doc = pair_to_json(leaky)
-    assert doc == dense_pair_doc(leaky)
-    path = tmp_path / "leaky.json"
-    path.write_text(document_to_json(pair_to_json(leaky, matrix=np.asarray)))
-    back = pair_from_json(json.loads(path.read_text()))
-    assert all(np.array_equal(bits(a), bits(b))
-               for a, b in zip(back.gens, leaky.gens))
-    from_file = _stdout(capsys, tmp_path, "pair-check",
-                        {"pair": str(path), "margin": 1})
-    inline = _stdout(capsys, tmp_path, "pair-check",
-                     {"pair": dense_pair_doc(leaky), "margin": 1})
-    assert from_file == inline
-    # the stray entry is read: the graded pair's checks read 0.0
-    values = [c["value"] for c in json.loads(from_file[1])["checks"]]
-    assert min(values) > 0.0
-    # a NaN outside the blocks has no graded form either
-    gens[0][pair.block_slice((2, 2)), pair.block_slice((0, 0))] = np.nan
-    nan_pair = WeylPair(pair.window, dict(pair.fibers), gens, validate=False)
-    assert "generators" in pair_to_json(nan_pair)
+    gens[0][pair.block_slice((2, 2)), pair.block_slice((0, 0))] = 5e-11
+    message = (r"generator 0 has an entry outside its graded blocks "
+               r"\(largest stray entry 5\.000e-11\)")
+    with pytest.raises(PairInvariantViolation, match=message):
+        WeylPair(pair.window, dict(pair.fibers), gens)
+    # the same entry in a dense file
+    doc = dense_pair_doc(pair)
+    doc["generators"][0] = matrix_to_json(gens[0])
+    with pytest.raises(PairInvariantViolation, match=message):
+        pair_from_json(json.loads(json.dumps(doc)))
+
+
+def test_pair_check_refuses_a_leaky_file(tmp_path, capsys):
+    """The full 4x4 set with k = 1 and one 5e-11 entry from the fiber of
+    (0, 0) into that of (3, 3), outside the margin-2 safe blocks: the file
+    is refused, and the same file without the entry passes every check."""
+    w = LatticeWindow((0, 0), (3, 3))
+    doc = dense_pair_doc(build_pspace_pair(upset_from(w, [(0, 0)]), 1))
+    clean = tmp_path / "clean.json"
+    clean.write_text(json.dumps(doc))
+    # the fiber of (0, 0) is coordinate 0, that of (3, 3) coordinate 15
+    doc["generators"][0][15][0] = [5e-11, 0.0]
+    leaky = tmp_path / "leaky.json"
+    leaky.write_text(json.dumps(doc))
+    code, out = _stdout(capsys, tmp_path, "pair-check", {"pair": str(leaky)})
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "PairInvariantViolation"
+    assert "outside its graded blocks" in report["error"]
+    code, out = _stdout(capsys, tmp_path, "pair-check", {"pair": str(clean)})
+    assert code == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])

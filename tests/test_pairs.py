@@ -33,8 +33,9 @@ from weylpair.pairs import canonical_sum, default_probe
 from weylpair.serialize import pair_from_json, pair_to_json
 
 from conftest import (dense_grid_defect, dense_isometry_defect,
-                      dense_range_commutator, dense_weyl_defect, opnorm,
-                      range_projection, stray_terms, tail, upset_from)
+                      dense_range_commutator, dense_weyl_defect,
+                      fiber_mixing_unitary, opnorm, range_projection, tail,
+                      upset_from)
 
 
 def full_pair(k=1):
@@ -105,12 +106,10 @@ def test_noncommuting_generators_detected(square4):
     g1 = pair.gens[1].copy()
     mask = np.abs(g1) > 0
     g1[mask] *= np.exp(1j * rng.uniform(0, 2, int(mask.sum())))
-    bad = WeylPair(square4, dict(pair.fibers), [pair.gens[0], g1],
-                   validate=False)
+    bad = WeylPair(square4, dict(pair.fibers), [pair.gens[0], g1])
     with pytest.raises(NonCommutingGenerators):
         isometry_v(bad, (1, 1))
     # the block checks compare the two orders per block
-    assert bad.graded
     with pytest.raises(NonCommutingGenerators):
         isometry_defect(bad, (1, 1), SafeRegion(1))
     with pytest.raises(NonCommutingGenerators):
@@ -129,38 +128,31 @@ def test_shift_blocks_are_the_blocks_of_the_dense_shift(square4):
         assert np.array_equal(dense, isometry_v(pair, a))
 
 
-def test_stray_entry_pairs_bound_the_dense_checks(chain8, square4):
+def test_stray_entry_pairs_are_refused(chain8, square4):
     chain = build_pspace_pair(tail(chain8, 1), 2)
     plane = build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 1)
-    # a stray entry from the first fiber into the last one: validated when
-    # below GRADING_TOL, built with validate=False otherwise
-    for pair, entry, margin in [(chain, 1e-3, 3), (plane, 1e-11, 1)]:
-        g = pair.gens[0].copy()
-        g[pair.dim - 1, 0] = entry
-        leaky = WeylPair(pair.window, dict(pair.fibers), [g, *pair.gens[1:]],
-                         validate=entry < 1e-10)
-        assert not leaky.graded
-        safe = SafeRegion(margin)
-        shifts = list(itertools.product(range(margin + 1), repeat=leaky.window.dim))
-        probe = default_probe(leaky.window.dim)
-        thetas = np.array(dual_grid(leaky.window))
-        weyl_terms, iso_terms, range_term = stray_terms(leaky, shifts, probe)
-        assert weyl_terms[0] == iso_terms[0] == 0.0 and range_term > 0.0
-        for a, weyl_term, iso_term in zip(shifts, weyl_terms, iso_terms):
-            # the checks read the graded blocks, which are the pair's
-            # without its stray entry, and add the stray terms
-            assert leaky.shift_blocks(a).keys() == pair.shift_blocks(a).keys()
-            value = weyl_defect(leaky, thetas, a, safe)
-            assert value == weyl_defect(pair, thetas, a, safe) + weyl_term
-            oracle = max(dense_weyl_defect(leaky, t, a, safe) for t in thetas)
-            assert oracle - 1e-15 <= value <= oracle + 2 * weyl_term + 1e-15
-            value = isometry_defect(leaky, a, safe)
-            assert value == isometry_defect(pair, a, safe) + iso_term
-            oracle = dense_isometry_defect(leaky, a, safe)
-            assert oracle - 1e-15 <= value <= oracle + 2 * iso_term + 1e-15
-        value = check_commuting_ranges(leaky)
-        oracle = dense_range_commutator(leaky, probe)
-        assert oracle - 1e-15 <= value <= oracle + 2 * range_term + 1e-15
+    # a stray entry from the first fiber into the last one, of any size,
+    # on either axis; the largest is named
+    for pair, entry, axis in [(chain, 1e-3, 0), (plane, 1e-11, 0),
+                              (plane, 5e-324, 1)]:
+        gens = [g.copy() for g in pair.gens]
+        gens[axis][pair.dim - 1, 0] = entry
+        gens[axis][pair.dim - 1, 1] = entry / 2
+        with pytest.raises(PairInvariantViolation,
+                           match=rf"generator {axis} has an entry outside its "
+                                 rf"graded blocks \(largest stray entry "
+                                 rf"{entry:.3e}\)"):
+            WeylPair(pair.window, dict(pair.fibers), gens)
+        # a signed zero there is a zero
+        gens[axis][pair.dim - 1, :2] = complex(-0.0, -0.0)
+        zeroed = WeylPair(pair.window, dict(pair.fibers), gens)
+        assert check_commuting_ranges(zeroed) == check_commuting_ranges(pair)
+    # a non-finite entry is refused first, wherever it lies
+    gens = [g.copy() for g in chain.gens]
+    gens[0][chain.dim - 1, 0] = 1.0
+    gens[0][0, 0] = np.inf
+    with pytest.raises(PairInvariantViolation, match="generator 0 has a non-finite"):
+        WeylPair(chain.window, dict(chain.fibers), gens)
 
 
 def test_generators_are_read_only_copies(chain8):
@@ -185,36 +177,26 @@ def test_weyl_defect_zero_angle_exact(chain8):
 
 
 def test_weyl_defect_corrupted(chain8):
+    # an off-grade leak inside the safe region would break the relation
+    # (defect 0.5 at theta = pi/2); the pair is refused instead
     pair = build_pspace_pair(tail(chain8, 0), 1)
-    fibers = {p: 1 for p in tail(chain8, 0).points}
     g = pair.gens[0].copy()
-    g[3, 0] = 0.5  # off-grade leak inside the safe region
-    bad = WeylPair(chain8, fibers, [g], validate=False)
-    assert weyl_defect(bad, (np.pi / 2,), (1,), SafeRegion(4)) > 0.1
-
-    # with one more stray entry, below GRADING_TOL, the value stays an upper
-    # bound, above the dense defect by at most twice the 2 eps_a it adds
-    both = g.copy()
-    both[1, 3] = 1e-11
-    stray = pair.gens[0].copy()
-    stray[1, 3] = 1e-11
-    safe = SafeRegion(4)
-    for leaky in (WeylPair(chain8, fibers, [both], validate=False),
-                  WeylPair(chain8, fibers, [stray])):
-        added = 2 * leaky.remainder_bound((1,))[1]
-        for theta in dual_grid(chain8) + [np.array([0.3])]:
-            oracle = dense_weyl_defect(leaky, theta, (1,), safe)
-            value = weyl_defect(leaky, theta, (1,), safe)
-            assert oracle - 1e-15 <= value <= oracle + 2 * added + 1e-15
+    g[3, 0] = 0.5
+    with pytest.raises(PairInvariantViolation,
+                       match=r"largest stray entry 5\.000e-01"):
+        WeylPair(chain8, {p: 1 for p in tail(chain8, 0).points}, [g])
+    # the dense relation on the leaky generator does fail
+    u = np.diag(np.exp(1j * np.pi / 2 * np.arange(8)))
+    assert opnorm(u @ g - np.exp(1j * np.pi / 2) * g @ u) > 0.1
 
 
 def test_weyl_defect_stack_matches_single_angle(chain8):
-    g = build_pspace_pair(tail(chain8, 0), 1).gens[0].copy()
-    g[3, 0] = 0.5
-    bad = WeylPair(chain8, {p: 1 for p in tail(chain8, 0).points}, [g],
-                   validate=False)
+    # a graded pair with blocks of different sizes: the defect is roundoff
+    mixed = direct_sum([full_pair(1), build_pspace_pair(tail(chain8, 3), 2)])
+    q = fiber_mixing_unitary(mixed, np.random.default_rng(0))
+    mixed = WeylPair(chain8, dict(mixed.fibers), [q @ mixed.gens[0] @ q.conj().T])
     safe = SafeRegion(3)
-    for pair in (full_pair(2), bad):
+    for pair in (full_pair(2), mixed):
         for theta in dual_grid(chain8):
             for a in [(0,), (1,), (3,)]:
                 assert (weyl_defect(pair, theta, a, safe)
@@ -230,8 +212,7 @@ def test_weyl_defect_stack_detects_noncommuting_generators(square4):
     g1 = pair.gens[1].copy()
     mask = np.abs(g1) > 0  # distinct phases per entry break commutation
     g1[mask] *= 1j ** np.arange(int(mask.sum()))
-    bad = WeylPair(square4, dict(pair.fibers), [pair.gens[0], g1],
-                   validate=False)
+    bad = WeylPair(square4, dict(pair.fibers), [pair.gens[0], g1])
     with pytest.raises(NonCommutingGenerators):
         weyl_defect(bad, np.array(dual_grid(square4)), (1, 1), SafeRegion(1))
 
@@ -421,30 +402,32 @@ def no_svd_of_nonfinite(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", spy)
 
 
-def test_a_nan_entry_reads_nan_in_every_pair_check(no_svd_of_nonfinite):
-    # the chain tail {1..4} of [0, 4] with k = 2, built unvalidated with a
-    # NaN inside the graded block from 1 to 2
-    w = LatticeWindow((0,), (4,))
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+def test_an_overflowing_shift_reads_nan_in_every_pair_check(
+        tmp_path, no_svd_of_nonfinite):
+    # the chain tail {1..6} of [0, 6] with k = 2, every block scaled to
+    # 1e200: the blocks are finite, V_2 composes them to 1e400, which is inf
+    w = LatticeWindow((0,), (6,))
     pair = build_pspace_pair(tail(w, 1), 2)
-    g = pair.gens[0].copy()
-    g[2, 0] = np.nan
-    bad = WeylPair(w, dict(pair.fibers), [g], validate=False)
-    # the same NaN, with a stray entry that adds a remainder bound to every check
-    g = g.copy()
-    g[pair.dim - 1, 0] = 1e-3
-    leaky = WeylPair(w, dict(pair.fibers), [g], validate=False)
-    assert bad.graded and not leaky.graded
+    big = WeylPair(w, dict(pair.fibers), [1e200 * pair.gens[0]])
     thetas = np.array(dual_grid(w))
-    for p in (bad, leaky):
-        for margin in (1, 2):
-            safe = SafeRegion(margin)
-            # the shift by 0 never meets the NaN
-            assert isometry_defect(p, (0,), safe) == 0.0
-            assert weyl_defect(p, thetas, (0,), safe) == 0.0
-            assert np.isnan(isometry_defect(p, (1,), safe))
-            assert np.isnan(weyl_defect(p, thetas, (1,), safe))
-            assert np.isnan(weyl_defect(p, thetas[0], (1,), safe))
-        assert np.isnan(check_commuting_ranges(p))
+    safe = SafeRegion(2)
+    # the shift by 0 never meets the overflow, the shift by 1 only squared
+    assert isometry_defect(big, (0,), safe) == 0.0
+    assert weyl_defect(big, thetas, (0,), safe) == 0.0
+    assert np.isfinite(weyl_defect(big, thetas, (1,), safe))
+    assert np.isnan(weyl_defect(big, thetas, (2,), safe))
+    assert np.isnan(weyl_defect(big, thetas[0], (2,), safe))
+    assert np.isnan(isometry_defect(big, (2,), safe))
+    assert np.isnan(check_commuting_ranges(big))
+    # and each row of pair-check fails
+    from weylpair.cli import _cmd_pair_check
+
+    _, checks, _ = _cmd_pair_check({"pair": pair_to_json(big), "margin": 2},
+                                   str(tmp_path), 0, 1e-10)
+    assert [np.isnan(c["value"]) for c in checks.items] == [True] * 3
+    assert not any(c["pass"] for c in checks.items)
+    assert checks.first_failure() == "weak-weyl-defect"
 
 
 def test_a_nan_defect_fails_its_check():

@@ -9,9 +9,9 @@ a witness residual <= 1e-8.
 The graded ``weyl_defect``, given the whole dual grid as one stack, must
 match the dense per-angle oracle within 1e-13 at every shift, and so must
 the block forms of ``isometry_defect`` and ``check_commuting_ranges`` match
-the dense V_a formulas; on canonical sums they are exactly 0.0.  With a
-stray remainder drawn outside the graded blocks, each value lies between
-the dense oracle and the oracle plus twice the remainder term it adds.
+the dense V_a formulas; on canonical sums they are exactly 0.0.  A stray
+remainder drawn outside the graded blocks makes the generators refused,
+the largest stray entry named.
 
 The graded commutant and intertwiner solve must span the same space as the
 dense ``sylvester_nullspace`` on the same generator lists.
@@ -60,7 +60,9 @@ from weylpair import (
     translate_pset,
     weyl_defect,
 )
-from weylpair.errors import EmptySetError, NonCommutingGenerators, WeylPairError
+from weylpair.commutant import AlgebraSummary
+from weylpair.errors import (EmptySetError, PairInvariantViolation,
+                             WeylPairError)
 from weylpair.lattice import PSet, SetKind
 from weylpair.serialize import document_to_json, pair_from_json, pair_to_json
 from weylpair import dilation
@@ -69,7 +71,7 @@ from weylpair.dilation import _minimal_central_projections, decompose_full
 from conftest import (brute_force_upsets, dense_isometry_defect,
                       dense_range_commutator, dense_weyl_defect,
                       equivalence_by_draws, fiber_mixing_unitary, opnorm,
-                      stray_terms, upset_from)
+                      upset_from)
 
 POOLS = [enumerate_pspaces(LatticeWindow((0,), (7,))),
          enumerate_pspaces(LatticeWindow((0, 0), (2, 2)))]
@@ -148,18 +150,18 @@ strays = st.none() | st.tuples(st.floats(-12.0, -2.0).map(lambda x: 10.0 ** x),
 def outside_blocks(pair, axis):
     """Mask of the entries of generator ``axis`` outside its graded blocks."""
     outside = np.ones((pair.dim, pair.dim), dtype=bool)
-    for y in pair.graded_blocks(axis)[0]:
+    for y in pair.graded_blocks(axis):
         z = tuple(c + (i == axis) for i, c in enumerate(y))
         outside[pair.block_slice(z), pair.block_slice(y)] = False
     return outside
 
 
-def with_stray(pair, stray):
-    """The pair, or, for a drawn ``stray``, an unvalidated copy whose every
-    generator has one to three entries of that Frobenius norm outside its
-    graded blocks."""
+def assert_stray_refused(pair, stray):
+    """For a drawn ``stray``, give every generator of the pair one to three
+    entries of that Frobenius norm outside its graded blocks: the pair is
+    refused, naming axis 0 and its largest stray entry."""
     if stray is None:
-        return pair
+        return
     size, seed = stray
     rng = np.random.default_rng(seed)
     gens = []
@@ -171,42 +173,25 @@ def with_stray(pair, stray):
         r[rows[pick], cols[pick]] = (rng.standard_normal(pick.size)
                                      + 1j * rng.standard_normal(pick.size))
         gens.append(g + size * r / np.linalg.norm(r))
-    return WeylPair(pair.window, dict(pair.fibers), gens, validate=False)
-
-
-def dense_or_none(oracle, *args):
-    """The dense oracle's value, or None where the stray entries alone make
-    the dense generator products differ (it raises; the checks do not)."""
-    try:
-        return oracle(*args)
-    except NonCommutingGenerators:
-        return None
-
-
-def between(value, oracle, added):
-    """The value bounds the dense oracle, and exceeds it by no more than
-    twice the stray term it adds."""
-    return oracle - 1e-15 <= value <= oracle + 2 * added + 1e-15
+    largest = float(np.abs(gens[0] - pair.gens[0]).max())
+    with pytest.raises(PairInvariantViolation,
+                       match=rf"generator 0 has an entry outside its graded "
+                             rf"blocks \(largest stray entry {largest:.3e}\)"):
+        WeylPair(pair.window, dict(pair.fibers), gens)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(graded_pairs(), strays)
 def test_graded_defect_matches_dense_oracle(case, stray):
-    graded, margin = case
-    pair = with_stray(graded, stray)
+    pair, margin = case
+    assert_stray_refused(pair, stray)
     safe = SafeRegion(margin)
     grid = dual_grid(pair.window)
     thetas = np.array(grid)
     shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
-    added, _, _ = stray_terms(pair, shifts, [])
-    for a, term in zip(shifts, added):
-        dense = dense_or_none(
-            lambda: max(dense_weyl_defect(pair, theta, a, safe) for theta in grid))
-        value = weyl_defect(pair, thetas, a, safe)
-        if stray is None:
-            assert abs(value - dense) <= 1e-13
-        elif dense is not None:
-            assert between(value, dense, term)
+    for a in shifts:
+        dense = max(dense_weyl_defect(pair, theta, a, safe) for theta in grid)
+        assert abs(weyl_defect(pair, thetas, a, safe) - dense) <= 1e-13
 
 
 @st.composite
@@ -235,26 +220,18 @@ def checked_pairs(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(checked_pairs(), strays)
 def test_block_checks_match_dense_oracles(case, stray):
-    graded, margin, canonical = case
-    pair = with_stray(graded, stray)
+    pair, margin, canonical = case
+    assert_stray_refused(pair, stray)
     safe = SafeRegion(margin)
     shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
     probe = [a for a in shifts if any(a)]
     iso = [isometry_defect(pair, a, safe) for a in shifts]
     ranges = check_commuting_ranges(pair, probe)
-    if stray is None:
-        if canonical:
-            assert iso == [0.0] * len(shifts) and ranges == 0.0
-        for a, value in zip(shifts, iso):
-            assert abs(value - dense_isometry_defect(pair, a, safe)) <= 1e-13
-        assert abs(ranges - dense_range_commutator(pair, probe)) <= 1e-13
-        return
-    _, added, range_term = stray_terms(pair, shifts, probe)
-    for a, value, term in zip(shifts, iso, added):
-        dense = dense_or_none(dense_isometry_defect, pair, a, safe)
-        assert dense is None or between(value, dense, term)
-    dense = dense_or_none(dense_range_commutator, pair, probe)
-    assert dense is None or between(ranges, dense, range_term)
+    if canonical:
+        assert iso == [0.0] * len(shifts) and ranges == 0.0
+    for a, value in zip(shifts, iso):
+        assert abs(value - dense_isometry_defect(pair, a, safe)) <= 1e-13
+    assert abs(ranges - dense_range_commutator(pair, probe)) <= 1e-13
 
 
 #: Largest canonical sum the solver comparison builds; the dense oracle
@@ -364,8 +341,12 @@ def _components(pair):
         return type(exc)
 
 
-def _dense_summarize(rep, tol, guard):
-    return summarize(RepGens(rep.dim, rep.gens, rep.labels), tol, guard)
+def _dense_summarize(rep, *args):
+    """The dense solver's summary of the lists of ``rep``, with every
+    coordinate free, so that its centre is split in full space."""
+    s = summarize(RepGens(rep.dim, rep.gens, rep.labels), *args)
+    assert s.free is None
+    return AlgebraSummary(s.commutant_basis, s.center_basis, np.arange(rep.dim))
 
 
 _DEFICIENT = rank_deficient_pair(LatticeWindow((0, 0), (3, 3)), (1, 2))
@@ -382,12 +363,10 @@ def test_free_fiber_classification_matches_dense_path(case):
         coords = np.arange(pair.dim)
         assert list(graded.free) == [i for pt in free
                                      for i in coords[pair.block_slice(pt)]]
-        plain = RepGens(rep.dim, rep.gens, rep.labels)
-        dense = summarize(plain)
-        assert dense.free is None
+        dense = _dense_summarize(rep)
         assert graded.center_dim == dense.center_dim
         got = _minimal_central_projections(rep, graded)
-        want = _minimal_central_projections(plain, dense)
+        want = _minimal_central_projections(rep, dense)
         assert len(got) == len(want) == graded.center_dim
         # the same projections; their order follows a random central element
         match = [min(range(len(want)), key=lambda j: opnorm(p - want[j]))
