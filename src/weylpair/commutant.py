@@ -266,10 +266,19 @@ def _stacked_map(lefts, w, z, rights, n_a):
 
 
 def _kernel_cols(a, tol):
+    """Right singular vectors of ``a`` below ``tol`` times its largest
+    singular value.
+
+    A tall ``a`` is reduced to the r x r triangular factor of its QR
+    decomposition first (Chan's R-SVD): R has the singular values and right
+    singular vectors of ``a``, so the cutoff decides the same kernel.
+    """
     m, r = a.shape
     if m == 0 or r == 0:
         return np.eye(r, dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=(m < r))
+    if m > r:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a, full_matrices=(a.shape[0] < r))
     if s.size == 0 or s[0] <= 1e-12:
         return np.eye(r, dtype=complex)
     rank = int(np.sum(s > tol * s[0]))
@@ -397,24 +406,43 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
             return np.zeros((sizes.get(q, 0), sizes.get(y, 0)), dtype=complex)
         return found
 
-    # param[y][j] is T_y for the j-th unit vector of unknowns
+    # param[y][:, j] is T_y for the j-th unit vector of unknowns; a stack
+    # kept as (rows, unknowns, columns) is multiplied from either side by
+    # one matrix product
     param = {}
 
     def t(y):
         if y in param:
             return param[y]
-        return np.zeros((n_free, kb.get(y, 0), ka.get(y, 0)), dtype=complex)
+        return np.zeros((kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
+
+    def left(b, stack):
+        rows, _, cols = stack.shape
+        return (b @ stack.reshape(rows, n_free * cols)).reshape(
+            b.shape[0], n_free, cols)
+
+    def right(stack, a):
+        rows, _, cols = stack.shape
+        return (stack.reshape(rows * n_free, cols) @ a).reshape(
+            rows, n_free, a.shape[1])
+
+    def flat(stack):
+        """The stack as one row of entries per unknown."""
+        rows, _, cols = stack.shape
+        return stack.transpose(1, 0, 2).reshape(n_free, rows * cols)
 
     for y in shared:
         size = kb[y] * ka[y]
         if y in free:
             unit = np.zeros((n_free, size), dtype=complex)
             unit[free[y]:free[y] + size] = np.eye(size)
-            param[y] = unit.reshape(n_free, kb[y], ka[y])
+            param[y] = np.ascontiguousarray(
+                unit.reshape(n_free, kb[y], ka[y]).transpose(1, 0, 2))
         else:
             axis = route[y]
-            param[y] = pinvs[(axis, y)] @ t(_add(y, steps[axis])) \
-                @ block(blocks_a, ka, axis, y)
+            param[y] = left(pinvs[(axis, y)],
+                            right(t(_add(y, steps[axis])),
+                                  block(blocks_a, ka, axis, y)))
     rows = [np.zeros((n_free, 0), dtype=complex)]
     for y in sorted(ka.keys() | kb.keys()):
         for axis, e in enumerate(steps):
@@ -423,14 +451,13 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
                 continue
             a = block(blocks_a, ka, axis, y)
             b = block(blocks_b, kb, axis, y)
-            rows.append((t(q) @ a - b @ t(y)).reshape(n_free, -1))
-            rows.append((t(y) @ a.conj().T - b.conj().T @ t(q))
-                        .reshape(n_free, -1))
+            rows.append(flat(right(t(q), a) - left(b, t(y))))
+            rows.append(flat(right(t(y), a.conj().T) - left(b.conj().T, t(q))))
     kern = _kernel_cols(np.hstack(rows).T, tol)
     if kern.shape[1] == 0:
         return [], sorted(free)
     # orthonormalise in the Frobenius norm over the block entries alone
-    entries = np.hstack([param[y].reshape(n_free, -1) for y in shared]).T
+    entries = np.hstack([flat(param[y]) for y in shared]).T
     ortho, _ = np.linalg.qr(entries @ kern)
     out = np.zeros((kern.shape[1], pair_b.dim, pair_a.dim), dtype=complex)
     start = 0
@@ -483,19 +510,27 @@ def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
 
 
 def opnorm_exceeds(x, tol: float) -> bool:
-    """Whether ||x||_2 > tol; the SVD runs only when ||x||_F > tol."""
-    return bool(np.linalg.norm(x) > tol and np.linalg.norm(x, 2) > tol)
+    """Whether ||x||_2 > tol for the matrix ``x``, or for some matrix of the
+    stack ``x``; the SVD runs only on matrices with ||.||_F > tol."""
+    x = np.asarray(x)
+    over = np.linalg.norm(x, axis=(-2, -1)) > tol
+    return bool(over.any()
+                and (np.linalg.norm(x[over], 2, axis=(-2, -1)) > tol).any())
 
 
 def check_central(elements, cbasis, tol: float = DEFAULT_TOL):
-    """Raise CheckFailed unless every element commutes with every C_i."""
+    """Raise CheckFailed unless every element commutes with every C_i.
+
+    Each element is checked against the stack of the C_i at once.
+    """
+    stack = np.asarray(cbasis)
     for z in elements:
-        for m in cbasis:
-            comm = z @ m - m @ z
-            if opnorm_exceeds(comm, tol):
-                raise CheckFailed(
-                    "centre element fails to commute with the commutant "
-                    f"(commutator {np.linalg.norm(comm, 2):.2e})")
+        comm = z @ stack - stack @ z
+        if opnorm_exceeds(comm, tol):
+            worst = np.linalg.norm(comm, 2, axis=(1, 2)).max()
+            raise CheckFailed(
+                "centre element fails to commute with the commutant "
+                f"(commutator {worst:.2e})")
 
 
 def _restrict(elements, free):
@@ -503,8 +538,9 @@ def _restrict(elements, free):
 
     With ``free`` None the elements are returned whole, as one stack.
     """
-    stack = np.stack(elements)
-    return stack if free is None else stack[:, free[:, None], free]
+    if free is None:
+        return np.stack(elements)
+    return np.stack([e[free[:, None], free] for e in elements])
 
 
 def center_basis(cbasis, tol: float = DEFAULT_TOL, free=None):
@@ -569,6 +605,25 @@ def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
     return sylvester_nullspace(ra.gens, rb.gens, tol)
 
 
+def _polar_blocks(blocks):
+    """Polar factors of square matrices, one stacked SVD per size.
+
+    Returns the factors in the order given, and the smallest and the
+    largest singular value over all of the matrices.
+    """
+    factors = [None] * len(blocks)
+    lo, hi = np.inf, 0.0
+    by_size = {}
+    for i, b in enumerate(blocks):
+        by_size.setdefault(b.shape[0], []).append(i)
+    for group in by_size.values():
+        u, s, vh = np.linalg.svd(np.stack([blocks[i] for i in group]))
+        lo, hi = min(lo, float(s[:, -1].min())), max(hi, float(s[:, 0].max()))
+        for i, polar in zip(group, u @ vh):
+            factors[i] = polar
+    return factors, lo, hi
+
+
 def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
                          guard: int = DEFAULT_GUARD, draws: int = 20,
                          seed: int = 20240405):
@@ -581,7 +636,12 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
 
     Lists read from pairs on one window are inequivalent when the fiber
     sizes differ, since the position observables then have different
-    spectra; that is decided before any solve.
+    spectra; that is decided before any solve.  Otherwise every intertwiner
+    of such lists is block diagonal over the fibers, and so is its polar
+    factor: it is taken fiber by fiber, with one stacked SVD per fiber
+    size.  Any other list is one block.  The drawn element counts as
+    invertible when its smallest singular value over all blocks is at least
+    1e-6 times the largest.
     """
     if ra.dim != rb.dim:
         return False, None
@@ -593,14 +653,19 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
     basis = intertwiners(ra, rb, tol, guard)
     if not basis:
         return False, None
+    cuts = ([pa.block_slice(y) for y in pa.points] if one_window
+            else [slice(0, ra.dim)])
+    basis = np.stack(basis)
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        t = sum(c * b for c, b in zip(coeff, basis))
-        u, s, vh = np.linalg.svd(t)
-        if s[0] <= 0 or s[-1] < 1e-6 * s[0]:
+        t = np.tensordot(coeff, basis, axes=1)
+        factors, lo, hi = _polar_blocks([t[c, c] for c in cuts])
+        if hi <= 0 or lo < 1e-6 * hi:
             continue
-        witness = u @ vh
+        witness = np.zeros_like(t)
+        for c, polar in zip(cuts, factors):
+            witness[c, c] = polar
         trace = np.trace(witness)
         if abs(trace) > 1e-8:  # fix the free global phase deterministically
             witness = witness * (trace.conjugate() / abs(trace))

@@ -17,7 +17,9 @@ the declared budget every dilation identity holds exactly; outside it
 nothing is claimed.  The reassembled sum of a decomposition and the dilated
 sum are both ``pairs.canonical_sum``, and every W_x is the same
 ``pairs.shift_map`` on the dilated layout: ``DilationBundle.apply_w``
-applies it as a row gather, ``DilationBundle.w`` writes it out dense.
+applies it as a row gather, ``DilationBundle.w`` writes it out dense.  The
+embedding of the base space is kept as its blocks, one per base point, and
+``dilation_checks`` reads the defects of the dilation on those blocks.
 
 The module also carries the covariant projection family E_x (projections
 onto shifted copies of the embedded base space, read off as 0/1 diagonals
@@ -48,8 +50,8 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _sub, translate_pset
-from .pairs import (WeylPair, block_shift, canonical_sum, check_commuting_ranges,
-                    shift_map, unitary_u)
+from .pairs import (WeylPair, _max_opnorm, _stacks, block_shift, canonical_sum,
+                    check_commuting_ranges, shift_map, unitary_u)
 
 RANGE_TOL = 1e-10
 #: Largest disagreement between two evaluation routes of ``extend_u``.
@@ -119,20 +121,30 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
     projs = [v @ v.conj().T for v in np.split(vecs, cuts, axis=1)]
     coords = np.linalg.lstsq(small.reshape(c, -1).T,
                              np.stack(projs).reshape(c, -1).T, rcond=None)[0]
-    projs = list(np.tensordot(coords.T, np.stack(summary.center_basis), axes=1))
-    gens = list(rep.gens)
-    gens += [g.conj().T for g in gens]
-    ops = list(_restrict(summary.commutant_basis, free))
-    ops += [m.conj().T for m in ops]
-    bad = opnorm_exceeds(sum(projs) - np.eye(rep.dim), RANGE_TOL)
-    for p in projs:
-        rp = p[free[:, None], free]
-        bad = bad or opnorm_exceeds(p @ p - p, RANGE_TOL) or any(
-            opnorm_exceeds(p @ x - x @ p, 1e-8) for x in gens) or any(
-            opnorm_exceeds(rp @ x - x @ rp, 1e-8) for x in ops)
-    if bad:
+    projs = np.tensordot(coords.T, np.stack(summary.center_basis), axes=1)
+    gens = _with_adjoints(np.stack(rep.gens))
+    ops = _with_adjoints(_restrict(summary.commutant_basis, free))
+    # each family of checks is one stack, read from its Frobenius norms
+    if (opnorm_exceeds(projs.sum(axis=0) - np.eye(rep.dim), RANGE_TOL)
+            or opnorm_exceeds(projs @ projs - projs, RANGE_TOL)
+            or opnorm_exceeds(_commutators(projs, gens), 1e-8)
+            or opnorm_exceeds(_commutators(projs[:, free[:, None], free], ops),
+                              1e-8)):
         raise FiberMismatch("could not isolate minimal central projections")
-    return projs
+    return list(projs)
+
+
+def _with_adjoints(stack):
+    """The stack of matrices followed by those adjoints that differ from
+    their matrix; the adjoint of a Hermitian one adds no condition."""
+    adjoints = stack.conj().transpose(0, 2, 1)
+    return np.concatenate([stack, adjoints[np.any(adjoints != stack, axis=(1, 2))]])
+
+
+def _commutators(left, right):
+    """The stack of [x, y] for every x of ``left`` and y of ``right``."""
+    x, y = left[:, None], right[None]
+    return x @ y - y @ x
 
 
 def decompose_full(pair: WeylPair, tol: float = 1e-8,
@@ -152,13 +164,21 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
     rep = RepGens.from_pair(pair)
     projs = _minimal_central_projections(rep, summarize(rep, tol, guard))
 
+    # the blocks of every projection at every point, one eigvalsh per size
+    by_size = {}
+    for pt, k in pair.fibers:
+        by_size.setdefault(k, []).append(pt)
+    spectra = {}
+    for pts in by_size.values():
+        cuts = [pair.block_slice(pt) for pt in pts]
+        vals = np.linalg.eigvalsh(np.stack([p[s, s] for p in projs for s in cuts]))
+        spectra.update(zip(itertools.product(range(len(projs)), pts), vals))
     comps = []
-    for p in projs:
+    for i in range(len(projs)):
         support = []
         mult = None
         for pt, k in pair.fibers:
-            s = pair.block_slice(pt)
-            vals = np.linalg.eigvalsh(p[s, s])
+            vals = spectra[(i, pt)]
             ones = vals > 0.5
             if np.abs(vals[ones] - 1.0).max(initial=0.0) > 1e-8 or \
                np.abs(vals[~ones]).max(initial=0.0) > 1e-8:
@@ -188,8 +208,7 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
         # the input already is the canonical sum in canonical layout
         ok, witness = True, np.eye(pair.dim, dtype=complex)
     else:
-        ok, witness = unitarily_equivalent(RepGens.from_pair(pair),
-                                           RepGens.from_pair(reassembled),
+        ok, witness = unitarily_equivalent(rep, RepGens.from_pair(reassembled),
                                            tol, guard)
     if not ok:
         raise FiberMismatch(
@@ -219,10 +238,13 @@ class DilationBundle:
     """Concrete minimal unitary dilation of a commuting-range pair.
 
     The dilation space is graded over the window extended downward by the
-    depth; ``supports`` records each component's enlarged set.  ``embed``
-    is the isometry carrying the base space onto the blocks of the original
-    component supports.  All unitarity, covariance and exhaustion claims
-    are made for shifts of supremum norm at most ``budget`` only.
+    depth; ``supports`` records each component's enlarged set.  The
+    embedding is the isometry carrying the base space onto the blocks of
+    the original component supports.  It maps the fiber of each base point
+    y into the dilated block of y, so it is kept as those blocks:
+    ``embed_blocks`` maps y to its (dilated fiber) x (base fiber) block, and
+    ``embed`` is the dense view.  All unitarity, covariance and exhaustion
+    claims are made for shifts of supremum norm at most ``budget`` only.
     """
 
     base: WeylPair
@@ -233,12 +255,20 @@ class DilationBundle:
     supports: list    # point tuples in the extended window, aligned
     dilated: WeylPair = field(repr=False)
     index: dict = field(repr=False)
-    embed: np.ndarray = field(repr=False)
+    embed_blocks: dict = field(repr=False)
     _maps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.dilated.dim
+
+    @cached_property
+    def embed(self) -> np.ndarray:
+        """The embedding as a dense dim x (base dim) matrix."""
+        out = np.zeros((self.dim, self.base.dim), dtype=complex)
+        for y, block in self.embed_blocks.items():
+            out[self.dilated.block_slice(y), self.base.block_slice(y)] = block
+        return out
 
     @cached_property
     def _block_table(self):
@@ -278,6 +308,20 @@ class DilationBundle:
             member[ci, list(raw.indices)] = True
         delta = np.subtract(self.window_ext.lo, window.lo)
         return self._block_table[0] + delta, member
+
+    @cached_property
+    def _diagonals(self) -> dict:
+        """The :func:`e_diagonal` of every shift of the budget box, by shift."""
+        _, comp, owner, _ = self._block_table
+        points, member = self._range_table
+        sides = self.base.window.sides
+        box = list(budget_box(self).points())
+        z = points[None] - np.array(box, dtype=int)[:, None]
+        inside = np.all(z >= 0, axis=2)
+        clipped = np.moveaxis(np.minimum(z, np.subtract(sides, 1)), -1, 0)
+        inside &= member[comp, np.ravel_multi_index(tuple(clipped), sides,
+                                                    mode="clip")]
+        return dict(zip(box, inside[:, owner].astype(float)))
 
     def _check_shift(self, x) -> Point:
         """``x`` as a point, if W_x is available.
@@ -346,18 +390,117 @@ def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
     supports = [_extended_support(raw, wext, depth) for raw, _ in comps]
     dilated, idx = canonical_sum(
         wext, [(s, k) for s, (_, k) in zip(supports, comps)], "gradedsum")
-    iota = np.zeros((dilated.dim, dec.reassembled.dim), dtype=complex)
-    for ci, (raw, k) in enumerate(comps):
-        for p in raw.points:
-            r0 = idx[(ci, p)]
-            c0 = dec.reassembled_index[(ci, p)]
-            iota[r0:r0 + k, c0:c0 + k] = np.eye(k)
-    embed = iota @ dec.witness
+    # the witness is block diagonal over the fibers: the rows of each
+    # component in its block of y go to that component's rows in the
+    # dilated block of y
+    reasm = dec.reassembled
+    blocks = {}
+    for y, k in pair.fibers:
+        witness = dec.witness[reasm.block_slice(y), pair.block_slice(y)]
+        block = np.zeros((dilated.offsets[y][1], k), dtype=complex)
+        for ci, (_, kc) in enumerate(comps):
+            if (ci, y) in dec.reassembled_index:
+                r0 = idx[(ci, y)] - dilated.offsets[y][0]
+                c0 = dec.reassembled_index[(ci, y)] - reasm.offsets[y][0]
+                block[r0:r0 + kc] = witness[c0:c0 + kc]
+        blocks[y] = block
     return DilationBundle(
         base=pair, depth=depth, budget=depth, window_ext=wext,
         components=comps, supports=supports, dilated=dilated, index=idx,
-        embed=embed,
+        embed_blocks=blocks,
     )
+
+
+def dilation_checks(bundle: DilationBundle, tol: float):
+    """The defects of a dilation, read on its blocks, as (name, value, tol).
+
+    With E the embedding, V_e the base generators and W_x the dilated
+    shifts:
+
+    - ``embed-isometry`` (tol 1e-12): ||E* E - 1||, the worst fiber block;
+    - ``dilation-extends-isometries``: max over e of ||W_e E - E V_e||.
+      Its block from the fiber of y lands in the dilated block of y + e,
+      so the blocks sit at distinct (row, column) points and the operator
+      norm is their maximum;
+    - ``exhaustion-defect``: ||1 - P||, with P the projection onto the span
+      of W_{-a} E over the depth box (singular values above 1e-10).  Every
+      column of W_{-a} E lives in one dilated point, so the span splits by
+      point: one zero-padded stacked SVD over the points;
+    - ``family-monotone``: max of d_y - d_x over x <= y in the budget box,
+      d_x the diagonal of E_x;
+    - ``family-covariant``: max of |d_x - d_{x+e}| on the coordinates that
+      W_e carries (W_e E_x W_e* = E_{x+e}); W_{-e} carries the same pairs
+      backwards, so the steps e = +e_i cover -e_i as well.
+    """
+    base, dilated = bundle.base, bundle.dilated
+    blocks = bundle.embed_blocks
+    iso = _max_opnorm([s for _, s in _stacks(
+        [b.conj().T @ b - np.eye(b.shape[1]) for b in blocks.values()])])
+    diffs = []
+    for axis, e in enumerate(base.window.generators()):
+        w_blocks = dilated.graded_blocks(axis)
+        v_blocks = base.graded_blocks(axis)
+        for y, block in blocks.items():
+            q = _add(y, e)
+            if q not in dilated.offsets:
+                continue  # W_e and V_e both send the fiber of y to zero
+            diff = w_blocks[y] @ block
+            if y in v_blocks:
+                diff -= blocks[q] @ v_blocks[y]
+            diffs.append(diff)
+    extends = _max_opnorm([s for _, s in _stacks(diffs)])
+
+    # exhaustion: W_{-a} moves the rows of each component from the dilated
+    # block of y to its block of y - a when the support holds both points
+    offsets = dilated.offsets
+    rows_at = {}  # point -> component -> its rows in the dilated block
+    for (ci, p), start in bundle.index.items():
+        r0 = start - offsets[p][0]
+        rows_at.setdefault(p, {})[ci] = slice(r0, r0 + bundle.components[ci][1])
+    moves = {}  # point -> [(block, [(rows there, rows of block)])]
+    for a in itertools.product(range(bundle.depth + 1), repeat=base.window.dim):
+        for y, block in blocks.items():
+            q = _sub(y, a)
+            there = rows_at.get(q, {})
+            parts = [(there[ci], here) for ci, here in rows_at[y].items()
+                     if ci in there]
+            if parts:
+                moves.setdefault(q, []).append((block, parts))
+    points = list(offsets)
+    width = max(sum(b.shape[1] for b, _ in moves.get(q, ())) for q in points)
+    stack = np.zeros((len(points), max(k for _, k in offsets.values()), width),
+                     dtype=complex)
+    for i, q in enumerate(points):
+        col = 0
+        for block, parts in moves.get(q, ()):
+            for there, here in parts:
+                stack[i, there, col:col + block.shape[1]] = block[here]
+            col += block.shape[1]
+    u, sv, _ = np.linalg.svd(stack, full_matrices=False)
+    span = u * (sv > 1e-10)[:, None, :]
+    sizes = np.array([offsets[q][1] for q in points])
+    eye = (np.arange(stack.shape[1]) < sizes[:, None])[:, :, None] \
+        * np.eye(stack.shape[1])
+    exhaustion = _max_opnorm([eye - span @ span.conj().transpose(0, 2, 1)])
+
+    box = list(budget_box(bundle).points())
+    diags = np.array([e_diagonal(bundle, x) for x in box])
+    grid = np.array(box)
+    low, high = np.nonzero(np.all(grid[:, None] <= grid[None], axis=2))
+    monotone = float((diags[high] - diags[low]).max())
+    at = {x: i for i, x in enumerate(box)}
+    covariant = 0.0
+    for axis, e in enumerate(base.window.generators()):
+        rows, cols = np.nonzero(dilated.gens[axis])  # the 0/1 entries of W_e
+        src = [i for i, x in enumerate(box) if _add(x, e) in at]
+        dst = [at[_add(box[i], e)] for i in src]
+        covariant = max(covariant, float(np.abs(
+            diags[src][:, cols] - diags[dst][:, rows]).max(initial=0.0)))
+    return [("embed-isometry", iso, 1e-12),
+            ("dilation-extends-isometries", extends, tol),
+            ("exhaustion-defect", exhaustion, tol),
+            ("family-monotone", monotone, tol),
+            ("family-covariant", covariant, tol)]
 
 
 def e_diagonal(bundle: DilationBundle, x) -> np.ndarray:
@@ -365,20 +508,16 @@ def e_diagonal(bundle: DilationBundle, x) -> np.ndarray:
 
     Computed from the model: the block of y belongs to the range exactly
     when y - x dominates a minimal element of the component, that is when
-    y - x >= lo and min(y - x, hi) lies in the component's set.  One shift
-    and one mask lookup on the bundle's table serve every block.
+    y - x >= lo and min(y - x, hi) lies in the component's set.  The
+    bundle computes the diagonals of the whole budget box at once, with
+    one shift and one mask lookup on its table for every block.
     """
     xv = tuple(int(c) for c in x)
-    if xv and max(abs(c) for c in xv) > bundle.budget:
+    if len(xv) != bundle.base.window.dim:
+        raise ValueError(f"shift {xv} does not match the window dimension")
+    if max(abs(c) for c in xv) > bundle.budget:
         raise BudgetExceeded(f"shift {xv} exceeds budget {bundle.budget}")
-    _, comp, owner, _ = bundle._block_table
-    points, member = bundle._range_table
-    sides = bundle.base.window.sides
-    z = points - np.asarray(xv, dtype=int)
-    inside = np.all(z >= 0, axis=1)
-    clipped = np.minimum(z, np.subtract(sides, 1))
-    inside &= member[comp, np.ravel_multi_index(clipped.T, sides, mode="clip")]
-    return inside[owner].astype(float)
+    return bundle._diagonals[xv].copy()
 
 
 def project_e(bundle: DilationBundle, x) -> np.ndarray:

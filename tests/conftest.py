@@ -181,3 +181,46 @@ def equivalence_by_draws(ra, rb, tol=1e-8, guard=256, draws=20,
             return True, witness
         raise CheckFailed(f"conjugation residual {worst:.2e}")
     return False, None
+
+
+def dense_dilation_checks(bundle):
+    """Oracle: the ``dilate`` checks by the dense formulas of the acceptance
+    helper ``_dilation_defects``, as {name: value}.
+
+    Dense W_x, V_e and E_x, one SVD of all pulled-back copies side by side,
+    an eigvalsh per ordered pair of the budget box, and covariance
+    W_e E_x W_e* = E_{x+e} compressed to the range of W_e.
+    """
+    from weylpair.dilation import budget_box, project_e
+
+    pair = bundle.base
+    emb = bundle.embed
+    steps = pair.window.generators()
+    out = {"embed-isometry": opnorm(emb.conj().T @ emb - np.eye(pair.dim)),
+           "dilation-extends-isometries": max(
+               opnorm(bundle.w(e) @ emb - emb @ isometry_v(pair, e))
+               for e in steps)}
+    cols = [bundle.w(tuple(-c for c in a)) @ emb
+            for a in itertools.product(range(bundle.depth + 1),
+                                       repeat=pair.window.dim)]
+    u, sv, _ = np.linalg.svd(np.hstack(cols), full_matrices=False)
+    span = u[:, sv > 1e-10]
+    out["exhaustion-defect"] = opnorm(np.eye(bundle.dim)
+                                      - span @ span.conj().T)
+    fam = {x: project_e(bundle, x) for x in budget_box(bundle).points()}
+    monotone = covariant = 0.0
+    for x, ex in fam.items():
+        for y, ey in fam.items():
+            if all(a <= b for a, b in zip(x, y)):
+                monotone = max(monotone,
+                               -np.linalg.eigvalsh(ex - ey).min())
+        for e in steps:
+            y = tuple(a + b for a, b in zip(x, e))
+            idx = bundle.safe_indices([tuple(-c for c in e)])
+            if y in fam and idx.size:
+                we = bundle.w(e)
+                diff = we @ ex @ we.conj().T - fam[y]
+                covariant = max(covariant, opnorm(diff[np.ix_(idx, idx)]))
+    out["family-monotone"] = monotone
+    out["family-covariant"] = covariant
+    return out

@@ -14,12 +14,12 @@ import weylpair.dilation as dilation
 import weylpair.lattice as lattice
 import weylpair.serialize as serialize
 from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
-                      SetKind, build_pspace_pair, build_r2_pair, demo_family,
-                      direct_sum, validate_pset)
+                      SetKind, WeylPair, build_pspace_pair, build_r2_pair,
+                      demo_family, direct_sum, validate_pset)
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import matrix_to_json, pair_to_json, pset_to_json
 
-from conftest import dense_pair_doc, tail, upset_from
+from conftest import dense_pair_doc, fiber_mixing_unitary, tail, upset_from
 
 
 def write_scenario(tmp_path, name, doc):
@@ -316,6 +316,31 @@ def test_non_finite_input_gives_a_json_error_report(tmp_path, capsys, case):
     assert "finite" in report["error"]
 
 
+def test_overflowing_pair_check_writes_null_values(tmp_path):
+    # every block of the chain tail {1..6} with k = 2 scaled to 1e200: the
+    # checks overflow to non-finite values, which fail, print as JSON null
+    # and warn nowhere
+    w = LatticeWindow((0,), (6,))
+    pair = build_pspace_pair(tail(w, 1), 2)
+    huge = WeylPair(w, dict(pair.fibers), [g * 1e200 for g in pair.gens])
+    sc = write_scenario(tmp_path, "huge.json",
+                        {"command": "pair-check", "pair": pair_to_json(huge)})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylpair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylpair.cli", "pair-check", "--scenario", sc,
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in the report")
+
+    report = json.loads(proc.stdout, parse_constant=refuse)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert report["first_failure"] == "weak-weyl-defect"
+    assert [(c["value"], c["pass"]) for c in report["checks"]] == \
+        [(None, False)] * 3
+
+
 def test_report_determinism(tmp_path, capsys):
     sc = write_scenario(tmp_path, "s.json", {
         "command": "counterexample", "sub": "spec", "seed": 7,
@@ -415,11 +440,13 @@ def test_commutant_of_a_generator_list_takes_the_dense_solver(
 
 
 def test_reports_do_not_depend_on_thread_count(tmp_path):
-    # BLAS thread pools may reorder floating-point sums; the reports must
-    # not show it
+    # BLAS thread pools may reorder floating-point sums; the reports and the
+    # files they write must not show it
     w = LatticeWindow((0,), (7,))
     pair = direct_sum([build_pspace_pair(tail(w, 0), 2),
                        build_pspace_pair(tail(w, 3), 1)])
+    q = fiber_mixing_unitary(pair, np.random.default_rng(11))
+    twin = WeylPair(w, dict(pair.fibers), [q @ g @ q.conj().T for g in pair.gens])
     square = LatticeWindow((0, 0), (7, 7))
     full = validate_pset(list(square.points()), square, SetKind.PSPACE)
 
@@ -432,16 +459,22 @@ def test_reports_do_not_depend_on_thread_count(tmp_path):
     scenarios = {
         "commutant": {"pair": pair_to_json(pair)},
         "decompose": {"pair": pair_to_json(pair)},
+        # a fiber-mixed twin: the dilation of a drawn witness
+        "dilate": {"pair": pair_to_json(twin), "depth": 2},
         # dim 128: the whole dual grid against every shift up to the margin
         "pair-check": {"pair": pair_to_json(build_pspace_pair(full, 2)),
                        "margin": 2},
         # two inequivalent quarter-plane pairs of dim 116
         "equiv": {"pair_a": pair_to_json(quarter(20240601)),
                   "pair_b": pair_to_json(quarter(99))},
+        # an equivalent pair, which writes its witness
+        "equiv-twin": {"pair_a": pair_to_json(pair),
+                       "pair_b": pair_to_json(twin)},
     }
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylpair.__file__)))
-    for command, doc in scenarios.items():
-        sc = write_scenario(tmp_path, f"{command}.json",
+    for name, doc in scenarios.items():
+        command = name.split("-twin")[0]
+        sc = write_scenario(tmp_path, f"{name}.json",
                             dict(doc, command=command))
         reports = []
         for threads in ("1", "2"):
@@ -454,6 +487,10 @@ def test_reports_do_not_depend_on_thread_count(tmp_path):
                 [sys.executable, "-m", "weylpair.cli", command, "--scenario",
                  sc, "--out", str(tmp_path)],
                 env=env, capture_output=True, text=True, check=True)
-            reports.append(proc.stdout)
-        assert json.loads(reports[0])["ok"]
+            # each run writes its artifacts over the last one's
+            reports.append((proc.stdout, [
+                open(path, "rb").read()
+                for path in json.loads(proc.stdout)["artifacts"]]))
+        assert json.loads(reports[0][0])["ok"]
         assert reports[0] == reports[1]
+    assert len(reports[0][1]) == 1  # the twin's witness.json

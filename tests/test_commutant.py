@@ -541,3 +541,22 @@ def test_repeated_generators_leave_the_nullspace_unchanged():
     assert len(got) == 3
     assert subspace_gap(got, sylvester_nullspace(distinct, conj)) <= 1e-12
     assert subspace_gap(got, [u @ t for t in want]) <= 1e-8
+
+
+@pytest.mark.parametrize("m, r", [(40, 9), (120, 12), (564, 49)])
+def test_qr_first_kernel_decides_like_the_plain_svd_near_the_cutoff(m, r):
+    # tall inputs take the QR factor first; one singular value sits at
+    # 1e-7 s_0 (kept) and one at 1e-9 s_0 (dropped), either side of 1e-8
+    rng = np.random.default_rng(m)
+    s = np.geomspace(1.0, 1e-3, r)
+    s[-3:] = [1e-7, 1e-9, 0.0]
+    u, _ = np.linalg.qr(rng.standard_normal((m, r))
+                        + 1j * rng.standard_normal((m, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((r, r))
+                        + 1j * rng.standard_normal((r, r)))
+    a = (u * s) @ v.conj().T
+    _, sv, vh = np.linalg.svd(a, full_matrices=False)
+    plain = vh[int(np.sum(sv > 1e-8 * sv[0])):].conj().T
+    got = commutant._kernel_cols(a, 1e-8)
+    assert got.shape == plain.shape == (r, 2)
+    assert subspace_gap(list(got.T), list(plain.T)) <= 1e-10

@@ -117,29 +117,79 @@ def test_different_fibers_take_no_svd_and_no_solve(calls, monkeypatch):
     assert calls["svd"] == 0
 
 
-def test_equivalent_graded_pair_takes_one_full_svd(full_svds):
+def test_equivalent_graded_pair_takes_a_blockwise_polar(full_svds):
     w = LatticeWindow((0, 0), (3, 3))
     pair = _tail_sum(w, [(0, 1), (2, 2)])
     q = fiber_mixing_unitary(pair, np.random.default_rng(4))
     twin = WeylPair(w, dict(pair.fibers), [q @ g @ q.conj().T for g in pair.gens])
-    ok, _ = unitarily_equivalent(RepGens.from_pair(pair), RepGens.from_pair(twin))
+    ok, witness = unitarily_equivalent(RepGens.from_pair(pair),
+                                       RepGens.from_pair(twin))
     assert ok
     n = pair.dim
-    assert full_svds.count((n, n)) == 1
+    assert (n, n) not in full_svds
+    # the polar factor: one stacked SVD per fiber size
+    sizes = collections.Counter(k for _, k in pair.fibers)
+    assert {(count, k, k) for k, count in sizes.items()} <= set(full_svds)
+    inside = np.zeros((n, n), dtype=bool)
+    for y in pair.points:
+        inside[pair.block_slice(y), pair.block_slice(y)] = True
+    assert np.all(witness[~inside] == 0)
+    assert np.linalg.norm(witness.conj().T @ witness - np.eye(n), 2) <= 1e-12
 
 
-def test_dilate_applies_w_without_dense_matrices(tmp_path, monkeypatch):
+@pytest.fixture
+def factored(monkeypatch):
+    """Shapes of the matrices that numpy.linalg factors (SVD, QR, eigh,
+    eigvalsh, and the SVD behind the 2-norm) while ``factored[0]`` is set,
+    after the first entry."""
+    record = [False]
+
+    def spy(original, spectral_norm=False):
+        def call(a, *args, **kwargs):
+            if record[0] and (not spectral_norm or args[:1] == (2,)
+                              or kwargs.get("ord") == 2):
+                record.append(np.shape(a))
+            return original(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "qr", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm, True))
+    return record
+
+
+def test_dilate_applies_w_without_dense_matrices(tmp_path, monkeypatch,
+                                                 factored):
     def refuse(*args, **kwargs):
         raise AssertionError("dense W_x built by the dilate command")
 
+    bundles = []
+    build = dilation.minimal_dilation
+
+    def built(*args, **kwargs):
+        bundles.append(build(*args, **kwargs))
+        factored[0] = True  # the checks and the writer follow
+        return bundles[-1]
+
     monkeypatch.setattr(dilation.DilationBundle, "w", refuse)
+    monkeypatch.setattr(dilation, "minimal_dilation", built)
     w = LatticeWindow((0, 0), (3, 3))
+    depth = 2
     scenario = tmp_path / "d.json"
     scenario.write_text(json.dumps({
-        "command": "dilate", "depth": 2,
+        "command": "dilate", "depth": depth,
         "pair": pair_to_json(_tail_sum(w, [(0, 1), (2, 2)]))}))
     report, code = run_scenario("dilate", str(scenario), str(tmp_path))
     assert code == 0 and report["ok"]
+    # nothing after the dilation is factored beyond the padded per-point
+    # stack of the exhaustion check: (dilated fiber) x (columns landing)
+    bundle = bundles[0]
+    rows = max(k for _, k in bundle.dilated.fibers)
+    cols = (depth + 1) ** w.dim * max(k for _, k in bundle.base.fibers)
+    assert max(rows, cols) < bundle.dim
+    shapes = factored[1:]
+    assert shapes and all(max(shape[-2:]) <= max(rows, cols)
+                          for shape in shapes)
 
 
 def _pair_checks(pair, margin):

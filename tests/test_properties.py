@@ -16,6 +16,10 @@ the largest stray entry named.
 The graded commutant and intertwiner solve must span the same space as the
 dense ``sylvester_nullspace`` on the same generator lists.
 
+The dilation checks read on the per-point blocks of a bundle must give the
+values of the dense formulas within 1e-12, on working bundles and on broken
+ones.
+
 A graded pair's file, read back, gives its generators bit for bit, but for
 zeros outside the blocks, which may lose their sign.
 
@@ -26,6 +30,7 @@ involution that swaps kinds and turns a translation by x into one by -x;
 and a translation that clips no point is undone by the opposite one.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -68,8 +73,9 @@ from weylpair.serialize import document_to_json, pair_from_json, pair_to_json
 from weylpair import dilation
 from weylpair.dilation import _minimal_central_projections, decompose_full
 
-from conftest import (brute_force_upsets, dense_isometry_defect,
-                      dense_range_commutator, dense_weyl_defect,
+from conftest import (brute_force_upsets, dense_dilation_checks,
+                      dense_isometry_defect, dense_range_commutator,
+                      dense_weyl_defect,
                       equivalence_by_draws, fiber_mixing_unitary, opnorm,
                       upset_from)
 
@@ -440,7 +446,13 @@ def test_equivalence_matches_the_full_draw_loop(case):
     want_ok, want_witness = equivalence_by_draws(ra, rb)
     assert ok == want_ok
     if ok:
-        assert witness.tobytes() == want_witness.tobytes()
+        # the same draw, its polar factor taken fiber by fiber: the dense
+        # one to roundoff, and exactly zero off the fiber blocks
+        assert opnorm(witness - want_witness) <= 1e-10
+        inside = np.zeros(witness.shape, dtype=bool)
+        for y in pair.points:
+            inside[pair.block_slice(y), pair.block_slice(y)] = True
+        assert np.all(witness[~inside] == 0)
     else:
         assert witness is None and want_witness is None
 
@@ -593,3 +605,63 @@ def test_unclipped_translation_is_undone_by_its_opposite(ps, data):
     assert clip == 0
     back, _ = translate_pset(moved, tuple(-c for c in x))
     assert back == ps
+
+
+@st.composite
+def dilated_sums(draw):
+    """A fiber-mixed sum on the line or the plane window and a depth."""
+    pool = POOLS[draw(st.integers(0, len(POOLS) - 1))]
+    drawn = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(1, 2)),
+                          min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    pair = direct_sum([build_pspace_pair(pool[i], k) for i, k in drawn])
+    return (fiber_mixed(pair, draw(st.integers(0, 2 ** 32 - 1))),
+            draw(st.integers(0, 2)))
+
+
+def _assert_checks_match_dense(bundle):
+    got = {name: value for name, value, _ in
+           dilation.dilation_checks(bundle, 1e-10)}
+    want = dense_dilation_checks(bundle)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert abs(value - want[name]) <= 1e-12, (name, value, want[name])
+    return got
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(dilated_sums())
+def test_dilation_checks_match_the_dense_formulas(case):
+    pair, depth = case
+    bundle = dilation.minimal_dilation(pair, depth)
+    got = _assert_checks_match_dense(bundle)
+    assert got["embed-isometry"] <= 1e-12
+    assert max(got.values()) <= 1e-10
+
+    # negative controls: the embedding with its top fiber block zeroed (no
+    # other copy reaches the top corner) ...
+    top = pair.window.hi
+    blocks = dict(bundle.embed_blocks)
+    blocks[top] = np.zeros_like(blocks[top])
+    broken = _assert_checks_match_dense(
+        dataclasses.replace(bundle, embed_blocks=blocks))
+    assert abs(broken["embed-isometry"] - 1.0) <= 1e-12
+    assert abs(broken["exhaustion-defect"] - 1.0) <= 1e-12
+
+    # ... and a base generator block scaled by 3/2, which the dilated shift
+    # no longer extends
+    found = [(axis, y) for axis in range(pair.window.dim)
+             for y in pair.graded_blocks(axis)]
+    if found:
+        axis, source = found[0]
+        gens = [g.copy() for g in pair.gens]
+        cut = (pair.block_slice(_step(source, axis)), pair.block_slice(source))
+        gens[axis][cut] *= 1.5
+        bent = WeylPair(pair.window, dict(pair.fibers), gens)
+        broken = _assert_checks_match_dense(
+            dataclasses.replace(bundle, base=bent))
+        assert broken["dilation-extends-isometries"] > 0.4
+
+
+def _step(point, axis):
+    return tuple(c + (i == axis) for i, c in enumerate(point))
