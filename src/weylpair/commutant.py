@@ -31,7 +31,9 @@ with equal eigenvalues give a factored basis u v* of that kernel) and
 refines the seed through the remaining maps with thin SVDs.  A map listed
 more than once (a sampled field repeats the identity and the step
 projections) adds no condition, so repeated pairs (A_i, B_i), compared by
-bytes, are dropped before the seed is chosen.
+bytes, are dropped before the seed is chosen.  Each map is stacked whole
+on the seed, so a list whose stacked map would pass ``_DENSE_MAP_CAP``
+entries is refused with ``DimensionGuard``.
 
 Kernel detection uses a relative singular-value cutoff (default 1e-8),
 which cleanly separates true kernels from roundoff at the dimensions the
@@ -53,7 +55,8 @@ DEFAULT_TOL = 1e-8
 DEFAULT_GUARD = 256
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
-#: Entries up to which ``_stacked_map`` materialises the stacked map whole.
+#: Entries up to which ``_stacked_map`` builds the stacked map; above, it
+#: refuses the generator list.
 _DENSE_MAP_CAP = 4_000_000
 _CENTER_SEED = 20240502
 #: A generator block propagates the graded solve when sigma_min exceeds
@@ -217,52 +220,22 @@ def _spectral_seed(maps, n_b, n_a, same_space):
 
 
 def _stacked_map(lefts, w, z, rights, n_a):
-    """Pruned stacked matrix of T -> T A - B T on the factored basis.
+    """Stacked matrix of T -> T A - B T on the factored basis.
 
-    Column j is vec(u_j w_j^* - z_j v_j^*).  For small problems the full
-    vectorised matrix is materialised directly; otherwise only rows that
-    can be nonzero are assembled, which keeps position-graded problems
-    sparse.
+    Column j is vec(u_j w_j^* - z_j v_j^*).  A map of more than
+    ``_DENSE_MAP_CAP`` entries raises :class:`DimensionGuard`: a represented
+    pair takes the graded solve, which never builds it.
     """
     r = lefts.shape[1]
     n_b = lefts.shape[0]
-    if n_b * n_a * r <= _DENSE_MAP_CAP:
-        full = (lefts[:, None, :] * w.conj()[None, :, :]
-                - z[:, None, :] * rights.conj()[None, :, :])
-        return full.reshape(n_b * n_a, r)
-    rows_all, cols_all, vals_all = [], [], []
-    for j in range(r):
-        u = lefts[:, j]
-        v = rights[:, j]
-        wj = w[:, j]
-        zj = z[:, j]
-        su = np.nonzero(u)[0]
-        sw = np.nonzero(wj)[0]
-        sz = np.nonzero(zj)[0]
-        sv = np.nonzero(v)[0]
-        if su.size and sw.size:
-            rr = (su[:, None] * n_a + sw[None, :]).ravel()
-            vv = (u[su, None] * wj[sw][None, :].conj()).ravel()
-            rows_all.append(rr)
-            cols_all.append(np.full(rr.size, j))
-            vals_all.append(vv)
-        if sz.size and sv.size:
-            rr = (sz[:, None] * n_a + sv[None, :]).ravel()
-            vv = (-zj[sz, None] * v[sv][None, :].conj()).ravel()
-            rows_all.append(rr)
-            cols_all.append(np.full(rr.size, j))
-            vals_all.append(vv)
-    if not rows_all:
-        return np.zeros((0, r), dtype=complex)
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    vals = np.concatenate(vals_all)
-    uniq, inv = np.unique(rows, return_inverse=True)
-    flat = cols.astype(np.int64) * uniq.size + inv
-    size = uniq.size * r
-    acc = np.bincount(flat, weights=vals.real, minlength=size) \
-        + 1j * np.bincount(flat, weights=vals.imag, minlength=size)
-    return acc.reshape(r, uniq.size).T
+    if n_b * n_a * r > _DENSE_MAP_CAP:
+        raise DimensionGuard(
+            f"the stacked map of this generator list has {n_b * n_a * r} "
+            f"entries, over {_DENSE_MAP_CAP}; pass the pair file instead of "
+            f"its generators, so that the graded solve runs")
+    full = (lefts[:, None, :] * w.conj()[None, :, :]
+            - z[:, None, :] * rights.conj()[None, :, :])
+    return full.reshape(n_b * n_a, r)
 
 
 def _kernel_cols(a, tol):

@@ -12,12 +12,13 @@ the generators.
 The minimal unitary dilation of such a pair is realised concretely: the
 window is extended downward by the depth, each component support grows to
 every point from which a budget shift re-enters the component, and the
-dilated generators are the block shifts of the enlarged supports.  Inside
-the declared budget every dilation identity holds exactly; outside it
-nothing is claimed.  The reassembled sum of a decomposition and the dilated
-sum are both ``pairs.canonical_sum``, and every W_x is the same
-``pairs.shift_map`` on the dilated layout: ``DilationBundle.apply_w``
-applies it as a row gather, ``DilationBundle.w`` writes it out dense.  The
+dilated pair is the canonical sum of the enlarged supports, built from its
+0/1 partial-identity blocks.  Inside the declared budget every dilation
+identity holds exactly; outside it nothing is claimed.  The reassembled sum
+of a decomposition and the dilated sum are both ``pairs.canonical_sum``.
+Every W_x is a coordinate map on the dilated layout
+(``DilationBundle.shift_map``): ``DilationBundle.apply_w`` applies it as a
+row gather, and only ``DilationBundle.w`` writes it out dense.  The
 embedding of the base space is kept as its blocks, one per base point, and
 ``dilation_checks`` reads the defects of the dilation on those blocks.
 
@@ -50,8 +51,8 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _sub, translate_pset
-from .pairs import (WeylPair, _max_opnorm, _stacks, block_shift, canonical_sum,
-                    check_commuting_ranges, shift_map, unitary_u)
+from .pairs import (WeylPair, _max_opnorm, _stacks, canonical_sum,
+                    check_commuting_ranges, unitary_u)
 
 RANGE_TOL = 1e-10
 #: Largest disagreement between two evaluation routes of ``extend_u``.
@@ -203,8 +204,9 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
     comps.sort(key=lambda c: (c[0].points, c[1]))
     reassembled, reasm_idx = canonical_sum(
         pair.window, [(c[0].points, c[1]) for c in comps], "gradedsum")
-    if all(np.abs(x - y).max() <= 1e-12
-           for x, y in zip(pair.gens, reassembled.gens)):
+    # reassembled fibers equal the input's, so the blocks sit at the same points
+    if all(np.abs(a[y] - b[y]).max() <= 1e-12
+           for a, b in zip(pair._blocks, reassembled._blocks) for y in a):
         # the input already is the canonical sum in canonical layout
         ok, witness = True, np.eye(pair.dim, dtype=complex)
     else:
@@ -254,7 +256,7 @@ class DilationBundle:
     components: list  # (raw PSet in base window, multiplicity)
     supports: list    # point tuples in the extended window, aligned
     dilated: WeylPair = field(repr=False)
-    index: dict = field(repr=False)
+    index: dict = field(repr=False)  # its sum_layout index, inside each block
     embed_blocks: dict = field(repr=False)
     _maps: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -276,15 +278,14 @@ class DilationBundle:
         point's offset from the extended window's corner and the component;
         the block of each coordinate; and each support's window points."""
         wext = self.window_ext
-        blocks = sorted((self.index[(ci, p)], ci, p)
-                        for ci, supp in enumerate(self.supports) for p in supp)
+        blocks = sorted((p, r, ci) for (ci, p), r in self.index.items())
         member = np.zeros((len(self.supports), wext.cardinality), dtype=bool)
-        for _, ci, p in blocks:
+        for p, _, ci in blocks:
             member[ci, wext._table.index[p]] = True
-        offsets = np.array([p for _, _, p in blocks], dtype=int) - wext.lo
-        comp = np.array([ci for _, ci, _ in blocks], dtype=int)
+        offsets = np.array([p for p, _, _ in blocks], dtype=int) - wext.lo
+        comp = np.array([ci for _, _, ci in blocks], dtype=int)
         owner = np.repeat(np.arange(len(blocks)),
-                          [self.components[ci][1] for _, ci, _ in blocks])
+                          [self.components[ci][1] for _, _, ci in blocks])
         return offsets, comp, owner, member
 
     def safe_indices(self, shifts) -> np.ndarray:
@@ -339,17 +340,33 @@ class DilationBundle:
         return xv
 
     def shift_map(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The :func:`pairs.shift_map` of W_x, kept per shift."""
+        """Coordinate map (rows, cols) of W_x, kept per shift: the block of
+        (component, y) goes identically onto the block of (component,
+        y + x) when both points lie in the support, so coordinate
+        ``cols[t]`` goes to ``rows[t]``; every other coordinate goes to
+        zero."""
         xv = self._check_shift(x)
         if xv not in self._maps:
-            comps = [(supp, k) for supp, (_, k)
-                     in zip(self.supports, self.components)]
-            self._maps[xv] = shift_map(comps, self.index, xv)
+            offsets = self.dilated.offsets
+            rows: list[int] = []
+            cols: list[int] = []
+            for (ci, p), c in self.index.items():
+                q = _add(p, xv)
+                if (ci, q) in self.index:
+                    k = self.components[ci][1]
+                    r = offsets[q][0] + self.index[(ci, q)]
+                    c += offsets[p][0]
+                    rows += range(r, r + k)
+                    cols += range(c, c + k)
+            self._maps[xv] = (np.array(rows, dtype=int),
+                              np.array(cols, dtype=int))
         return self._maps[xv]
 
     def w(self, x) -> np.ndarray:
         """Dilated group element W_x as a dense clipped block shift."""
-        return block_shift(self.dim, self.shift_map(x))
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self.shift_map(x)] = 1.0
+        return out
 
     def apply_w(self, x, m) -> np.ndarray:
         """W_x @ m, as a row gather of the complex ``m``.
@@ -365,11 +382,14 @@ class DilationBundle:
 
 
 def _extended_support(raw: PSet, wext: LatticeWindow, depth: int):
-    box = list(itertools.product(range(depth + 1), repeat=wext.dim))
+    """Points of the extended window from which a shift in the depth box
+    re-enters the set.  The set is upward invariant inside its window, so
+    some shift does exactly when the largest one, clipped to the window,
+    does: p qualifies when min(p + depth, hi) lies in the set."""
     members = set(raw.points)
-    out = [p for p in wext.points()
-           if any(_add(p, a) in members for a in box)]
-    return tuple(out)
+    hi = raw.window.hi
+    return tuple(p for p in wext.points()
+                 if tuple(min(c + depth, h) for c, h in zip(p, hi)) in members)
 
 
 def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
@@ -400,8 +420,7 @@ def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
         block = np.zeros((dilated.offsets[y][1], k), dtype=complex)
         for ci, (_, kc) in enumerate(comps):
             if (ci, y) in dec.reassembled_index:
-                r0 = idx[(ci, y)] - dilated.offsets[y][0]
-                c0 = dec.reassembled_index[(ci, y)] - reasm.offsets[y][0]
+                r0, c0 = idx[(ci, y)], dec.reassembled_index[(ci, y)]
                 block[r0:r0 + kc] = witness[c0:c0 + kc]
         blocks[y] = block
     return DilationBundle(
@@ -454,8 +473,7 @@ def dilation_checks(bundle: DilationBundle, tol: float):
     # block of y to its block of y - a when the support holds both points
     offsets = dilated.offsets
     rows_at = {}  # point -> component -> its rows in the dilated block
-    for (ci, p), start in bundle.index.items():
-        r0 = start - offsets[p][0]
+    for (ci, p), r0 in bundle.index.items():
         rows_at.setdefault(p, {})[ci] = slice(r0, r0 + bundle.components[ci][1])
     moves = {}  # point -> [(block, [(rows there, rows of block)])]
     for a in itertools.product(range(bundle.depth + 1), repeat=base.window.dim):
@@ -491,7 +509,7 @@ def dilation_checks(bundle: DilationBundle, tol: float):
     at = {x: i for i, x in enumerate(box)}
     covariant = 0.0
     for axis, e in enumerate(base.window.generators()):
-        rows, cols = np.nonzero(dilated.gens[axis])  # the 0/1 entries of W_e
+        rows, cols = bundle.shift_map(e)  # the 0/1 entries of W_e
         src = [i for i, x in enumerate(box) if _add(x, e) in at]
         dst = [at[_add(box[i], e)] for i in src]
         covariant = max(covariant, float(np.abs(
@@ -644,13 +662,14 @@ def extend_u(bundle: DilationBundle, theta,
     # the embedded unitary must stay block diagonal for routes to make sense
     stray = g.copy()
     out = np.zeros((bundle.dim, bundle.dim), dtype=complex)
+    offsets = bundle.dilated.offsets
     box = list(itertools.product(range(bundle.budget + 1),
                                  repeat=bundle.base.window.dim))
     for ci, ((raw, k), supp) in enumerate(zip(bundle.components, bundle.supports)):
         members = set(raw.points)
         gblocks = {}
         for p in raw.points:
-            r0 = bundle.index[(ci, p)]
+            r0 = offsets[p][0] + bundle.index[(ci, p)]
             gblocks[p] = g[r0:r0 + k, r0:r0 + k]
             stray[r0:r0 + k, r0:r0 + k] = 0.0
         for p in supp:
@@ -667,7 +686,7 @@ def extend_u(bundle: DilationBundle, theta,
                 if np.linalg.norm(other - routes[0], 2) > ROUTE_TOL:
                     raise WellDefinednessViolation(
                         f"evaluation routes disagree at block {p}")
-            r0 = bundle.index[(ci, p)]
+            r0 = offsets[p][0] + bundle.index[(ci, p)]
             out[r0:r0 + k, r0:r0 + k] = routes[0]
     if np.abs(stray).max(initial=0.0) > ROUTE_TOL:
         raise WellDefinednessViolation(

@@ -42,7 +42,7 @@ from .errors import (
     PairInvariantViolation,
 )
 from .lattice import LatticeWindow
-from .pairs import WeylPair, sum_layout
+from .pairs import WeylPair
 
 PROJ_TOL = 1e-12
 PLATEAU_TOL = 1e-12
@@ -397,19 +397,11 @@ def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
     bases = _field_bases(sample.mats)
     n = len(sample.vals)
     window = LatticeWindow((-n, -n), (n - 1, n - 1), weight=grid.step ** 2)
-    fibers, dim, index = sum_layout([[(pt, bases[k].shape[1])
-                                      for pt, k in np.ndenumerate(ids)
-                                      if bases[k].shape[1]]])
-    gens = []
-    for e in window.generators():
-        g = np.zeros((dim, dim), dtype=complex)
-        for (i, j), r in fibers.items():
-            q = (i + e[0], j + e[1])
-            if q in fibers:
-                r0, c0 = index[(0, q)], index[(0, (i, j))]
-                g[r0:r0 + fibers[q], c0:c0 + r] = \
-                    bases[ids[q]].conj().T @ bases[ids[i, j]]
-        gens.append(g)
+    fibers = {pt: bases[k].shape[1] for pt, k in np.ndenumerate(ids)
+              if bases[k].shape[1]}
+    gens = [{(i, j): bases[ids[i + e[0], j + e[1]]].conj().T @ bases[ids[i, j]]
+             for i, j in fibers if (i + e[0], j + e[1]) in fibers}
+            for e in window.generators()]
     return WeylPair(window, fibers, gens,
                     label=label or f"quarterplane(k={family.kappa})")
 

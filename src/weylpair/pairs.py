@@ -13,9 +13,10 @@ controlled by safe margins: isometry and commutation claims are asserted on
 the span of blocks that stay inside the window under all shifts up to the
 margin, and nowhere else.
 
-A pair has no entry outside its graded blocks: the relation forbids one,
-and the constructor refuses it.  The checks therefore read V_a block by
-block, composed from the generator blocks, and their values are exact.
+A pair is kept as its generator blocks: the relation forbids any entry
+outside them, and the constructor refuses a dense generator that has one.
+The checks read V_a block by block, composed from the generator blocks, and
+their values are exact; dense generators are written only when asked for.
 """
 
 from __future__ import annotations
@@ -49,15 +50,19 @@ class SafeRegion:
 
 
 class WeylPair:
-    """Position-graded pair: fiber dimensions plus one matrix per axis.
+    """Position-graded pair: fiber dimensions plus one generator per axis.
 
     ``fibers`` maps window points to positive fiber dimensions; points not
     listed carry the zero fiber.  Blocks are laid out in lexicographic point
     order, so the grading data determines the matrix layout uniquely.
 
-    The generators are kept as read-only copies, so the generator blocks
-    found when the grading is checked, and the blocks of each V_a composed
-    from them (:meth:`shift_blocks`), stay valid for the life of the pair.
+    A pair is its generator blocks.  ``gens`` gives, per axis, either a dict
+    from source point y to the block from the fiber of y into the fiber of
+    y + e_i (a source point left out is a zero block), or a dense matrix,
+    which is cut into those blocks.  The blocks are kept as read-only
+    copies, so they, and the blocks of each V_a composed from them
+    (:meth:`shift_blocks`), stay valid for the life of the pair; the dense
+    generators (:attr:`gens`) are a view built from them on first use.
     """
 
     def __init__(self, window: LatticeWindow, fibers, gens, label: str = ""):
@@ -76,50 +81,90 @@ class WeylPair:
             self.offsets[p] = (off, k)
             off += k
         self.dim = off
-        gens = tuple(np.array(g, dtype=complex) for g in gens)
-        if len(gens) != window.dim:
-            raise PairInvariantViolation("one generator matrix per axis required")
-        for g in gens:
-            if g.shape != (self.dim, self.dim):
-                raise PairInvariantViolation(
-                    f"generator shape {g.shape} does not match dim {self.dim}")
-            g.flags.writeable = False
-        self.gens = gens
         self.label = label
         self._paths: dict[tuple[Point, bool], dict] = {}
         self._shifts: dict[Point, dict] = {}
         self._safe: dict[int, tuple[Point, ...]] = {}
-        self._blocks = self._check_grading()
+        self._blocks = self._check_grading(gens)
 
-    def _check_grading(self) -> tuple[dict, ...]:
-        """Per axis, the generator blocks by source point.
+    def _check_grading(self, gens) -> tuple[dict, ...]:
+        """Per axis, the generator blocks by source point, in point order.
 
-        A non-finite entry in any generator is refused first, then a nonzero
-        entry outside the graded blocks, naming the axis and the largest
-        such entry; both raise :class:`PairInvariantViolation`.
+        A dense generator is cut into its blocks first.  Refused, each as
+        :class:`PairInvariantViolation`: a non-finite entry anywhere, first;
+        then a nonzero dense entry outside the graded blocks (a stray
+        entry), naming the axis and the largest; a block joining a point
+        that carries no fiber; and a block of the wrong shape.
         """
-        for axis, g in enumerate(self.gens):
-            if not np.isfinite(g).all():
+        if len(gens) != self.window.dim:
+            raise PairInvariantViolation("one generator matrix per axis required")
+        steps = self.window.generators()
+        cut = [self._cut(e, g) for e, g in zip(steps, gens)]
+        for axis, (given, stray) in enumerate(cut):
+            if not (np.isfinite(stray)
+                    and all(np.isfinite(b).all() for b in given.values())):
                 raise PairInvariantViolation(
                     f"generator {axis} has a non-finite entry")
-        found = []
-        for axis, (e, g) in enumerate(zip(self.window.generators(), self.gens)):
-            blocks = {}
-            rest = np.abs(g)
-            for p, (off, k) in self.offsets.items():
-                q = _add(p, e)
-                if q in self.offsets:
-                    qoff, qk = self.offsets[q]
-                    cut = (slice(qoff, qoff + qk), slice(off, off + k))
-                    blocks[p] = g[cut]
-                    rest[cut] = 0.0
-            stray = float(rest.max(initial=0.0))
+        for axis, (_, stray) in enumerate(cut):
             if stray > 0.0:
                 raise PairInvariantViolation(
                     f"generator {axis} has an entry outside its graded blocks "
                     f"(largest stray entry {stray:.3e})")
+        found = []
+        for axis, (e, (given, _)) in enumerate(zip(steps, cut)):
+            shapes = {p: (self.offsets[q][1], k)
+                      for p, (_, k) in self.offsets.items()
+                      if (q := _add(p, e)) in self.offsets}
+            for p, b in given.items():
+                if p not in shapes:
+                    end = _add(p, e) if p in self.offsets else p
+                    raise PairInvariantViolation(
+                        f"generator {axis}: block point {end} carries no fiber")
+                if b.shape != shapes[p]:
+                    raise PairInvariantViolation(
+                        f"generator {axis}: block of {p} has shape {b.shape}, "
+                        f"not {shapes[p]}")
+            blocks = {p: np.array(given[p]) if p in given
+                      else np.zeros(shape, dtype=complex)
+                      for p, shape in shapes.items()}
+            for b in blocks.values():
+                b.flags.writeable = False
             found.append(blocks)
         return tuple(found)
+
+    def _cut(self, e: Point, g) -> tuple[dict, float]:
+        """A block dict with its points as tuples and its blocks as complex
+        arrays, and stray 0.0; or a dense generator's blocks (views) and
+        the largest absolute entry outside them."""
+        if isinstance(g, dict):
+            return {tuple(int(c) for c in p): np.asarray(b, dtype=complex)
+                    for p, b in g.items()}, 0.0
+        g = np.asarray(g, dtype=complex)
+        if g.shape != (self.dim, self.dim):
+            raise PairInvariantViolation(
+                f"generator shape {g.shape} does not match dim {self.dim}")
+        blocks = {}
+        rest = np.abs(g)
+        for p in self.offsets:
+            q = _add(p, e)
+            if q in self.offsets:
+                cut = (self.block_slice(q), self.block_slice(p))
+                blocks[p] = g[cut]
+                rest[cut] = 0.0
+        return blocks, float(rest.max(initial=0.0))
+
+    @functools.cached_property
+    def gens(self) -> tuple[np.ndarray, ...]:
+        """The generators as read-only dense dim x dim matrices, written
+        from the blocks on first use; every other entry is zero."""
+        out = []
+        for e, blocks in zip(self.window.generators(), self._blocks):
+            g = np.zeros((self.dim, self.dim), dtype=complex)
+            for p, b in blocks.items():
+                g[self.block_slice(_add(p, e)), self.block_slice(p)] = b
+            g.flags.writeable = False
+            out.append(g)
+        return tuple(out)
 
     def graded_blocks(self, axis: int) -> dict:
         """Blocks of generator ``axis`` by source point.
@@ -245,58 +290,35 @@ def build_pspace_pair(pspace: PSet, k: int, label: str = "") -> WeylPair:
     return pair
 
 
-def sum_layout(parts) -> tuple[dict, int, dict]:
+def sum_layout(parts) -> tuple[dict, dict]:
     """Block layout of a direct sum of position-graded summands.
 
     ``parts`` lists each summand's (point, fiber dimension) items.  Returns
-    the summed fibers, the total dimension and the index (summand, point)
-    -> first coordinate of that summand's fiber inside the block of the
-    point.  Blocks follow lexicographic point order, and inside a block the
+    the summed fibers and the index (summand, point) -> first coordinate of
+    that summand's fiber inside the block of the point: inside a block the
     summands follow list order.
     """
     fibers: dict[Point, int] = {}
-    for items in parts:
-        for p, k in items:
-            fibers[p] = fibers.get(p, 0) + k
-    cursor = {}
-    dim = 0
-    for p in sorted(fibers):
-        cursor[p] = dim
-        dim += fibers[p]
     index: dict[tuple[int, Point], int] = {}
     for si, items in enumerate(parts):
         for p, k in items:
-            index[(si, p)] = cursor[p]
-            cursor[p] += k
-    return fibers, dim, index
+            index[(si, p)] = fibers.get(p, 0)
+            fibers[p] = index[(si, p)] + k
+    return fibers, index
 
 
-def shift_map(comps, index: dict, x) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate map of the shift by ``x`` on a direct sum of canonical
-    summands.
-
-    ``comps`` lists (points, multiplicity) per summand and ``index`` is its
-    :func:`sum_layout` index.  Returns (rows, cols): the block of
-    (summand, y) goes identically onto the block of (summand, y + x)
-    whenever both points lie in the summand, so coordinate ``cols[t]`` goes
-    to ``rows[t]``; every other coordinate goes to zero.
-    """
-    rows: list[int] = []
-    cols: list[int] = []
-    for ci, (pts, k) in enumerate(comps):
-        members = set(pts)
-        for p in pts:
-            q = _add(p, x)
-            if q in members:
-                rows.extend(range(index[(ci, q)], index[(ci, q)] + k))
-                cols.extend(range(index[(ci, p)], index[(ci, p)] + k))
-    return np.array(rows, dtype=int), np.array(cols, dtype=int)
-
-
-def block_shift(dim: int, smap: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The dense dim x dim matrix of a :func:`shift_map` ``smap``."""
-    out = np.zeros((dim, dim), dtype=complex)
-    out[smap] = 1.0
+def _sum_blocks(fibers: dict, index: dict, e: Point, parts) -> dict:
+    """The blocks of one axis generator of a direct sum: ``parts`` holds
+    each summand's blocks by source point, placed at its :func:`sum_layout`
+    index in the sum's block."""
+    out: dict[Point, np.ndarray] = {}
+    for si, blocks in enumerate(parts):
+        for y, b in blocks.items():
+            q = _add(y, e)
+            if y not in out:
+                out[y] = np.zeros((fibers[q], fibers[y]), dtype=complex)
+            r, c = index[(si, q)], index[(si, y)]
+            out[y][r:r + b.shape[0], c:c + b.shape[1]] = b
     return out
 
 
@@ -304,11 +326,15 @@ def canonical_sum(window: LatticeWindow, comps, label: str):
     """Direct sum of canonical pairs, one per (points, multiplicity).
 
     Returns the pair and its :func:`sum_layout` index (summand, point) ->
-    first coordinate; the generators are the :func:`block_shift` of each
-    axis generator.
+    first coordinate inside the block of the point.  The block of each
+    summand from y to y + e_i is the identity when both points lie in its
+    set.
     """
-    fibers, dim, index = sum_layout([[(p, k) for p in pts] for pts, k in comps])
-    gens = [block_shift(dim, shift_map(comps, index, e))
+    fibers, index = sum_layout([[(p, k) for p in pts] for pts, k in comps])
+    eyes = [(set(pts), np.eye(k)) for pts, k in comps]
+    gens = [_sum_blocks(fibers, index, e,
+                        [{p: eye for p in pts if _add(p, e) in members}
+                         for (pts, _), (members, eye) in zip(comps, eyes)])
             for e in window.generators()]
     return WeylPair(window, fibers, gens, label=label), index
 
@@ -503,16 +529,9 @@ def direct_sum(pairs: list[WeylPair], label: str = "") -> WeylPair:
     for p in pairs[1:]:
         if p.window != window:
             raise WindowMismatch("direct summands live on different windows")
-    fibers, total, index = sum_layout([p.fibers for p in pairs])
-    injections = [np.concatenate([np.arange(index[(si, pt)], index[(si, pt)] + k)
-                                  for pt, k in p.fibers])
-                  for si, p in enumerate(pairs)]
-    gens = []
-    for axis in range(window.dim):
-        g = np.zeros((total, total), dtype=complex)
-        for p, inj in zip(pairs, injections):
-            g[np.ix_(inj, inj)] = p.gens[axis]
-        gens.append(g)
+    fibers, index = sum_layout([p.fibers for p in pairs])
+    gens = [_sum_blocks(fibers, index, e, [p._blocks[axis] for p in pairs])
+            for axis, e in enumerate(window.generators())]
     return WeylPair(window, fibers, gens,
                     label=label or "+".join(p.label for p in pairs))
 

@@ -94,7 +94,8 @@ def pair_to_json(pair, matrix=matrix_to_json) -> dict:
 
 def pair_from_json(doc):
     """The pair of a document in either form: graded ``blocks`` or dense
-    ``generators``.  Blocks are placed into zeroed dense generators; dense
+    ``generators``.  A graded document is read as its blocks, and the pair
+    writes its dense generators only when they are asked for; dense
     generators are accepted only when exactly graded, as :class:`WeylPair`
     accepts any."""
     from .pairs import WeylPair
@@ -107,7 +108,7 @@ def pair_from_json(doc):
             raise ScenarioParseError(
                 "pair document needs exactly one of 'blocks' and 'generators'")
         if "blocks" in doc:
-            gens = _place_blocks(w, fibers, doc["blocks"])
+            gens = _read_blocks(w, fibers, doc["blocks"])
         else:
             gens = [matrix_from_json(g) for g in doc["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -115,39 +116,30 @@ def pair_from_json(doc):
     return WeylPair(w, fibers, gens, label=label)
 
 
-def _place_blocks(window: LatticeWindow, fibers: dict, blocks) -> list:
-    """Dense generators holding the blocks of a graded pair document, in
-    the layout :class:`WeylPair` gives ``fibers``; zero elsewhere."""
-    from .pairs import sum_layout
-
-    sizes, dim, start = sum_layout([[(p, k) for p, k in fibers.items()
-                                     if k > 0]])
+def _read_blocks(window: LatticeWindow, fibers: dict, blocks) -> list:
+    """Per axis, the blocks of a graded pair document by source point."""
     if len(blocks) != window.dim:
         raise ScenarioParseError(f"pair document has blocks for {len(blocks)} "
                                  f"axes in a {window.dim}-d window")
     gens = []
     for axis, (e, listed) in enumerate(zip(window.generators(), blocks)):
-        g = np.zeros((dim, dim), dtype=complex)
-        seen = set()
+        found = {}
         for p, block in listed:
             p = tuple(int(c) for c in p)
             q = _add(p, e)
             for end in (p, q):
-                if end not in sizes:
+                if fibers.get(end, 0) <= 0:
                     raise ScenarioParseError(
                         f"axis {axis}: block point {end} carries no fiber")
-            if p in seen:
+            if p in found:
                 raise ScenarioParseError(
                     f"axis {axis}: repeated block source point {p}")
-            seen.add(p)
-            b = matrix_from_json(block)
-            if b.shape != (sizes[q], sizes[p]):
+            found[p] = matrix_from_json(block)
+            if found[p].shape != (fibers[q], fibers[p]):
                 raise ScenarioParseError(
-                    f"axis {axis}: block of {p} has shape {b.shape}, "
-                    f"not {(sizes[q], sizes[p])}")
-            g[start[(0, q)]:start[(0, q)] + sizes[q],
-              start[(0, p)]:start[(0, p)] + sizes[p]] = b
-        gens.append(g)
+                    f"axis {axis}: block of {p} has shape {found[p].shape}, "
+                    f"not {(fibers[q], fibers[p])}")
+        gens.append(found)
     return gens
 
 

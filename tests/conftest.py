@@ -224,3 +224,79 @@ def dense_dilation_checks(bundle):
     out["family-monotone"] = monotone
     out["family-covariant"] = covariant
     return out
+
+
+def _sum_coordinates(parts):
+    """Oracle layout of a direct sum: the coordinates of each summand's
+    fiber at each point, blocks in point order and summands in list order
+    inside a block."""
+    fibers = {}
+    for items in parts:
+        for p, k in items:
+            fibers[p] = fibers.get(p, 0) + k
+    cursor, start = {}, 0
+    for p in sorted(fibers):
+        cursor[p], start = start, start + fibers[p]
+    coords = {}
+    for si, items in enumerate(parts):
+        for p, k in items:
+            coords[(si, p)] = np.arange(cursor[p], cursor[p] + k)
+            cursor[p] += k
+    return start, coords
+
+
+def block_shift_generators(window, comps):
+    """Oracle: the dense 0/1 generators of a canonical sum, one per
+    (points, multiplicity), each coordinate of (summand, y) sent to the
+    same coordinate of (summand, y + e_i) when both points lie in the
+    summand's set, written into a zeroed matrix."""
+    dim, coords = _sum_coordinates([[(p, k) for p in pts] for pts, k in comps])
+    gens = []
+    for e in window.generators():
+        g = np.zeros((dim, dim), dtype=complex)
+        for ci, (pts, _) in enumerate(comps):
+            for p in pts:
+                q = tuple(a + b for a, b in zip(p, e))
+                if q in pts:
+                    g[coords[(ci, q)], coords[(ci, p)]] = 1.0
+        gens.append(g)
+    return gens
+
+
+def direct_sum_generators(pairs):
+    """Oracle: the dense generators of a direct sum, each summand's whole
+    generator written at its coordinates into a zeroed matrix."""
+    dim, coords = _sum_coordinates([p.fibers for p in pairs])
+    inj = [np.concatenate([coords[(si, y)] for y, _ in p.fibers])
+           for si, p in enumerate(pairs)]
+    gens = []
+    for axis in range(pairs[0].window.dim):
+        g = np.zeros((dim, dim), dtype=complex)
+        for p, idx in zip(pairs, inj):
+            g[np.ix_(idx, idx)] = p.gens[axis]
+        gens.append(g)
+    return gens
+
+
+def placed_generators(pair):
+    """Oracle: the dense generators holding the pair's graded blocks at the
+    coordinates of their fibers, zero elsewhere."""
+    _, coords = _sum_coordinates([pair.fibers])
+    gens = []
+    for axis, e in enumerate(pair.window.generators()):
+        g = np.zeros((pair.dim, pair.dim), dtype=complex)
+        for y, b in pair.graded_blocks(axis).items():
+            q = tuple(a + c for a, c in zip(y, e))
+            g[np.ix_(coords[(0, q)], coords[(0, y)])] = b
+        gens.append(g)
+    return gens
+
+
+def extended_support_by_box(raw, wext, depth):
+    """Oracle: the points of the extended window from which some shift of
+    the depth box lands in the set, one shift at a time."""
+    box = list(itertools.product(range(depth + 1), repeat=wext.dim))
+    members = set(raw.points)
+    return tuple(p for p in wext.points()
+                 if any(tuple(a + b for a, b in zip(p, s)) in members
+                        for s in box))

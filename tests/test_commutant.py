@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from weylpair import (
     unitarily_equivalent,
     unitary_u,
 )
+from weylpair.cli import main
 from weylpair.commutant import check_central, residual, span_distance
+from weylpair.serialize import matrix_to_json, pair_to_json
 
 from conftest import (dense_subspace_gap, equivalence_by_draws,
                       fiber_mixing_unitary, opnorm, tail, upset_from)
@@ -448,46 +452,26 @@ def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
 # branches of the dense solver that no represented pair reaches
 
 
-def _sparse_factors(rng, n_b, n_a, r):
-    """Factor columns with most entries zero, as graded problems give them."""
-    def draw(rows):
-        m = rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
-        return m * (rng.random((rows, r)) < 0.4)
-    return draw(n_b), draw(n_a), draw(n_b), draw(n_a)
-
-
-def test_sparse_stacked_map_matches_the_dense_broadcast(monkeypatch):
-    rng = np.random.default_rng(5)
-    for n_b, n_a, r in [(4, 3, 7), (5, 5, 12), (2, 6, 3)]:
-        lefts, w, z, rights = _sparse_factors(rng, n_b, n_a, r)
-        dense = commutant._stacked_map(lefts, w, z, rights, n_a)
-        assert dense.shape == (n_b * n_a, r)
-        # rows (p, q) that some column can reach: u_p w_q* or z_p v_q*
-        reach = (np.abs(lefts) @ np.abs(w).T + np.abs(z) @ np.abs(rights).T) > 0
-        rows = np.flatnonzero(reach)
-        monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
-        sparse = commutant._stacked_map(lefts, w, z, rights, n_a)
-        monkeypatch.undo()
-        np.testing.assert_allclose(sparse, dense[rows], rtol=0, atol=1e-15)
-        assert not np.any(np.delete(dense, rows, axis=0))
-    zero = np.zeros((3, 4), dtype=complex)
-    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
-    assert commutant._stacked_map(zero, zero, zero, zero, 3).shape == (0, 4)
-
-
-def test_sparse_stacked_map_gives_the_same_solutions(monkeypatch, chain8):
+def test_a_gens_list_over_the_map_cap_is_refused(tmp_path, capsys,
+                                                 monkeypatch, chain8):
+    """Past ``_DENSE_MAP_CAP`` a ``--gens`` solve is refused by name, and
+    the report says to pass the pair file; that file takes the graded
+    solve, which builds no stacked map."""
     pair = build_pspace_pair(upset_from(chain8, [(2,)]), 2)
-    rep = RepGens.from_pair(pair)
-    u = fiber_mixing_unitary(pair, np.random.default_rng(3))
-    other = [u @ g @ u.conj().T for g in rep.gens]
-    want = [sylvester_nullspace(rep.gens, rep.gens),
-            sylvester_nullspace(rep.gens, other)]
+    gens = [matrix_to_json(g) for g in RepGens.from_pair(pair).gens]
     monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
-    got = [sylvester_nullspace(rep.gens, rep.gens),
-           sylvester_nullspace(rep.gens, other)]
-    for g, w in zip(got, want):
-        assert len(g) == len(w) == 4
-        assert subspace_gap(g, w) <= 1e-12
+    reports = []
+    for name, doc in [("gens", {"gens": gens}),
+                      ("pair", {"pair": pair_to_json(pair)})]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(doc, command="commutant")))
+        code = main(["commutant", "--scenario", str(path),
+                     "--out", str(tmp_path)])
+        reports.append((code, json.loads(capsys.readouterr().out)))
+    (code, refused), (ok, solved) = reports
+    assert code == 1 and refused["kind"] == "DimensionGuard"
+    assert "pass the pair file" in refused["error"]
+    assert ok == 0 and solved["data"]["commutant_dim"] == 4
 
 
 def test_identity_seed_when_no_map_has_a_spectrum():

@@ -103,7 +103,7 @@ def _safe_indices_oracle(bundle, shifts):
         members = set(supp)
         for p in supp:
             if all(tuple(a + b for a, b in zip(p, s)) in members for s in shifts):
-                base = bundle.index[(ci, p)]
+                base = bundle.dilated.offsets[p][0] + bundle.index[(ci, p)]
                 keep.extend(range(base, base + k))
     return np.array(sorted(keep), dtype=int)
 
@@ -140,7 +140,7 @@ def _e_diagonal_oracle(bundle, x):
         minimals = _extremal_points(raw)
         for p in supp:
             if any(_leq(m, _sub(p, x)) for m in minimals):
-                r0 = bundle.index[(ci, p)]
+                r0 = bundle.dilated.offsets[p][0] + bundle.index[(ci, p)]
                 out[r0:r0 + k] = 1.0
     return out
 
