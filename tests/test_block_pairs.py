@@ -57,7 +57,8 @@ def built_pairs(draw):
                              GridSpec(1, parts + 1.0))
         return pair, placed_generators(pair)
     pool = POOLS[draw(st.integers(0, len(POOLS) - 1))]
-    drawn = [(pool[draw(st.integers(0, len(pool) - 1))], draw(st.integers(1, 3)))
+    drawn = [(pool[draw(st.integers(0, len(pool) - 1))],
+              draw(st.integers(1, 3)))
              for _ in range(draw(st.integers(1, 3)))]
     if kind == "canonical":
         comps = [(ps.points, k) for ps, k in drawn]

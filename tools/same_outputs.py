@@ -80,7 +80,8 @@ def run_revision(rev: str, workload: str, seed: int, out: str) -> list[dict]:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         shutil.rmtree(out, ignore_errors=True)
         env = dict(os.environ, WEYLPAIR_THREADS="1")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
             env.pop(var, None)
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--digest", tree,
@@ -106,7 +107,8 @@ def compare(a: list[dict], b: list[dict]) -> list[str]:
             what.append(f"exit code {x['code']} against {y['code']}")
         if x["stdout"] != y["stdout"]:
             what.append("stdout")
-        what += [f"file {name}" for name in sorted(x["files"].keys() | y["files"].keys())
+        names = sorted(x["files"].keys() | y["files"].keys())
+        what += [f"file {name}" for name in names
                  if x["files"].get(name) != y["files"].get(name)]
         if what:
             lines.append(f"#{i} {x['op']}: " + ", ".join(what))
