@@ -7,7 +7,9 @@ projections are the eigenprojections of one generic Hermitian element of
 the centre that ``commutant.summarize`` returns.  For a represented pair
 the centre and this split are solved on the free fibers of the graded
 solve and lifted to full space, where each projection is checked against
-the generators.
+the generators.  The unitary witness of the split is built along the
+Morita routing, from one basis per component at the window's top corner,
+and checked block by block.
 
 The minimal unitary dilation of such a pair is realised concretely: the
 window is extended downward by the depth, each component support grows to
@@ -39,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .commutant import (AlgebraSummary, RepGens, _restrict, opnorm_exceeds,
-                        summarize, unitarily_equivalent)
+                        summarize)
 from .errors import (
     BudgetExceeded,
     DepthZeroDegenerate,
@@ -84,10 +86,14 @@ class ComponentResult:
 
 @dataclass(eq=False)
 class Decomposition:
+    """Components and the witness onto their reassembled sum, dense and as
+    ``bases``: (component, point) to the component's rows of the witness
+    block there, the adjoint of an orthonormal basis of its range."""
+
     components: list[ComponentResult]
     witness: np.ndarray = field(repr=False)
     reassembled: WeylPair = field(repr=False)
-    reassembled_index: dict = field(repr=False, default_factory=dict)
+    bases: dict = field(repr=False)
 
 
 def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
@@ -132,7 +138,7 @@ def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
             or opnorm_exceeds(_commutators(projs[:, free[:, None], free], ops),
                               1e-8)):
         raise FiberMismatch("could not isolate minimal central projections")
-    return list(projs)
+    return projs
 
 
 def _with_adjoints(stack):
@@ -152,11 +158,14 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
                    guard: int = 256) -> Decomposition:
     """Split a commuting-range position-graded pair into canonical parts.
 
-    Steps: verify commuting ranges, compute the commutant and centre of the
-    generated algebra, split along minimal central projections, read each
-    factor block as (upward-invariant set, constant multiplicity), and
-    verify that the direct sum of the canonical models is unitarily
-    equivalent to the input.
+    Verify commuting ranges, split along the minimal central projections
+    and read each factor block (upward-invariant set, multiplicity) off the
+    projection's traces on the fibers.  The witness follows the Morita
+    routing: a basis of each component's range at the top corner, which
+    every support holds, is carried down as W_y = C_y* W_{y+e} B_y, with
+    B_y and C_y the blocks of the pair and of the reassembled sum on the
+    first axis with room.  FiberMismatch is raised unless every W_y is
+    unitary and every W_{y+e} B_y W_y* equals C_y within 1e-8.
     """
     worst = check_commuting_ranges(pair)
     if worst > RANGE_TOL:
@@ -165,64 +174,60 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
     rep = RepGens.from_pair(pair)
     projs = _minimal_central_projections(rep, summarize(rep, tol, guard))
 
-    # the blocks of every projection at every point, one eigvalsh per size
-    by_size = {}
-    for pt, k in pair.fibers:
-        by_size.setdefault(k, []).append(pt)
-    spectra = {}
-    for pts in by_size.values():
-        cuts = [pair.block_slice(pt) for pt in pts]
-        vals = np.linalg.eigvalsh(np.stack([p[s, s] for p in projs for s in cuts]))
-        spectra.update(zip(itertools.product(range(len(projs)), pts), vals))
+    points = pair.points
+    traces = np.add.reduceat(np.diagonal(projs, axis1=1, axis2=2).real,
+                             [pair.offsets[p][0] for p in points], axis=1)
+    ranks = np.rint(traces).astype(int)
+    if np.abs(traces - ranks).max() > 1e-8:
+        raise FiberMismatch("central projection is not position-diagonal")
     comps = []
-    for i in range(len(projs)):
-        support = []
-        mult = None
-        for pt, k in pair.fibers:
-            vals = spectra[(i, pt)]
-            ones = vals > 0.5
-            if np.abs(vals[ones] - 1.0).max(initial=0.0) > 1e-8 or \
-               np.abs(vals[~ones]).max(initial=0.0) > 1e-8:
-                raise FiberMismatch(
-                    "central projection is not position-diagonal")
-            r = int(ones.sum())
-            if r:
-                support.append(pt)
-                if mult is None:
-                    mult = r
-                elif mult != r:
-                    raise FiberMismatch(
-                        f"fiber dimension jumps from {mult} to {r} inside one "
-                        f"factor block")
+    for proj, row in zip(projs, ranks):
+        mults = row[row > 0]
+        if (mults != mults[:1]).any():
+            raise FiberMismatch(
+                f"fiber dimension jumps from {mults[0]} to "
+                f"{mults[mults != mults[0]][0]} inside one factor block")
         try:
-            raw = PSet(pair.window, tuple(support), SetKind.PSPACE)
+            raw = PSet(pair.window, tuple(p for p, r in zip(points, row) if r),
+                       SetKind.PSPACE)
         except (InvarianceViolation, EmptySetError) as exc:
             raise FiberMismatch(
                 f"factor-block support is not upward invariant: {exc}") from exc
-        comps.append((raw, mult))
+        comps.append((raw, int(mults[0]), proj))
 
     comps.sort(key=lambda c: (c[0].points, c[1]))
-    reassembled, reasm_idx = canonical_sum(
-        pair.window, [(c[0].points, c[1]) for c in comps], "gradedsum")
-    # reassembled fibers equal the input's, so the blocks sit at the same points
-    if all(np.abs(a[y] - b[y]).max() <= 1e-12
-           for a, b in zip(pair._blocks, reassembled._blocks) for y in a):
-        # the input already is the canonical sum in canonical layout
-        ok, witness = True, np.eye(pair.dim, dtype=complex)
-    else:
-        ok, witness = unitarily_equivalent(rep, RepGens.from_pair(reassembled),
-                                           tol, guard)
-    if not ok:
+    reassembled, index = canonical_sum(
+        pair.window, [(raw.points, m) for raw, m, _ in comps], "gradedsum")
+    if reassembled.fibers != pair.fibers:
+        raise FiberMismatch("reassembled fibers differ from the input's")
+    hi, steps = pair.window.hi, pair.window.generators()
+    # eigenspace i of sum_i i P_i is the range of P_i: the bases, in order
+    top = pair.block_slice(hi)
+    w = {hi: np.linalg.eigh(sum(i * proj[top, top] for i, (_, _, proj)
+                                in enumerate(comps, 1)))[1].conj().T}
+    for y in reversed(points[:-1]):  # y + e_i comes before y
+        axis = next(i for i, (c, h) in enumerate(zip(y, hi)) if c < h)
+        w[y] = (reassembled._blocks[axis][y].T @ w[_add(y, steps[axis])]
+                @ pair._blocks[axis][y])
+    mats = [b @ b.conj().T - np.eye(len(b)) for b in w.values()]
+    for axis, e in enumerate(steps):
+        mats += [w[_add(y, e)] @ b @ w[y].conj().T - reassembled._blocks[axis][y]
+                 for y, b in pair._blocks[axis].items()]
+    if any(opnorm_exceeds(s, 1e-8) for _, s in _stacks(mats)):
         raise FiberMismatch(
             "reassembled canonical sum is not unitarily equivalent to the "
             "input; the pair is not a truncation of a covariant model")
+    witness = np.zeros((pair.dim, pair.dim), dtype=complex)
+    for y, b in w.items():
+        witness[pair.block_slice(y), pair.block_slice(y)] = b
 
     results = []
-    for raw, mult in comps:
+    for raw, mult, _ in comps:
         t = _sub(raw.points[0], pair.window.lo)
         normalized, _ = translate_pset(raw, tuple(-c for c in t))
         results.append(ComponentResult(normalized, t, mult, raw))
-    return Decomposition(results, witness, reassembled, reasm_idx)
+    return Decomposition(results, witness, reassembled, {
+        (ci, y): w[y][r0:r0 + comps[ci][1]] for (ci, y), r0 in index.items()})
 
 
 def decompose(pair: WeylPair, tol: float = 1e-8,
@@ -410,19 +415,11 @@ def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
     supports = [_extended_support(raw, wext, depth) for raw, _ in comps]
     dilated, idx = canonical_sum(
         wext, [(s, k) for s, (_, k) in zip(supports, comps)], "gradedsum")
-    # the witness is block diagonal over the fibers: the rows of each
-    # component in its block of y go to that component's rows in the
-    # dilated block of y
-    reasm = dec.reassembled
-    blocks = {}
-    for y, k in pair.fibers:
-        witness = dec.witness[reasm.block_slice(y), pair.block_slice(y)]
-        block = np.zeros((dilated.offsets[y][1], k), dtype=complex)
-        for ci, (_, kc) in enumerate(comps):
-            if (ci, y) in dec.reassembled_index:
-                r0, c0 = idx[(ci, y)], dec.reassembled_index[(ci, y)]
-                block[r0:r0 + kc] = witness[c0:c0 + kc]
-        blocks[y] = block
+    # each component's witness rows at y go to its rows of the dilated block
+    blocks = {y: np.zeros((dilated.offsets[y][1], k), dtype=complex)
+              for y, k in pair.fibers}
+    for (ci, y), rows in dec.bases.items():
+        blocks[y][idx[(ci, y)]:idx[(ci, y)] + len(rows)] = rows
     return DilationBundle(
         base=pair, depth=depth, budget=depth, window_ext=wext,
         components=comps, supports=supports, dilated=dilated, index=idx,

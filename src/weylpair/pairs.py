@@ -72,7 +72,8 @@ class WeylPair:
         if not items:
             raise PairInvariantViolation("pair needs at least one nonzero fiber")
         for p, _ in items:
-            if p not in window:
+            if len(p) != window.dim or not all(
+                    l <= c <= h for l, c, h in zip(window.lo, p, window.hi)):
                 raise PairInvariantViolation(f"fiber point {p} outside window")
         self.fibers: tuple[tuple[Point, int], ...] = tuple(items)
         self.offsets: dict[Point, tuple[int, int]] = {}
@@ -101,8 +102,8 @@ class WeylPair:
         steps = self.window.generators()
         cut = [self._cut(e, g) for e, g in zip(steps, gens)]
         for axis, (given, stray) in enumerate(cut):
-            if not (np.isfinite(stray)
-                    and all(np.isfinite(b).all() for b in given.values())):
+            entries = [b.ravel() for b in given.values()] + [np.array([stray])]
+            if not np.isfinite(np.concatenate(entries)).all():
                 raise PairInvariantViolation(
                     f"generator {axis} has a non-finite entry")
         for axis, (_, stray) in enumerate(cut):
@@ -124,7 +125,7 @@ class WeylPair:
                     raise PairInvariantViolation(
                         f"generator {axis}: block of {p} has shape {b.shape}, "
                         f"not {shapes[p]}")
-            blocks = {p: np.array(given[p]) if p in given
+            blocks = {p: given[p] if p in given
                       else np.zeros(shape, dtype=complex)
                       for p, shape in shapes.items()}
             for b in blocks.values():
@@ -134,10 +135,10 @@ class WeylPair:
 
     def _cut(self, e: Point, g) -> tuple[dict, float]:
         """A block dict with its points as tuples and its blocks as complex
-        arrays, and stray 0.0; or a dense generator's blocks (views) and
+        copies, and stray 0.0; or copies of a dense generator's blocks and
         the largest absolute entry outside them."""
         if isinstance(g, dict):
-            return {tuple(int(c) for c in p): np.asarray(b, dtype=complex)
+            return {tuple(int(c) for c in p): np.array(b, dtype=complex)
                     for p, b in g.items()}, 0.0
         g = np.asarray(g, dtype=complex)
         if g.shape != (self.dim, self.dim):
@@ -149,7 +150,7 @@ class WeylPair:
             q = _add(p, e)
             if q in self.offsets:
                 cut = (self.block_slice(q), self.block_slice(p))
-                blocks[p] = g[cut]
+                blocks[p] = g[cut].copy()
                 rest[cut] = 0.0
         return blocks, float(rest.max(initial=0.0))
 

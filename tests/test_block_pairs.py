@@ -5,12 +5,14 @@ are a view written from them on first use.  On canonical sums, direct sums
 and quarter-plane pairs that view equals, bit for bit, a dense oracle
 placement, and the pair rebuilt from the view has the same blocks.  Block
 input is refused for a NaN, a point without a fiber, a wrong shape and a
-wrong axis count; a source point left out is a zero block.  Building,
-reading and checking a graded pair file never writes the dense view.  The
-dilation's extended supports follow the upward-closure rule.
+wrong axis count, as is a fiber point outside the window; a source point
+left out is a zero block.  Building, reading and checking a graded pair
+file never writes the dense view.  The dilation's extended supports follow
+the upward-closure rule.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,8 +97,11 @@ def test_block_input_is_refused_as_dense_input_is():
 
     nan = {y: b.copy() for y, b in blocks[1].items()}
     nan[(1, 0)][0, 0] = np.nan
+    last = {y: b.copy() for y, b in blocks[1].items()}
+    last[max(last)][-1, -1] = np.nan
     cases = [
         ([blocks[0], nan], "generator 1 has a non-finite entry"),
+        ([blocks[0], last], "generator 1 has a non-finite entry"),
         ([{**blocks[0], (2, 2): np.eye(2)}, blocks[1]],
          r"generator 0: block point \(3, 2\) carries no fiber"),
         ([blocks[0], {**blocks[1], (0, 1): np.eye(2)}],
@@ -109,6 +114,11 @@ def test_block_input_is_refused_as_dense_input_is():
     for gens, message in cases:
         with pytest.raises(PairInvariantViolation, match=message):
             build(gens)
+    # a fiber point outside the window on one coordinate only
+    for point in [(1, 3), (-1, 1)]:
+        with pytest.raises(PairInvariantViolation,
+                           match=re.escape(f"fiber point {point} outside")):
+            WeylPair(pair.window, {**dict(pair.fibers), point: 1}, blocks)
 
     # a source point left out is a zero block, and the file still lists it
     gone = {y: b for y, b in blocks[1].items() if y != (1, 0)}

@@ -392,7 +392,7 @@ def test_export_heatmap_bytes_match_the_per_row_writer(tmp_path):
         return path
 
     special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300,
-               5e-324, 0.1, 1 / 3, 2.5, 1e300]
+               5e-324, 0.1, 1 / 3, 2.5, 1e300, 3.0, -7.0, 2.0 ** 53, 1e16]
     rows = [(s, t, v) for s in special[:4] for t in (0.0, -0.0, 0.35)
             for v in special]
     rows += [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (1, 2, 3)]

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -31,10 +32,13 @@ from weylpair import (
     unitarily_equivalent,
     unitary_u,
 )
+from weylpair import commutant, dilation
+from weylpair.cli import main
 from weylpair.commutant import AlgebraSummary, span_distance, summarize
 from weylpair.dilation import (_minimal_central_projections, decompose_full,
                                e_diagonal)
 from weylpair.lattice import _extremal_points, _leq, _sub
+from weylpair.serialize import pair_to_json
 
 from conftest import fiber_mixing_unitary, opnorm, tail, upset_from
 
@@ -515,6 +519,70 @@ def test_decompose_rejects_nonisometric_component():
     pair = WeylPair(w, {(0,): 1, (1,): 1}, [g])
     with pytest.raises(FiberMismatch):
         decompose(pair)
+
+
+def test_decompose_refuses_a_pair_with_no_fiber_at_the_top_corner(
+        tmp_path, capsys):
+    # the fibers at 0 and 1 of [0, 2] form one factor whose support misses
+    # the top corner 2, so it is not upward invariant
+    pair = WeylPair(LatticeWindow((0,), (2,)), {(0,): 1, (1,): 1},
+                    [{(0,): np.eye(1)}])
+    for build in (decompose, decompose_full, lambda p: minimal_dilation(p, 1)):
+        with pytest.raises(FiberMismatch, match="not upward invariant"):
+            build(pair)
+    scenario = tmp_path / "top.json"
+    scenario.write_text(json.dumps({"command": "decompose",
+                                    "pair": pair_to_json(pair)}))
+    code = main(["decompose", "--scenario", str(scenario),
+                 "--out", str(tmp_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["kind"] == "FiberMismatch"
+
+
+def test_decompose_refuses_a_similar_pair_that_is_not_unitarily_equivalent():
+    # scalar blocks on the 2x2 square: a(0,0) b(1,0) = b(0,0) a(0,1) = 1, so
+    # the generators commute and the pair is similar to the canonical pair
+    # of the square, but not unitarily equivalent to it: the witness routed
+    # down from (1, 1) is 1/2 at (1, 0), not unitary
+    square = LatticeWindow((0, 0), (1, 1))
+    pair = WeylPair(square, {p: 1 for p in square.points()},
+                    [{(0, 0): [[2.0]], (0, 1): [[1.0]]},
+                     {(0, 0): [[1.0]], (1, 0): [[0.5]]}])
+    with pytest.raises(FiberMismatch, match="not unitarily equivalent"):
+        decompose(pair)
+
+
+def test_decompose_checks_the_blocks_off_the_routing(monkeypatch):
+    # unit scalar blocks whose products around the square differ in sign:
+    # past the range probe, every routed W_y is unitary (the routes take
+    # a(0,0), a(0,1) and b(1,0)), and only the block b(0,0) refuses it
+    square = LatticeWindow((0, 0), (1, 1))
+    pair = WeylPair(square, {p: 1 for p in square.points()},
+                    [{(0, 0): [[1.0]], (0, 1): [[1.0]]},
+                     {(0, 0): [[1.0]], (1, 0): [[-1.0]]}])
+    monkeypatch.setattr(dilation, "check_commuting_ranges", lambda pair: 0.0)
+    with pytest.raises(FiberMismatch, match="not unitarily equivalent"):
+        decompose(pair)
+
+
+def test_decompose_and_dilate_make_no_intertwiner_solve(chain8, square4,
+                                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no intertwiner solve expected")
+
+    monkeypatch.setattr(commutant, "unitarily_equivalent", refuse)
+    monkeypatch.setattr(commutant, "intertwiners", refuse)
+    for pair in [build_pspace_pair(tail(chain8, 0), 2),
+                 direct_sum([build_pspace_pair(upset_from(square4, [(1, 1)]), 2),
+                             build_pspace_pair(upset_from(square4, [(0, 2)]), 1)])]:
+        q = fiber_mixing_unitary(pair, np.random.default_rng(5))
+        mixed = WeylPair(pair.window, dict(pair.fibers),
+                         [q @ g @ q.conj().T for g in pair.gens])
+        dec = decompose_full(mixed)
+        assert len(dec.bases) == sum(len(c.raw.points) for c in dec.components)
+        bundle = minimal_dilation(mixed, 2)
+        assert opnorm(bundle.embed.conj().T @ bundle.embed
+                      - np.eye(pair.dim)) < 1e-12
 
 
 def test_central_projections_reject_incomplete_centre(chain8):

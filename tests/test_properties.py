@@ -113,6 +113,16 @@ def test_mixed_direct_sum_is_classified_by_its_data(case):
                for x, y in zip(ra.gens, rb.gens)) <= 1e-8
 
 
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(mixed_sums())
+def test_depth_zero_embedding_is_the_decomposition_witness(case):
+    # both are written from the same routed bases, and at depth zero the
+    # dilated layout is the reassembled one
+    pair, _ = case
+    witness = decompose_full(pair).witness
+    assert np.array_equal(dilation.minimal_dilation(pair, 0).embed, witness)
+
+
 DEFECT_POOLS = [enumerate_pspaces(LatticeWindow((0,), (7,))),
                 enumerate_pspaces(LatticeWindow((0, 0), (3, 3))),
                 enumerate_pspaces(LatticeWindow((0, 0, 0), (2, 2, 2)))]

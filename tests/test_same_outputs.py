@@ -12,8 +12,9 @@ _spec.loader.exec_module(same_outputs)
 compare = same_outputs.compare
 
 
-def digest(op="dilate d.json", code=0, stdout="a", **files):
-    return {"op": op, "code": code, "stdout": stdout, "files": files}
+def digest(op="dilate d.json", code=0, stdout="a", checks=(), **files):
+    return {"op": op, "code": code, "stdout": stdout, "checks": list(checks),
+            "files": files}
 
 
 def test_identical_rounds_compare_equal():
@@ -42,3 +43,28 @@ def test_each_difference_is_named_by_operation():
 def test_rounds_of_different_lengths_differ():
     a = [digest(), digest("equiv e.json")]
     assert compare(a, a[:1]) == ["2 operations against 1"]
+
+
+def test_changed_check_values_are_listed_with_stdout():
+    old = [["embed-isometry", 1.09e-15], ["family-monotone", 0.0]]
+    new = [["embed-isometry", 3.5e-16], ["family-monotone", 0.0]]
+    a = [digest(stdout="a", checks=old), digest("decompose c.json", checks=[])]
+    b = [digest(stdout="b", checks=new),
+         digest("decompose c.json", stdout="b", checks=[])]
+    assert compare(a, b) == [
+        "#0 dilate d.json: stdout (embed-isometry 1.09e-15 → 3.5e-16)",
+        "#1 decompose c.json: stdout",
+    ]
+    # equal stdout lists no checks; a check on one side only is not listed
+    assert compare(a, [dict(a[0], checks=new), a[1]]) == []
+    assert compare([digest()], [digest(stdout="b", checks=new)]) == [
+        "#0 dilate d.json: stdout"]
+
+
+def test_checks_are_read_from_a_printed_report():
+    report = ('{"checks": [{"name": "x", "pass": true, "tol": 1e-08, '
+              '"value": 2.5e-16}, {"name": "y", "value": null}], "ok": true}')
+    assert same_outputs._checks(report) == [["x", 2.5e-16], ["y", None]]
+    assert same_outputs._checks('{"error": "no", "kind": "parse"}') == []
+    assert same_outputs._checks("not json") == []
+    assert same_outputs._checks("[1, 2]") == []

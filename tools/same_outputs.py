@@ -7,7 +7,9 @@ For each revision, a fresh ``git archive`` of its committed files runs one
 round of every benchmark workload (``perfbench/workloads.py``) in-process
 through ``weylpair.cli.main``, with the benchmark's thread cap.  After each
 operation it records a digest: the SHA-256 of stdout, the exit code (or the
-exception raised) and the SHA-256 of every file under the output directory.
+exception raised), the name and value of every check of the printed JSON
+report, and the SHA-256 of every file under the output directory.  Where
+stdout differs, each check whose value changed is listed as old → new.
 Both revisions write into the same output directory, emptied before each
 run, because scenario files name pair files by absolute path.
 
@@ -47,6 +49,18 @@ def _files(out: str) -> dict:
     return dict(sorted(found.items()))
 
 
+def _checks(stdout: str) -> list:
+    """[name, value] of every check of a printed JSON report, in report
+    order; none when stdout is not such a report."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return []
+    if not isinstance(report, dict):
+        return []
+    return [[c["name"], c["value"]] for c in report.get("checks", [])]
+
+
 def digest_round(tree: str, workload: str, seed: int, out: str) -> list[dict]:
     """One round of ``workload`` from the sources under ``tree``, writing
     into ``out``: one digest per operation."""
@@ -66,6 +80,7 @@ def digest_round(tree: str, workload: str, seed: int, out: str) -> list[dict]:
         digests.append({"op": f"{op.command} {os.path.basename(op.scenario)}",
                         "code": code,
                         "stdout": _sha(buf.getvalue().encode()),
+                        "checks": _checks(buf.getvalue()),
                         "files": _files(out)})
     return digests
 
@@ -95,7 +110,8 @@ def run_revision(rev: str, workload: str, seed: int, out: str) -> list[dict]:
 
 def compare(a: list[dict], b: list[dict]) -> list[str]:
     """What differs between two rounds of digests, one line per operation:
-    the exit code, stdout, and each file changed, added or missing."""
+    the exit code, stdout with each check value changed, and each file
+    changed, added or missing."""
     lines = []
     if len(a) != len(b):
         lines.append(f"{len(a)} operations against {len(b)}")
@@ -106,7 +122,11 @@ def compare(a: list[dict], b: list[dict]) -> list[str]:
         if x["code"] != y["code"]:
             what.append(f"exit code {x['code']} against {y['code']}")
         if x["stdout"] != y["stdout"]:
-            what.append("stdout")
+            old = dict(x["checks"])
+            changed = [f"{name} {old[name]!r} → {value!r}"
+                       for name, value in y["checks"]
+                       if name in old and old[name] != value]
+            what.append("stdout" + (f" ({', '.join(changed)})" if changed else ""))
         names = sorted(x["files"].keys() | y["files"].keys())
         what += [f"file {name}" for name in names
                  if x["files"].get(name) != y["files"].get(name)]
