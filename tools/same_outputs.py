@@ -53,12 +53,10 @@ def _checks(stdout: str) -> list:
     """[name, value] of every check of a printed JSON report, in report
     order; none when stdout is not such a report."""
     try:
-        report = json.loads(stdout)
+        checks = json.loads(stdout).get("checks", [])
     except ValueError:
         return []
-    if not isinstance(report, dict):
-        return []
-    return [[c["name"], c["value"]] for c in report.get("checks", [])]
+    return [[c["name"], c["value"]] for c in checks]
 
 
 def digest_round(tree: str, workload: str, seed: int, out: str) -> list[dict]:
