@@ -18,8 +18,9 @@ has as many columns as the free fibers have entries, not n^2.
 The same fibers carry the centre.  Restricting a commutant element to its
 free-fiber blocks is an injective *-homomorphism, so ``summarize`` solves
 the centre on the m x m restrictions (m the total size of the free fibers)
-and lifts the solution through its coefficients; ``AlgebraSummary.free``
-hands the coordinates on to the central projections of ``dilation``.
+and lifts the solution through its coefficients.  ``dilation`` classifies
+a pair without this module's solves: it reads the components off the range
+projections at the top corner.
 
 Unitary equivalence of two represented pairs on one window is read from
 the fibers first: different fiber sizes decide it at once, before any
@@ -104,16 +105,10 @@ class RepGens:
 
 @dataclass(eq=False)
 class AlgebraSummary:
-    """Orthonormal bases of the commutant and of its centre.
-
-    ``free`` holds the coordinates of the free fibers when the graded solve
-    found the commutant (its elements are fixed by their blocks there), and
-    None when the dense solver did.
-    """
+    """Orthonormal bases of the commutant and of its centre."""
 
     commutant_basis: list = field(repr=False)
     center_basis: list = field(repr=False)
-    free: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.commutant_dim = len(self.commutant_basis)
@@ -442,16 +437,6 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
     return list(out), sorted(free)
 
 
-def residual(basis, a_list, b_list) -> float:
-    """Largest relative intertwining residual of a basis, for verification."""
-    worst = 0.0
-    for t in basis:
-        for a, b in zip(a_list, b_list):
-            scale = 1.0 + np.linalg.norm(a, 2)
-            worst = max(worst, np.linalg.norm(t @ a - b @ t, 2) / scale)
-    return float(worst)
-
-
 def _commutant(rep: RepGens, tol: float, guard: int):
     """Commutant basis and the coordinates of its free fibers.
 
@@ -555,7 +540,7 @@ def summarize(rep: RepGens, tol: float = DEFAULT_TOL,
     are read off the two bases.
     """
     cbasis, free = _commutant(rep, tol, guard)
-    return AlgebraSummary(cbasis, center_basis(cbasis, tol, free), free)
+    return AlgebraSummary(cbasis, center_basis(cbasis, tol, free))
 
 
 def _check_lists(ra: RepGens, rb: RepGens, guard: int):

@@ -1,15 +1,13 @@
 """Minimal unitary dilation with a depth budget, and classification.
 
-A pair with commuting range projections splits into canonical components
-(one upward-invariant set with a constant fiber multiplicity per minimal
-central projection of the generated algebra).  The minimal central
-projections are the eigenprojections of one generic Hermitian element of
-the centre that ``commutant.summarize`` returns.  For a represented pair
-the centre and this split are solved on the free fibers of the graded
-solve and lifted to full space, where each projection is checked against
-the generators.  The unitary witness of the split is built along the
-Morita routing, from one basis per component at the window's top corner,
-and checked block by block.
+A pair with commuting range projections splits into canonical components,
+each one upward-invariant set with a constant fiber multiplicity.  Every
+component holds the window's top corner hi, and the Morita equivalence
+fixes it by its fiber there: the range projections of the V_{hi-y} at hi
+commute, each joint eigenspace is one component, the points that reach it
+form its set and its dimension is the multiplicity.  The unitary witness
+of the split is carried from those eigenspaces down the same routing and
+checked block by block.
 
 The minimal unitary dilation of such a pair is realised concretely: the
 window is extended downward by the depth, each component support grows to
@@ -40,8 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutant import (AlgebraSummary, RepGens, _restrict, opnorm_exceeds,
-                        summarize)
+from .commutant import opnorm_exceeds
 from .errors import (
     BudgetExceeded,
     DepthZeroDegenerate,
@@ -96,119 +93,91 @@ class Decomposition:
     bases: dict = field(repr=False)
 
 
-def _minimal_central_projections(rep: RepGens, summary: AlgebraSummary,
-                                 seed=20240501):
-    """Minimal central projections of the algebra generated by ``rep``.
+def _joint_split(dim: int, members, refuse):
+    """Joint eigenspaces of commuting Hermitian matrices with eigenvalues 0
+    and 1, as (orthonormal basis, pattern) pairs.
 
-    They are the eigenprojections of one generic Hermitian element of the
-    centre (Murota, Kanno, Kojima and Kojima 2010): a generic element of a
-    c-dimensional commutative *-algebra has exactly c eigenvalue clusters,
-    so any other count raises FiberMismatch.  ``summary`` is the graded
-    summary of a represented pair, so it carries the free-fiber coordinates:
-    the element is split on its restriction to them (an injective
-    *-homomorphism of the commutant keeps the spectrum) and each
-    eigenprojection is lifted through its coefficients in the centre
-    basis.  The projections are checked in full space to sum to one, to be
-    idempotent and to commute with the generators, and on the free fibers
-    to commute with the commutant.
+    ``members`` yields (point, matrix) in order.  Each branch is split
+    along the eigenspaces of its compression q* M q, and its pattern lists
+    the points where its eigenvalue is 1.  An eigenvalue more than 1e-8
+    from 0 and 1 raises ``refuse(point, eigenvalues)``.
     """
-    rng = np.random.default_rng(seed)
-    c = summary.center_dim
-    coeff = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-    free = summary.free
-    small = _restrict(summary.center_basis, free)
-    z = np.tensordot(coeff, small, axes=1)
-    vals, vecs = np.linalg.eigh(z + z.conj().T)
-    spread = max(vals[-1] - vals[0], 1.0)
-    cuts = np.nonzero(np.diff(vals) > 1e-6 * spread)[0] + 1
-    if len(cuts) + 1 != c:
-        raise FiberMismatch(
-            f"generic central element has {len(cuts) + 1} eigenvalue "
-            f"clusters for a centre of dimension {c}")
-    projs = [v @ v.conj().T for v in np.split(vecs, cuts, axis=1)]
-    coords = np.linalg.lstsq(small.reshape(c, -1).T,
-                             np.stack(projs).reshape(c, -1).T, rcond=None)[0]
-    projs = np.tensordot(coords.T, np.stack(summary.center_basis), axes=1)
-    gens = _with_adjoints(np.stack(rep.gens))
-    ops = _with_adjoints(_restrict(summary.commutant_basis, free))
-    # each family of checks is one stack, read from its Frobenius norms
-    if (opnorm_exceeds(projs.sum(axis=0) - np.eye(rep.dim), RANGE_TOL)
-            or opnorm_exceeds(projs @ projs - projs, RANGE_TOL)
-            or opnorm_exceeds(_commutators(projs, gens), 1e-8)
-            or opnorm_exceeds(_commutators(projs[:, free[:, None], free], ops),
-                              1e-8)):
-        raise FiberMismatch("could not isolate minimal central projections")
-    return projs
+    branches = [(np.eye(dim, dtype=complex), [])]
+    for x, mat in members:
+        refined = []
+        for q, pat in branches:
+            vals, vecs = np.linalg.eigh(q.conj().T @ mat @ q)
+            ones = vals > 0.5
+            if np.abs(vals - ones).max() > 1e-8:
+                raise refuse(x, vals)
+            refined += [(q @ vecs[:, part], p) for part, p in
+                        ((ones, pat + [x]), (~ones, pat)) if part.any()]
+        branches = refined
+    return branches
 
 
-def _with_adjoints(stack):
-    """The stack of matrices followed by those adjoints that differ from
-    their matrix; the adjoint of a Hermitian one adds no condition."""
-    adjoints = stack.conj().transpose(0, 2, 1)
-    return np.concatenate([stack, adjoints[np.any(adjoints != stack, axis=(1, 2))]])
-
-
-def _commutators(left, right):
-    """The stack of [x, y] for every x of ``left`` and y of ``right``."""
-    x, y = left[:, None], right[None]
-    return x @ y - y @ x
-
-
-def decompose_full(pair: WeylPair, tol: float = 1e-8,
-                   guard: int = 256) -> Decomposition:
+def decompose_full(pair: WeylPair) -> Decomposition:
     """Split a commuting-range position-graded pair into canonical parts.
 
-    Verify commuting ranges, split along the minimal central projections
-    and read each factor block (upward-invariant set, multiplicity) off the
-    projection's traces on the fibers.  The witness follows the Morita
-    routing: a basis of each component's range at the top corner, which
-    every support holds, is carried down as W_y = C_y* W_{y+e} B_y, with
-    B_y and C_y the blocks of the pair and of the reassembled sum on the
-    first axis with room.  FiberMismatch is raised unless every W_y is
-    unitary and every W_{y+e} B_y W_y* equals C_y within 1e-8.
+    Verify commuting ranges, then read the components at the window's top
+    corner hi.  Walking down the Morita routing (from y + e to y on the
+    first axis e with room), m_y = m_{y+e} B_y is the block of V_{hi-y}
+    from the fiber of y into the fiber of hi, B_y the pair's block.  The
+    fiber of hi splits jointly along the range projections m_y m_y*, in
+    point order: each joint eigenspace is one component, the points y whose
+    projection is 1 on it its upward set, and its dimension the
+    multiplicity; equal sets merge.  With q a component's basis at hi, its
+    rows of the witness block of y are q* m_y.  FiberMismatch is raised
+    unless every eigenvalue lies within 1e-8 of 0 or 1, every set is
+    upward invariant, the canonical sum of the components has the pair's
+    fibers, every witness block W_y is unitary and every W_{y+e} B_y W_y*
+    equals the sum's block C_y within 1e-8.
     """
     worst = check_commuting_ranges(pair)
     if worst > RANGE_TOL:
         raise NonCommutingRanges(
             f"range projections fail to commute (max commutator {worst:.3e})")
-    rep = RepGens.from_pair(pair)
-    projs = _minimal_central_projections(rep, summarize(rep, tol, guard))
-
-    points = pair.points
-    traces = np.add.reduceat(np.diagonal(projs, axis1=1, axis2=2).real,
-                             [pair.offsets[p][0] for p in points], axis=1)
-    ranks = np.rint(traces).astype(int)
-    if np.abs(traces - ranks).max() > 1e-8:
-        raise FiberMismatch("central projection is not position-diagonal")
-    comps = []
-    for proj, row in zip(projs, ranks):
-        mults = row[row > 0]
-        if (mults != mults[:1]).any():
-            raise FiberMismatch(
-                f"fiber dimension jumps from {mults[0]} to "
-                f"{mults[mults != mults[0]][0]} inside one factor block")
-        try:
-            raw = PSet(pair.window, tuple(p for p, r in zip(points, row) if r),
-                       SetKind.PSPACE)
-        except (InvarianceViolation, EmptySetError) as exc:
-            raise FiberMismatch(
-                f"factor-block support is not upward invariant: {exc}") from exc
-        comps.append((raw, int(mults[0]), proj))
-
-    comps.sort(key=lambda c: (c[0].points, c[1]))
-    reassembled, index = canonical_sum(
-        pair.window, [(raw.points, m) for raw, m, _ in comps], "gradedsum")
-    if reassembled.fibers != pair.fibers:
-        raise FiberMismatch("reassembled fibers differ from the input's")
     hi, steps = pair.window.hi, pair.window.generators()
-    # eigenspace i of sum_i i P_i is the range of P_i: the bases, in order
-    top = pair.block_slice(hi)
-    w = {hi: np.linalg.eigh(sum(i * proj[top, top] for i, (_, _, proj)
-                                in enumerate(comps, 1)))[1].conj().T}
+    if hi not in pair.offsets:
+        raise FiberMismatch(f"factor-block support is not upward invariant: "
+                            f"the top corner {hi} carries no fiber")
+    points = pair.points
+    m = {hi: np.eye(pair.offsets[hi][1])}
     for y in reversed(points[:-1]):  # y + e_i comes before y
         axis = next(i for i, (c, h) in enumerate(zip(y, hi)) if c < h)
-        w[y] = (reassembled._blocks[axis][y].T @ w[_add(y, steps[axis])]
-                @ pair._blocks[axis][y])
+        b = pair._blocks[axis].get(y)
+        m[y] = (np.zeros((len(m[hi]), pair.offsets[y][1])) if b is None
+                else m[_add(y, steps[axis])] @ b)
+
+    def refuse(y, vals):
+        return FiberMismatch(
+            f"the range of V_{_sub(hi, y)} at the top corner has eigenvalues "
+            f"{vals}, not 0 and 1: the pair is not unitarily equivalent to a "
+            f"canonical sum")
+
+    merged = {}
+    for q, pat in _joint_split(len(m[hi]), ((y, m[y] @ m[y].conj().T)
+                                            for y in points), refuse):
+        merged.setdefault(tuple(pat), []).append(q)
+    comps = []
+    for pat, qs in merged.items():
+        try:
+            raw = PSet(pair.window, pat, SetKind.PSPACE)
+        except InvarianceViolation as exc:
+            raise FiberMismatch(
+                f"factor-block support is not upward invariant: {exc}") from exc
+        comps.append((raw, np.hstack(qs).conj().T))
+    comps.sort(key=lambda c: c[0].points)
+    reassembled, _ = canonical_sum(
+        pair.window, [(raw.points, len(q)) for raw, q in comps], "gradedsum")
+    if reassembled.fibers != pair.fibers:
+        raise FiberMismatch("reassembled fibers differ from the input's")
+    bases = {(ci, y): q @ m[y] for ci, (raw, q) in enumerate(comps)
+             for y in raw.points}
+    w = {}
+    for (_, y), rows in bases.items():  # the sum's components in order
+        w.setdefault(y, []).append(rows)
+    w = {y: np.vstack(rows) for y, rows in w.items()}
     mats = [b @ b.conj().T - np.eye(len(b)) for b in w.values()]
     for axis, e in enumerate(steps):
         mats += [w[_add(y, e)] @ b @ w[y].conj().T - reassembled._blocks[axis][y]
@@ -222,18 +191,16 @@ def decompose_full(pair: WeylPair, tol: float = 1e-8,
         witness[pair.block_slice(y), pair.block_slice(y)] = b
 
     results = []
-    for raw, mult, _ in comps:
+    for raw, q in comps:
         t = _sub(raw.points[0], pair.window.lo)
         normalized, _ = translate_pset(raw, tuple(-c for c in t))
-        results.append(ComponentResult(normalized, t, mult, raw))
-    return Decomposition(results, witness, reassembled, {
-        (ci, y): w[y][r0:r0 + comps[ci][1]] for (ci, y), r0 in index.items()})
+        results.append(ComponentResult(normalized, t, len(q), raw))
+    return Decomposition(results, witness, reassembled, bases)
 
 
-def decompose(pair: WeylPair, tol: float = 1e-8,
-              guard: int = 256) -> list[ComponentResult]:
+def decompose(pair: WeylPair) -> list[ComponentResult]:
     """Canonical components of a commuting-range pair (orbit normalised)."""
-    return decompose_full(pair, tol, guard).components
+    return decompose_full(pair).components
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +364,7 @@ def _extended_support(raw: PSet, wext: LatticeWindow, depth: int):
                  if tuple(min(c + depth, h) for c, h in zip(p, hi)) in members)
 
 
-def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
-                     guard: int = 256) -> DilationBundle:
+def minimal_dilation(pair: WeylPair, depth: int) -> DilationBundle:
     """Minimal unitary dilation of a commuting-range pair at a given depth.
 
     Raises NonCommutingRanges when the base pair fails the commuting-range
@@ -407,7 +373,7 @@ def minimal_dilation(pair: WeylPair, depth: int, tol: float = 1e-8,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    dec = decompose_full(pair, tol, guard)
+    dec = decompose_full(pair)
     window = pair.window
     wext = LatticeWindow(tuple(l - depth for l in window.lo), window.hi,
                          window.weight)
@@ -599,31 +565,20 @@ def integrate_family(rep: CovariantRep, f) -> np.ndarray:
 def joint_spectrum(rep: CovariantRep):
     """Simultaneous eigenvalue patterns of the commuting projection family.
 
-    Recursively splits eigenspaces along each family member in lexicographic
-    order, rounding eigenvalues at one half.  Each pattern (the set of
-    indices where the family acts as one) must be downward invariant inside
-    the box; anything else signals numerical failure or a non-covariant
-    family.  Returns (pattern set, eigenspace dimension) pairs.
+    Splits eigenspaces along each family member in lexicographic order
+    (``_joint_split``, eigenvalues within 1e-8 of 0 or 1).  Each pattern
+    (the set of indices where the family acts as one) must be downward
+    invariant inside the box; anything else signals numerical failure or a
+    non-covariant family.  Returns (pattern set, eigenspace dimension) pairs.
     """
     pts = sorted(rep.box.points())
-    dim = rep.e(pts[0]).shape[0]
-    branches = [(np.eye(dim, dtype=complex), [])]
-    for x in pts:
-        ex = rep.e(x)
-        refined = []
-        for q, pat in branches:
-            m = q.conj().T @ ex @ q
-            vals, vecs = np.linalg.eigh(m)
-            if np.abs(vals - np.round(vals)).max(initial=0.0) > 1e-8:
-                raise PatternNotYSet(
-                    f"family member at {x} is not a projection on a joint "
-                    f"eigenspace (eigenvalues {vals})")
-            ones = vals > 0.5
-            if ones.any():
-                refined.append((q @ vecs[:, ones], pat + [x]))
-            if (~ones).any():
-                refined.append((q @ vecs[:, ~ones], pat))
-        branches = refined
+
+    def refuse(x, vals):
+        return PatternNotYSet(f"family member at {x} is not a projection on a "
+                              f"joint eigenspace (eigenvalues {vals})")
+
+    branches = _joint_split(rep.e(pts[0]).shape[0],
+                            ((x, rep.e(x)) for x in pts), refuse)
     out = []
     for q, pat in branches:
         try:

@@ -34,9 +34,8 @@ from weylpair import (
 )
 from weylpair import commutant, dilation
 from weylpair.cli import main
-from weylpair.commutant import AlgebraSummary, span_distance, summarize
-from weylpair.dilation import (_minimal_central_projections, decompose_full,
-                               e_diagonal)
+from weylpair.commutant import span_distance
+from weylpair.dilation import decompose_full, e_diagonal
 from weylpair.lattice import _extremal_points, _leq, _sub
 from weylpair.serialize import pair_to_json
 
@@ -542,8 +541,9 @@ def test_decompose_refuses_a_pair_with_no_fiber_at_the_top_corner(
 def test_decompose_refuses_a_similar_pair_that_is_not_unitarily_equivalent():
     # scalar blocks on the 2x2 square: a(0,0) b(1,0) = b(0,0) a(0,1) = 1, so
     # the generators commute and the pair is similar to the canonical pair
-    # of the square, but not unitarily equivalent to it: the witness routed
-    # down from (1, 1) is 1/2 at (1, 0), not unitary
+    # of the square, but not unitarily equivalent to it: routed down from
+    # (1, 1), V_(0, 1) reaches the top corner from (1, 0) as 1/2, whose
+    # range projection 1/4 is not 0 or 1
     square = LatticeWindow((0, 0), (1, 1))
     pair = WeylPair(square, {p: 1 for p in square.points()},
                     [{(0, 0): [[2.0]], (0, 1): [[1.0]]},
@@ -568,10 +568,11 @@ def test_decompose_checks_the_blocks_off_the_routing(monkeypatch):
 def test_decompose_and_dilate_make_no_intertwiner_solve(chain8, square4,
                                                         monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("no intertwiner solve expected")
+        raise AssertionError("no commutant or intertwiner solve expected")
 
-    monkeypatch.setattr(commutant, "unitarily_equivalent", refuse)
-    monkeypatch.setattr(commutant, "intertwiners", refuse)
+    for name in ("unitarily_equivalent", "intertwiners", "_graded_nullspace",
+                 "sylvester_nullspace"):
+        monkeypatch.setattr(commutant, name, refuse)
     for pair in [build_pspace_pair(tail(chain8, 0), 2),
                  direct_sum([build_pspace_pair(upset_from(square4, [(1, 1)]), 2),
                              build_pspace_pair(upset_from(square4, [(0, 2)]), 1)])]:
@@ -585,21 +586,23 @@ def test_decompose_and_dilate_make_no_intertwiner_solve(chain8, square4,
                       - np.eye(pair.dim)) < 1e-12
 
 
-def test_central_projections_reject_incomplete_centre(chain8):
-    # a generic element of a proper subspace of the centre still splits
-    # into as many clusters as the full centre has dimensions
-    pair = direct_sum([build_pspace_pair(tail(chain8, a), 1) for a in (0, 2, 5)])
-    rep = RepGens.from_pair(pair)
-    s = summarize(rep)
-    assert len(_minimal_central_projections(rep, s)) == s.center_dim == 3
-    assert s.free is not None
-    # split in full space (every coordinate free) and on the free fibers
-    for drop in range(s.center_dim):
-        kept = s.center_basis[:drop] + s.center_basis[drop + 1:]
-        for free in (np.arange(pair.dim), s.free):
-            with pytest.raises(FiberMismatch):
-                _minimal_central_projections(
-                    rep, AlgebraSummary(s.commutant_basis, kept, free))
+def _scaled_chain(chain8, eps):
+    """The canonical k = 2 pair of the 8-chain with its block at (3,)
+    scaled by diag(1 - eps, 1)."""
+    pair = build_pspace_pair(tail(chain8, 0), 2)
+    blocks = pair.graded_blocks(0)
+    blocks[(3,)] = np.diag([1.0 - eps, 1.0]) @ blocks[(3,)]
+    return WeylPair(chain8, dict(pair.fibers), [blocks])
+
+
+def test_decompose_decides_a_chain_near_the_rounding_rule(chain8):
+    # the range of V_{7-y} at the top corner, for y <= 3, has eigenvalues
+    # (1 - eps)^2 and 1: one eigenspace within 1e-8 of 1, a refusal past it
+    comps = decompose(_scaled_chain(chain8, 5e-10))
+    assert [(c.raw.points, c.multiplicity) for c in comps] == \
+        [(tail(chain8, 0).points, 2)]
+    with pytest.raises(FiberMismatch, match="not unitarily equivalent"):
+        decompose(_scaled_chain(chain8, 5e-8))
 
 
 def test_restriction_isomorphism_dims(chain8):

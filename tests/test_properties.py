@@ -65,13 +65,13 @@ from weylpair import (
     translate_pset,
     weyl_defect,
 )
-from weylpair.commutant import AlgebraSummary
-from weylpair.errors import (EmptySetError, PairInvariantViolation,
-                             WeylPairError)
+from weylpair.cli import main
+from weylpair.errors import (EmptySetError, FiberMismatch,
+                             PairInvariantViolation, WeylPairError)
 from weylpair.lattice import PSet, SetKind
 from weylpair.serialize import document_to_json, pair_from_json, pair_to_json
-from weylpair import dilation
-from weylpair.dilation import _minimal_central_projections, decompose_full
+from weylpair import commutant, dilation
+from weylpair.dilation import decompose_full
 
 from conftest import (brute_force_upsets, dense_dilation_checks,
                       dense_isometry_defect, dense_range_commutator,
@@ -357,14 +357,6 @@ def _components(pair):
         return type(exc)
 
 
-def _dense_summarize(rep, *args):
-    """The dense solver's summary of the lists of ``rep``, with every
-    coordinate free, so that its centre is split in full space."""
-    s = summarize(RepGens(rep.dim, rep.gens, rep.labels), *args)
-    assert s.free is None
-    return AlgebraSummary(s.commutant_basis, s.center_basis, np.arange(rep.dim))
-
-
 _DEFICIENT = rank_deficient_pair(LatticeWindow((0, 0), (3, 3)), (1, 2))
 
 
@@ -377,22 +369,33 @@ def test_free_fiber_classification_matches_dense_path(case):
         rep = RepGens.from_pair(pair)
         graded = summarize(rep)
         coords = np.arange(pair.dim)
-        assert list(graded.free) == [i for pt in free
-                                     for i in coords[pair.block_slice(pt)]]
-        dense = _dense_summarize(rep)
+        assert list(commutant._commutant(rep, 1e-8, 256)[1]) == [
+            i for pt in free for i in coords[pair.block_slice(pt)]]
+        dense = summarize(RepGens(rep.dim, rep.gens, rep.labels))
         assert graded.center_dim == dense.center_dim
-        got = _minimal_central_projections(rep, graded)
-        want = _minimal_central_projections(rep, dense)
-        assert len(got) == len(want) == graded.center_dim
-        # the same projections; their order follows a random central element
-        match = [min(range(len(want)), key=lambda j: opnorm(p - want[j]))
-                 for p in got]
-        assert sorted(match) == list(range(len(want)))
-        assert max(opnorm(p - want[j]) for p, j in zip(got, match)) <= 1e-8
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dilation, "summarize", _dense_summarize)
-            dense_components = _components(pair)
-        assert _components(pair) == dense_components
+        # each component is a factor with an m x m commutant
+        comps = _components(pair)
+        if isinstance(comps, list):
+            for s in (graded, dense):
+                assert len(comps) == s.center_dim
+                assert sum(m * m for *_, m in comps) == s.commutant_dim
+    assert _components(pairs[0]) == _components(pairs[1])
+
+
+def test_a_rank_deficient_point_is_refused_by_its_fibers(tmp_path, capsys):
+    # every block out of (3,) drops a fiber vector, so V_{7-y} reaches the
+    # top corner with rank 1 from y <= 3: the split finds the components
+    # [0, 7] and [4, 7] at multiplicity 1, whose sum has fiber 1 at (3,)
+    pair = rank_deficient_pair(LatticeWindow((0,), (7,)), (3,))
+    with pytest.raises(FiberMismatch, match="reassembled fibers differ"):
+        decompose_full(pair)
+    scenario = tmp_path / "deficient.json"
+    scenario.write_text(json.dumps({"command": "decompose",
+                                    "pair": pair_to_json(pair)}))
+    code = main(["decompose", "--scenario", str(scenario),
+                 "--out", str(tmp_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["kind"] == "FiberMismatch"
 
 
 def _sum_of(window, data):
