@@ -70,7 +70,7 @@ print(f"largest range-projection commutator: {witness:.3f} "
 dim_e, dim_f, equal = commutant_transfer_check(family, ev, GridSpec(2, 7.0))
 print(f"commutant transfer: sampled {dim_e}, family {dim_f}, equal {equal}")
 print(f"pair commutant dim: "
-      f"{len(commutant_basis(RepGens.from_pair(pair), guard=300))} "
+      f"{len(commutant_basis(RepGens.from_pair(pair)))} "
       f"(irreducible)")
 
 # spectral support is family independent: a different rotation gives the

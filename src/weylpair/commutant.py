@@ -36,11 +36,12 @@ bytes, are dropped before the seed is chosen.  Each map is stacked whole
 on the seed, so a list whose stacked map would pass ``_DENSE_MAP_CAP``
 entries is refused with ``DimensionGuard``.
 
-Kernel detection uses a relative singular-value cutoff (default 1e-8),
-which cleanly separates true kernels from roundoff at the dimensions the
-guard admits.  ``sylvester_nullspace`` measures it against one scale for
-all of its refinement steps, max_i ||A_i|| + ||B_i||, which bounds every
-map it restricts to the seed.
+Every kernel is cut by one rule (``_kernel``): a singular value is rank
+when it exceeds 1e-8 (||A|| + ||B||) of the relation T A = B T imposed -
+the largest generator blocks of the two pairs in the graded solve, each
+refinement step's own map in ``sylvester_nullspace``, and ||g|| + ||g||
+for a generic element g in the centre solve - never a system's own largest
+singular value.  ``summarize`` checks that the basis is a *-algebra.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ import numpy as np
 from .errors import CheckFailed, DimensionGuard, LabelMismatch
 from .lattice import _add
 
+#: Kernel cutoff per unit of relation norm; *-algebra and centre residual.
 DEFAULT_TOL = 1e-8
-DEFAULT_GUARD = 256
+#: Random draws over the intertwiner basis before equivalence is refused.
+_DRAWS = 20
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
 #: Entries up to which ``_stacked_map`` builds the stacked map; above, it
@@ -201,17 +204,9 @@ def _spectral_seed(maps, n_b, n_a, same_space):
         rights = np.tile(np.eye(n_a, dtype=complex), (1, n_b))
         return lefts, rights
     _, ua, ub, ia, ib = best
-    cols_l, cols_r = [], []
-    for t in np.unique(np.concatenate([ia, ib])):
-        bi = np.nonzero(ib == t)[0]
-        ai = np.nonzero(ia == t)[0]
-        for p in bi:
-            for q in ai:
-                cols_l.append(p)
-                cols_r.append(q)
-    lefts = ub[:, cols_l]
-    rights = ua[:, cols_r]
-    return lefts, rights
+    cols = [(p, q) for t in np.unique(np.concatenate([ia, ib]))
+            for p in np.nonzero(ib == t)[0] for q in np.nonzero(ia == t)[0]]
+    return ub[:, [p for p, _ in cols]], ua[:, [q for _, q in cols]]
 
 
 def _stacked_map(lefts, w, z, rights, n_a):
@@ -221,8 +216,7 @@ def _stacked_map(lefts, w, z, rights, n_a):
     ``_DENSE_MAP_CAP`` entries raises :class:`DimensionGuard`: a represented
     pair takes the graded solve, which never builds it.
     """
-    r = lefts.shape[1]
-    n_b = lefts.shape[0]
+    n_b, r = lefts.shape
     if n_b * n_a * r > _DENSE_MAP_CAP:
         raise DimensionGuard(
             f"the stacked map of this generator list has {n_b * n_a * r} "
@@ -233,40 +227,29 @@ def _stacked_map(lefts, w, z, rights, n_a):
     return full.reshape(n_b * n_a, r)
 
 
-def _kernel_cols(a, tol):
-    """Right singular vectors of ``a`` below ``tol`` times its largest
-    singular value.
+def _kernel(a, cutoff: float):
+    """Right singular vectors of ``a`` with singular value at most ``cutoff``,
+    or the identity when none exceeds it.
 
     A tall ``a`` is reduced to the r x r triangular factor of its QR
     decomposition first (Chan's R-SVD): R has the singular values and right
     singular vectors of ``a``, so the cutoff decides the same kernel.
     """
     m, r = a.shape
-    if m == 0 or r == 0:
-        return np.eye(r, dtype=complex)
-    if m > r:
+    if m > r > 0:
         a = np.linalg.qr(a, mode="r")
-    _, s, vh = np.linalg.svd(a, full_matrices=(a.shape[0] < r))
-    if s.size == 0 or s[0] <= 1e-12:
-        return np.eye(r, dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[rank:].conj().T
+    rank = 0
+    if a.size:
+        _, s, vh = np.linalg.svd(a, full_matrices=(a.shape[0] < r))
+        rank = int(np.sum(s > cutoff))
+    return vh[rank:].conj().T if rank else np.eye(r, dtype=complex)
 
 
-def _kernel_below(a, cutoff):
-    """Right singular vectors of ``a`` with singular value at most ``cutoff``."""
-    m, r = a.shape
-    if m == 0 or r == 0:
-        return np.eye(r, dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=(m < r))
-    return vh[int(np.sum(s > cutoff)):].conj().T
-
-
-def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
+def sylvester_nullspace(a_list, b_list):
     """Orthonormal basis of {T : T A_i = B_i T and T A_i* = B_i* T}.
 
     Returns matrices of shape (dim B, dim A), orthonormal in the Frobenius
-    inner product.
+    inner product.  The step of map i cuts at 1e-8 (||A_i|| + ||B_i||).
     """
     a_list = [np.asarray(a, dtype=complex) for a in a_list]
     b_list = [np.asarray(b, dtype=complex) for b in b_list]
@@ -275,52 +258,47 @@ def sylvester_nullspace(a_list, b_list, tol: float = DEFAULT_TOL):
     same = all(a is b for a, b in zip(a_list, b_list)) and len(a_list) == len(b_list)
     maps = _adjoint_closed_maps(a_list, b_list)
     lefts, rights = _spectral_seed(maps, n_b, n_a, same)
-    # one cutoff for every step: ||T A - B T||_F <= (||A|| + ||B||) ||T||_F
-    # bounds each map on the Frobenius-orthonormal seed, whereas the largest
-    # singular value of a map restricted to the near-kernel of the steps
-    # before it can be roundoff, and true solutions would fall below it
-    cutoff = 0.0
+    cutoffs = []
     if maps:
         norms_a = np.linalg.norm(np.stack([a for a, _ in maps]), 2, axis=(1, 2))
         norms_b = norms_a if same else np.linalg.norm(
             np.stack([b for _, b in maps]), 2, axis=(1, 2))
-        cutoff = tol * float(np.max(norms_a + norms_b))
+        cutoffs = DEFAULT_TOL * (norms_a + norms_b)
     coeff = None  # None stands for the identity on the seed space
-    for a, b in maps:
+    for (a, b), cutoff in zip(maps, cutoffs):
         if coeff is not None and coeff.shape[1] == 0:
             break
-        w = a.conj().T @ rights
-        z = b @ lefts
-        stacked = _stacked_map(lefts, w, z, rights, n_a)
-        kern = _kernel_below(stacked if coeff is None else stacked @ coeff, cutoff)
+        stacked = _stacked_map(lefts, a.conj().T @ rights, b @ lefts, rights, n_a)
+        kern = _kernel(stacked if coeff is None else stacked @ coeff, cutoff)
         coeff = kern if coeff is None else coeff @ kern
     if coeff is None:
         coeff = np.eye(lefts.shape[1], dtype=complex)
-    basis = []
-    for j in range(coeff.shape[1]):
-        basis.append((lefts * coeff[:, j]) @ rights.conj().T)
-    return basis
+    return [(lefts * coeff[:, j]) @ rights.conj().T for j in range(coeff.shape[1])]
+
+
+def _padded(blocks):
+    """The blocks as one stack, zero-padded to a common shape: that appends
+    zero singular values and leaves each block's singular triplets in place."""
+    stack = np.zeros((len(blocks), max(b.shape[0] for b in blocks),
+                      max(b.shape[1] for b in blocks)), dtype=complex)
+    for i, b in enumerate(blocks):
+        stack[i, :b.shape[0], :b.shape[1]] = b
+    return stack
 
 
 def _injective_pinvs(blocks: dict) -> dict:
     """Pseudo-inverse of every injective block, None for the others.
 
     A block is injective when it has full column rank with sigma_min >
-    ``_INJECTIVE_TOL`` sigma_max.  One stacked SVD serves every block: each
-    is padded with zero rows and columns to a common shape, which appends
-    zero singular values and leaves its own singular triplets in place.
+    ``_INJECTIVE_TOL`` sigma_max.  One stacked SVD of the padded blocks
+    serves every block.
     """
     out = dict.fromkeys(blocks)
     tall = [key for key, blk in blocks.items() if blk.shape[0] >= blk.shape[1]]
     if not tall:
         return out
-    rows = max(blocks[key].shape[0] for key in tall)
-    cols = max(blocks[key].shape[1] for key in tall)
-    stack = np.zeros((len(tall), rows, cols), dtype=complex)
-    for i, key in enumerate(tall):
-        m, n = blocks[key].shape
-        stack[i, :m, :n] = blocks[key]
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    u, s, vh = np.linalg.svd(_padded([blocks[key] for key in tall]),
+                             full_matrices=False)
     for i, key in enumerate(tall):
         m, n = blocks[key].shape
         sk = s[i, :n]
@@ -329,7 +307,15 @@ def _injective_pinvs(blocks: dict) -> dict:
     return out
 
 
-def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
+def _largest_norm(blocks) -> float:
+    """Largest 2-norm in per-axis dicts of blocks, by one stacked SVD."""
+    flat = [b for found in blocks for b in found.values()]
+    if not flat:
+        return 0.0
+    return float(np.linalg.svd(_padded(flat), compute_uv=False)[:, 0].max())
+
+
+def _graded_nullspace(pair_a, pair_b):
     """Orthonormal basis of the intertwiners of two represented pairs.
 
     Solves T V_i = W_i T and T V_i* = W_i* T for the generators V_i of
@@ -339,8 +325,9 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
     Points are walked in reverse lexicographic order; T_y = B^+ T_{y+e_i} A
     through the first axis whose ``pair_b`` block B is injective, and the
     entries of every other T_y are the unknowns.  Both relations of every
-    block of every axis are then imposed on the unknowns, and the kernel is
-    taken by ``_kernel_cols`` at ``tol``.
+    block of every axis are then imposed on the unknowns, cut at 1e-8 times
+    the largest block 2-norm of ``pair_a`` plus that of ``pair_b``.  Over
+    ``_DENSE_MAP_CAP`` unknowns x block entries, DimensionGuard is raised.
 
     Returns the basis and the sorted free points, or None when the pairs
     live on different windows.
@@ -366,13 +353,16 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
             route[y] = axis
     if n_free == 0:
         return [], []
+    cells = sum(kb[y] * ka[y] for y in shared)
+    if n_free * cells > _DENSE_MAP_CAP:
+        raise DimensionGuard(
+            f"the graded solve has {n_free} unknowns over {cells} block "
+            f"entries, over {_DENSE_MAP_CAP}")
 
     def block(blocks, sizes, axis, y):
-        q = _add(y, steps[axis])
         found = blocks[axis].get(y)
-        if found is None:
-            return np.zeros((sizes.get(q, 0), sizes.get(y, 0)), dtype=complex)
-        return found
+        return found if found is not None else np.zeros(
+            (sizes.get(_add(y, steps[axis]), 0), sizes.get(y, 0)), dtype=complex)
 
     # param[y][:, j] is T_y for the j-th unit vector of unknowns; a stack
     # kept as (rows, unknowns, columns) is multiplied from either side by
@@ -380,9 +370,8 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
     param = {}
 
     def t(y):
-        if y in param:
-            return param[y]
-        return np.zeros((kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
+        return param[y] if y in param else np.zeros(
+            (kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
 
     def left(b, stack):
         rows, _, cols = stack.shape
@@ -421,7 +410,9 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
             b = block(blocks_b, kb, axis, y)
             rows.append(flat(right(t(q), a) - left(b, t(y))))
             rows.append(flat(right(t(y), a.conj().T) - left(b.conj().T, t(q))))
-    kern = _kernel_cols(np.hstack(rows).T, tol)
+    norm_a = _largest_norm(blocks_a)
+    norm_b = norm_a if pair_b is pair_a else _largest_norm(blocks_b)
+    kern = _kernel(np.hstack(rows).T, DEFAULT_TOL * (norm_a + norm_b))
     if kern.shape[1] == 0:
         return [], sorted(free)
     # orthonormalise in the Frobenius norm over the block entries alone
@@ -437,34 +428,31 @@ def _graded_nullspace(pair_a, pair_b, tol: float = DEFAULT_TOL):
     return list(out), sorted(free)
 
 
-def _commutant(rep: RepGens, tol: float, guard: int):
+def _commutant(rep: RepGens):
     """Commutant basis and the coordinates of its free fibers.
 
     The coordinates are None unless the graded solve found the basis.
     """
-    if rep.dim > guard:
-        raise DimensionGuard(f"dimension {rep.dim} exceeds guard {guard}")
     if not rep.gens:
         eye = np.eye(rep.dim, dtype=complex)
         return [np.outer(eye[:, i], eye[:, j].conj())
                 for i in range(rep.dim) for j in range(rep.dim)], None
-    solved = _graded_nullspace(rep.pair, rep.pair, tol)
+    solved = _graded_nullspace(rep.pair, rep.pair)
     if solved is None:
-        return sylvester_nullspace(rep.gens, rep.gens, tol), None
+        return sylvester_nullspace(rep.gens, rep.gens), None
     basis, free = solved
     coords = np.arange(rep.dim)
     return basis, np.concatenate(
         [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
 
 
-def commutant_basis(rep: RepGens, tol: float = DEFAULT_TOL,
-                    guard: int = DEFAULT_GUARD):
+def commutant_basis(rep: RepGens):
     """Orthonormal basis of the commutant of a *-closed generator list.
 
     Lists read from a represented pair take the graded solve; all others
     the dense solver.
     """
-    return _commutant(rep, tol, guard)[0]
+    return _commutant(rep)[0]
 
 
 def opnorm_exceeds(x, tol: float) -> bool:
@@ -476,15 +464,16 @@ def opnorm_exceeds(x, tol: float) -> bool:
                 and (np.linalg.norm(x[over], 2, axis=(-2, -1)) > tol).any())
 
 
-def check_central(elements, cbasis, tol: float = DEFAULT_TOL):
-    """Raise CheckFailed unless every element commutes with every C_i.
+def check_central(elements, cbasis):
+    """Raise CheckFailed unless every element commutes with every C_i
+    within ``DEFAULT_TOL``.
 
     Each element is checked against the stack of the C_i at once.
     """
     stack = np.asarray(cbasis)
     for z in elements:
         comm = z @ stack - stack @ z
-        if opnorm_exceeds(comm, tol):
+        if opnorm_exceeds(comm, DEFAULT_TOL):
             worst = np.linalg.norm(comm, 2, axis=(1, 2)).max()
             raise CheckFailed(
                 "centre element fails to commute with the commutant "
@@ -501,66 +490,79 @@ def _restrict(elements, free):
     return np.stack([e[free[:, None], free] for e in elements])
 
 
-def center_basis(cbasis, tol: float = DEFAULT_TOL, free=None):
+def _check_star_algebra(small, products):
+    """Raise CheckFailed unless every adjoint in ``small`` and every matrix
+    of ``products`` is within ``DEFAULT_TOL`` of the span of ``small``."""
+    span = np.linalg.qr(small.reshape(len(small), -1).T)[0]
+    test = np.concatenate([small.conj().transpose(0, 2, 1), *products])
+    test = test.reshape(len(test), -1).T
+    worst = np.linalg.norm(test - span @ (span.conj().T @ test), axis=0).max()
+    if worst > DEFAULT_TOL:
+        raise CheckFailed(
+            "the commutant basis is not a *-algebra: an adjoint or product "
+            f"lies {worst:.2e} from its span")
+
+
+def center_basis(cbasis, free=None):
     """Orthonormal basis of the centre of the commutant spanned by ``cbasis``.
 
     The centre is solved in commutant coordinates: Z = sum x_j C_j must
     commute with two generic commutant elements G and their adjoints, which
-    generate the commutant.  The kernel of that (4 n^2) x c system gives x;
-    every solution is then checked against every C_i, so a draw that fails
-    to generate raises CheckFailed instead of returning a larger centre.
+    generate the commutant.  The kernel of that (4 n^2) x c system, cut at
+    1e-8 (2 ||G||), gives x; every solution is then checked against every
+    C_i, so a draw that fails to generate raises CheckFailed instead of
+    returning a larger centre.  First, every C_j* and C_j G / ||G|| must lie
+    within 1e-8 of the span (for generic G that closes it under products),
+    or the basis, read near a kernel cutoff, is no *-algebra: CheckFailed.
 
     ``free`` (from the graded solve) names coordinates whose blocks fix
     every commutant element.  Restricting to them is then an injective
-    *-homomorphism of the commutant, so the system and the check run on the
-    m x m restrictions and the solution x is lifted onto the full basis.
+    *-homomorphism of the commutant, so everything runs on the m x m
+    restrictions and the solution x is lifted onto the full basis.
     """
     c = len(cbasis)
     if c <= 1:
         return list(cbasis)
     small = _restrict(cbasis, free)
     rng = np.random.default_rng(_CENTER_SEED)
-    blocks = []
-    for coeff in rng.standard_normal((2, c)) + 1j * rng.standard_normal((2, c)):
-        g = np.tensordot(coeff, small, axes=1)
-        for x in (g, g.conj().T):
-            blocks.append((small @ x - x @ small).reshape(c, -1).T)
-    kern = _kernel_cols(np.vstack(blocks), tol)
-    check_central(np.tensordot(kern.T, small, axes=1), small, tol)
+    draws = np.stack([np.tensordot(coeff, small, axes=1) for coeff in
+                      rng.standard_normal((2, c)) + 1j * rng.standard_normal((2, c))])
+    scale = float(np.linalg.norm(draws, 2, axis=(1, 2)).max())
+    _check_star_algebra(small, small @ draws[:, None] / scale)
+    blocks = [(small @ x - x @ small).reshape(c, -1).T
+              for g in draws for x in (g, g.conj().T)]
+    kern = _kernel(np.vstack(blocks), DEFAULT_TOL * 2 * scale)
+    check_central(np.tensordot(kern.T, small, axes=1), small)
     return list(np.tensordot(kern.T, np.stack(cbasis), axes=1))
 
 
-def summarize(rep: RepGens, tol: float = DEFAULT_TOL,
-              guard: int = DEFAULT_GUARD) -> AlgebraSummary:
+def summarize(rep: RepGens) -> AlgebraSummary:
     """Commutant and centre of the algebra generated by ``rep``.
 
     The centre of the generated von Neumann algebra equals the centre of its
     commutant, so it is solved inside the commutant basis by
-    ``center_basis``.  Dimensions and the factor and irreducibility flags
-    are read off the two bases.
+    ``center_basis``, which checks first that the basis is a *-algebra.
+    Dimensions and the factor and irreducibility flags are read off them.
     """
-    cbasis, free = _commutant(rep, tol, guard)
-    return AlgebraSummary(cbasis, center_basis(cbasis, tol, free))
+    cbasis, free = _commutant(rep)
+    return AlgebraSummary(cbasis, center_basis(cbasis, free))
 
 
-def _check_lists(ra: RepGens, rb: RepGens, guard: int):
+def _check_lists(ra: RepGens, rb: RepGens):
     if ra.labels != rb.labels:
         raise LabelMismatch(f"generator labels differ: {ra.labels} vs {rb.labels}")
-    if max(ra.dim, rb.dim) > guard:
-        raise DimensionGuard(f"dimension exceeds guard {guard}")
 
 
-def intertwiners(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
-                 guard: int = DEFAULT_GUARD):
+def intertwiners(ra: RepGens, rb: RepGens):
     """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned.
 
     Two lists read from pairs on one window take the graded solve.
     """
-    _check_lists(ra, rb, guard)
-    solved = _graded_nullspace(ra.pair, rb.pair, tol)
+    _check_lists(ra, rb)
+    solved = _graded_nullspace(ra.pair, rb.pair)
     if solved is not None:
         return solved[0]
-    return sylvester_nullspace(ra.gens, rb.gens, tol)
+    return sylvester_nullspace(ra.gens, rb.gens)
 
 
 def _polar_blocks(blocks):
@@ -582,15 +584,13 @@ def _polar_blocks(blocks):
     return factors, lo, hi
 
 
-def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
-                         guard: int = DEFAULT_GUARD, draws: int = 20,
-                         seed: int = 20240405):
+def unitarily_equivalent(ra: RepGens, rb: RepGens, seed: int = 20240405):
     """Decide unitary equivalence; on success return a unitary witness.
 
-    Random coefficient draws over the intertwiner basis find an invertible
-    element whenever one exists (the invertibles form a dense open set of
-    the span); its polar unitary is returned after a conjugation check at
-    residual 1e-8, read from the Frobenius norm first.
+    Up to ``_DRAWS`` random coefficient draws over the intertwiner basis
+    find an invertible element whenever one exists (the invertibles form a
+    dense open set of the span); its polar unitary is returned after a
+    conjugation check at residual 1e-8, read from the Frobenius norm first.
 
     Lists read from pairs on one window are inequivalent when the fiber
     sizes differ, since the position observables then have different
@@ -606,16 +606,16 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, tol: float = DEFAULT_TOL,
     pa, pb = ra.pair, rb.pair
     one_window = pa is not None and pb is not None and pa.window == pb.window
     if one_window and pa.fibers != pb.fibers:
-        _check_lists(ra, rb, guard)
+        _check_lists(ra, rb)
         return False, None
-    basis = intertwiners(ra, rb, tol, guard)
+    basis = intertwiners(ra, rb)
     if not basis:
         return False, None
     cuts = ([pa.block_slice(y) for y in pa.points] if one_window
             else [slice(0, ra.dim)])
     basis = np.stack(basis)
     rng = np.random.default_rng(seed)
-    for _ in range(draws):
+    for _ in range(_DRAWS):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         t = np.tensordot(coeff, basis, axes=1)
         factors, lo, hi = _polar_blocks([t[c, c] for c in cuts])

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import RepGens, commutant_basis, subspace_gap
+from .commutant import DEFAULT_TOL, RepGens, commutant_basis, subspace_gap
 from .errors import (
     BoundaryCoincidence,
     GridTooSmall,
@@ -411,7 +411,7 @@ def build_r2_pair(family: ProjectionFamily, ev: EvaluationPoint,
 
 
 def commutant_transfer_check(family: ProjectionFamily, ev: EvaluationPoint,
-                             grid: GridSpec, tol: float = 1e-8):
+                             grid: GridSpec):
     """Compare the commutant of the sampled field with the family commutant.
 
     The grid must reach past the last truncated projection on each axis and
@@ -432,7 +432,7 @@ def commutant_transfer_check(family: ProjectionFamily, ev: EvaluationPoint,
     dim_f = commutant_basis(RepGens(family.kappa,
                                     list(family.plist) + list(family.qlist)))
     gap = subspace_gap(dim_e, dim_f)
-    return len(dim_e), len(dim_f), (len(dim_e) == len(dim_f) and gap <= tol)
+    return len(dim_e), len(dim_f), (len(dim_e) == len(dim_f) and gap <= DEFAULT_TOL)
 
 
 def spec_support(family: ProjectionFamily, ev: EvaluationPoint,

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from weylpair import (LatticeWindow, SetKind, intertwiners, isometry_v,
-                      validate_pset)
+from weylpair import (LatticeWindow, SetKind, WeylPair, intertwiners,
+                      isometry_v, validate_pset)
 from weylpair.errors import CheckFailed, MarginTooSmall
 from weylpair.serialize import matrix_to_json, window_to_json
 
@@ -65,6 +65,15 @@ def dense_pair_doc(pair):
             "fibers": [[list(p), k] for p, k in pair.fibers],
             "generators": [matrix_to_json(g) for g in pair.gens],
             "label": pair.label}
+
+
+def scale_block(pair, axis, y, eps):
+    """The pair with the first row of its block of ``axis`` at ``y`` scaled
+    by 1 - eps: diag(1 - eps, 1, ..., 1) B."""
+    blocks = [pair.graded_blocks(i) for i in range(pair.window.dim)]
+    rows = blocks[axis][y].shape[0]
+    blocks[axis][y] = np.diag([1.0 - eps] + [1.0] * (rows - 1)) @ blocks[axis][y]
+    return WeylPair(pair.window, dict(pair.fibers), blocks)
 
 
 def fiber_mixing_unitary(pair, rng):
@@ -153,15 +162,14 @@ def dense_subspace_gap(basis_a, basis_b):
     return opnorm(va @ va.conj().T - vb @ vb.conj().T)
 
 
-def equivalence_by_draws(ra, rb, tol=1e-8, guard=256, draws=20,
-                         seed=20240405):
+def equivalence_by_draws(ra, rb, draws=20, seed=20240405):
     """Oracle: the intertwiner solve and up to 20 random draws over its
     basis, each tested by an SVD of the whole n x n draw, with no use of
     fiber sizes or fiber blocks; the witness is the polar unitary of the
     first invertible draw, its global phase fixed by the trace."""
     if ra.dim != rb.dim:
         return False, None
-    basis = intertwiners(ra, rb, tol, guard)
+    basis = intertwiners(ra, rb)
     if not basis:
         return False, None
     rng = np.random.default_rng(seed)

@@ -76,8 +76,7 @@ def test_criterion_02_factorial_and_irreducible():
     dims = {}
     ok = True
     for k in (1, 2, 3):
-        s = summarize(RepGens.from_pair(build_pspace_pair(tail(window, 0), k)),
-                      tol=1e-8)
+        s = summarize(RepGens.from_pair(build_pspace_pair(tail(window, 0), k)))
         dims[k] = s.commutant_dim
         ok = ok and s.is_factor and (s.is_irreducible == (k == 1))
     ok = ok and dims == {1: 1, 2: 4, 3: 9}
@@ -299,12 +298,12 @@ def test_criterion_09_commutant_transfer():
     all_equal = True
     for seed in (1, 2, 3, 4, 5):
         fam = random_family(6, 6, 6, seed=seed)
-        dim_e, dim_f, equal = commutant_transfer_check(fam, ev, grid, tol=1e-8)
+        dim_e, dim_f, equal = commutant_transfer_check(fam, ev, grid)
         all_equal = all_equal and equal
     demo = demo_family(6)
-    dim_e, dim_f, equal = commutant_transfer_check(demo, ev, grid, tol=1e-8)
+    dim_e, dim_f, equal = commutant_transfer_check(demo, ev, grid)
     pair = build_r2_pair(demo, ev, GridSpec(1, 7.0))
-    pair_comm = len(commutant_basis(RepGens.from_pair(pair), guard=300))
+    pair_comm = len(commutant_basis(RepGens.from_pair(pair)))
     # families with a non-trivial commutant: the pair commutant is the
     # family commutant, one matrix block per atom of the joint partition
     coord = []
@@ -346,7 +345,7 @@ def test_criterion_11_support_rigidity():
     pair_a = build_r2_pair(fam_a, ev, grid)
     pair_b = build_r2_pair(fam_b, ev, grid)
     equivalent, _ = unitarily_equivalent(RepGens.from_pair(pair_a),
-                                         RepGens.from_pair(pair_b), guard=300)
+                                         RepGens.from_pair(pair_b))
     ok = sup_a == sup_b and not equivalent
     report(11, "spectral-support-rigidity", ok,
            f"supports byte-identical {sup_a == sup_b}, "

@@ -35,7 +35,8 @@ from weylpair.commutant import check_central, span_distance
 from weylpair.serialize import matrix_to_json, pair_to_json
 
 from conftest import (dense_subspace_gap, equivalence_by_draws,
-                      fiber_mixing_unitary, opnorm, tail, upset_from)
+                      fiber_mixing_unitary, opnorm, scale_block, tail,
+                      upset_from)
 
 
 def kron_nullspace_dim(gens, tol=1e-8):
@@ -204,10 +205,17 @@ def test_label_mismatch():
         intertwiners(rep1, rep2)
 
 
-def test_dimension_guard():
-    rep = RepGens(3, [np.eye(3)])
-    with pytest.raises(DimensionGuard):
-        commutant_basis(rep, guard=2)
+def test_dimension_guard(monkeypatch, chain8):
+    # the canonical k = 2 chain: 4 unknowns (the top fiber) over 8 fibers of
+    # 2 x 2 entries; a parametrisation over the cap is refused by name
+    rep = RepGens.from_pair(build_pspace_pair(tail(chain8, 0), 2))
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 4 * 32 - 1)
+    with pytest.raises(DimensionGuard, match="graded solve has 4 unknowns"):
+        commutant_basis(rep)
+    with pytest.raises(DimensionGuard, match="graded solve"):
+        unitarily_equivalent(rep, rep)
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 4 * 32)
+    assert len(commutant_basis(rep)) == 4
 
 
 def test_unitarily_equivalent_self(chain8):
@@ -289,9 +297,7 @@ def test_different_fibers_are_inequivalent_before_any_solve(monkeypatch,
     monkeypatch.setattr(commutant, "_graded_nullspace", refuse)
     monkeypatch.setattr(commutant, "sylvester_nullspace", refuse)
     assert unitarily_equivalent(ra, rb) == (False, None)
-    # the label and guard checks still come first
-    with pytest.raises(DimensionGuard):
-        unitarily_equivalent(ra, rb, guard=pa.dim - 1)
+    # the label check still comes first
     relabelled = RepGens.from_pair(pa)
     relabelled.labels = ["pos", "W0"]
     with pytest.raises(LabelMismatch):
@@ -395,7 +401,8 @@ def test_graded_inputs_solve_the_centre_on_the_free_fibers(monkeypatch, chain8):
     assert summarize(RepGens.from_pair(twin)).center_dim == 2
     assert [(c.translation, c.multiplicity) for c in decompose(twin)] == \
         [((0,), 2), ((3,), 1)]
-    # the centre is solved on the top fiber; decompose restricts nothing
+    # the *-algebra check and the centre share one restriction to the top
+    # fiber; decompose restricts nothing
     assert seen == [top]
 
     # a generator list with no pair solves the centre in full space
@@ -447,6 +454,19 @@ def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
     assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8
 
 
+def test_both_solvers_read_a_scaled_chain_as_decompose_does(chain8):
+    # the canonical k = 2 chain with its block at (3,) scaled by
+    # diag(1 - 5e-10, 1) decomposes as one component of multiplicity 2; a
+    # graded cutoff relative to the system's own largest singular value (of
+    # the size of eps) read commutant 2 and centre 2 here
+    pair = scale_block(build_pspace_pair(tail(chain8, 0), 2), 0, (3,), 5e-10)
+    assert [c.multiplicity for c in decompose(pair)] == [2]
+    rep = RepGens.from_pair(pair)
+    for r in (rep, RepGens(rep.dim, rep.gens, rep.labels)):
+        s = summarize(r)
+        assert (s.commutant_dim, s.center_dim) == (4, 1)
+
+
 # ---------------------------------------------------------------------------
 # branches of the dense solver that no represented pair reaches
 
@@ -458,7 +478,9 @@ def test_a_gens_list_over_the_map_cap_is_refused(tmp_path, capsys,
     solve, which builds no stacked map."""
     pair = build_pspace_pair(upset_from(chain8, [(2,)]), 2)
     gens = [matrix_to_json(g) for g in RepGens.from_pair(pair).gens]
-    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 0)
+    # the graded solve has 4 unknowns over 6 x 4 block entries (96); the
+    # dense seed has 24 elements, so a stacked map has 12 x 12 x 24 (3456)
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 1000)
     reports = []
     for name, doc in [("gens", {"gens": gens}),
                       ("pair", {"pair": pair_to_json(pair)})]:
@@ -528,18 +550,21 @@ def test_repeated_generators_leave_the_nullspace_unchanged():
 
 @pytest.mark.parametrize("m, r", [(40, 9), (120, 12), (564, 49)])
 def test_qr_first_kernel_decides_like_the_plain_svd_near_the_cutoff(m, r):
-    # tall inputs take the QR factor first; one singular value sits at
-    # 1e-7 s_0 (kept) and one at 1e-9 s_0 (dropped), either side of 1e-8
+    # tall inputs take the QR factor first; with s_0 = 3, one singular value
+    # sits at 3e-7 (kept) and one at 3e-9 (dropped), either side of the
+    # absolute cutoff 3e-8
     rng = np.random.default_rng(m)
-    s = np.geomspace(1.0, 1e-3, r)
-    s[-3:] = [1e-7, 1e-9, 0.0]
+    s = 3.0 * np.geomspace(1.0, 1e-3, r)
+    s[-3:] = [3e-7, 3e-9, 0.0]
     u, _ = np.linalg.qr(rng.standard_normal((m, r))
                         + 1j * rng.standard_normal((m, r)))
     v, _ = np.linalg.qr(rng.standard_normal((r, r))
                         + 1j * rng.standard_normal((r, r)))
     a = (u * s) @ v.conj().T
     _, sv, vh = np.linalg.svd(a, full_matrices=False)
-    plain = vh[int(np.sum(sv > 1e-8 * sv[0])):].conj().T
-    got = commutant._kernel_cols(a, 1e-8)
+    plain = vh[int(np.sum(sv > 3e-8)):].conj().T
+    got = commutant._kernel(a, 3e-8)
     assert got.shape == plain.shape == (r, 2)
     assert subspace_gap(list(got.T), list(plain.T)) <= 1e-10
+    # no singular value above the cutoff: the identity, not a rotated basis
+    assert np.array_equal(commutant._kernel(a, 4.0), np.eye(r))

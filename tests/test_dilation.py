@@ -39,7 +39,8 @@ from weylpair.dilation import decompose_full, e_diagonal
 from weylpair.lattice import _extremal_points, _leq, _sub
 from weylpair.serialize import pair_to_json
 
-from conftest import fiber_mixing_unitary, opnorm, tail, upset_from
+from conftest import (fiber_mixing_unitary, opnorm, scale_block, tail,
+                      upset_from)
 
 
 @pytest.fixture
@@ -589,10 +590,7 @@ def test_decompose_and_dilate_make_no_intertwiner_solve(chain8, square4,
 def _scaled_chain(chain8, eps):
     """The canonical k = 2 pair of the 8-chain with its block at (3,)
     scaled by diag(1 - eps, 1)."""
-    pair = build_pspace_pair(tail(chain8, 0), 2)
-    blocks = pair.graded_blocks(0)
-    blocks[(3,)] = np.diag([1.0 - eps, 1.0]) @ blocks[(3,)]
-    return WeylPair(chain8, dict(pair.fibers), [blocks])
+    return scale_block(build_pspace_pair(tail(chain8, 0), 2), 0, (3,), eps)
 
 
 def test_decompose_decides_a_chain_near_the_rounding_rule(chain8):

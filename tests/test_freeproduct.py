@@ -449,7 +449,7 @@ def test_pair_commutant_is_trivial_for_demo_family():
     fam = demo_family(6)
     grid = GridSpec(1, 7.0)
     pair = build_r2_pair(fam, EV, grid)
-    basis = commutant_basis(RepGens.from_pair(pair), guard=300)
+    basis = commutant_basis(RepGens.from_pair(pair))
     assert len(basis) == 1
 
 
