@@ -59,8 +59,8 @@ DEFAULT_TOL = 1e-8
 _DRAWS = 20
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
-#: Entries up to which ``_stacked_map`` builds the stacked map; above, it
-#: refuses the generator list.
+#: Entries up to which ``_stacked_map`` builds a stacked map and the graded
+#: solve a parametrisation; above, they raise DimensionGuard.
 _DENSE_MAP_CAP = 4_000_000
 _CENTER_SEED = 20240502
 #: A generator block propagates the graded solve when sigma_min exceeds

@@ -14,7 +14,10 @@ remainder drawn outside the graded blocks makes the generators refused,
 the largest stray entry named.
 
 The graded commutant and intertwiner solve must span the same space as the
-dense ``sylvester_nullspace`` on the same generator lists.
+dense ``sylvester_nullspace`` on the same generator lists.  With one block
+row scaled by 1 - eps near the kernel cutoff, both read the classification
+wherever ``decompose_full`` finds one, and otherwise agree or raise a named
+error.
 
 The dilation checks read on the per-point blocks of a bundle must give the
 values of the dense formulas within 1e-12, on working bundles and on broken
