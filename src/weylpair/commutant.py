@@ -204,9 +204,17 @@ def _spectral_seed(maps, n_b, n_a, same_space):
         rights = np.tile(np.eye(n_a, dtype=complex), (1, n_b))
         return lefts, rights
     _, ua, ub, ia, ib = best
-    cols = [(p, q) for t in np.unique(np.concatenate([ia, ib]))
-            for p in np.nonzero(ib == t)[0] for q in np.nonzero(ia == t)[0]]
-    return ub[:, [p for p, _ in cols]], ua[:, [q for _, q in cols]]
+    cols_l, cols_r = [], []
+    for t in np.unique(np.concatenate([ia, ib])):
+        bi = np.nonzero(ib == t)[0]
+        ai = np.nonzero(ia == t)[0]
+        for p in bi:
+            for q in ai:
+                cols_l.append(p)
+                cols_r.append(q)
+    lefts = ub[:, cols_l]
+    rights = ua[:, cols_r]
+    return lefts, rights
 
 
 def _stacked_map(lefts, w, z, rights, n_a):
@@ -216,7 +224,8 @@ def _stacked_map(lefts, w, z, rights, n_a):
     ``_DENSE_MAP_CAP`` entries raises :class:`DimensionGuard`: a represented
     pair takes the graded solve, which never builds it.
     """
-    n_b, r = lefts.shape
+    r = lefts.shape[1]
+    n_b = lefts.shape[0]
     if n_b * n_a * r > _DENSE_MAP_CAP:
         raise DimensionGuard(
             f"the stacked map of this generator list has {n_b * n_a * r} "
@@ -227,16 +236,18 @@ def _stacked_map(lefts, w, z, rights, n_a):
     return full.reshape(n_b * n_a, r)
 
 
-def _kernel(a, cutoff: float):
+def _kernel(a, cutoff: float, rsvd: bool = True):
     """Right singular vectors of ``a`` with singular value at most ``cutoff``,
     or the identity when none exceeds it.
 
-    A tall ``a`` is reduced to the r x r triangular factor of its QR
-    decomposition first (Chan's R-SVD): R has the singular values and right
-    singular vectors of ``a``, so the cutoff decides the same kernel.
+    With ``rsvd``, a tall ``a`` is reduced to the r x r triangular factor of
+    its QR decomposition first (Chan's R-SVD): R has the singular values and
+    right singular vectors of ``a``, so the cutoff decides the same kernel.
+    That pays on the large graded and centre systems; the small refinement
+    steps of ``sylvester_nullspace`` are decomposed whole, which is faster.
     """
     m, r = a.shape
-    if m > r > 0:
+    if rsvd and m > r > 0:
         a = np.linalg.qr(a, mode="r")
     rank = 0
     if a.size:
@@ -268,51 +279,45 @@ def sylvester_nullspace(a_list, b_list):
     for (a, b), cutoff in zip(maps, cutoffs):
         if coeff is not None and coeff.shape[1] == 0:
             break
-        stacked = _stacked_map(lefts, a.conj().T @ rights, b @ lefts, rights, n_a)
-        kern = _kernel(stacked if coeff is None else stacked @ coeff, cutoff)
+        w = a.conj().T @ rights
+        z = b @ lefts
+        stacked = _stacked_map(lefts, w, z, rights, n_a)
+        kern = _kernel(stacked if coeff is None else stacked @ coeff, cutoff,
+                       rsvd=False)
         coeff = kern if coeff is None else coeff @ kern
     if coeff is None:
         coeff = np.eye(lefts.shape[1], dtype=complex)
-    return [(lefts * coeff[:, j]) @ rights.conj().T for j in range(coeff.shape[1])]
+    basis = []
+    for j in range(coeff.shape[1]):
+        basis.append((lefts * coeff[:, j]) @ rights.conj().T)
+    return basis
 
 
-def _padded(blocks):
-    """The blocks as one stack, zero-padded to a common shape: that appends
-    zero singular values and leaves each block's singular triplets in place."""
-    stack = np.zeros((len(blocks), max(b.shape[0] for b in blocks),
-                      max(b.shape[1] for b in blocks)), dtype=complex)
-    for i, b in enumerate(blocks):
-        stack[i, :b.shape[0], :b.shape[1]] = b
-    return stack
-
-
-def _injective_pinvs(blocks: dict) -> dict:
-    """Pseudo-inverse of every injective block, None for the others.
+def _injective_pinvs(blocks: dict):
+    """Pseudo-inverse of every injective block (None for the others), and
+    the largest block 2-norm.
 
     A block is injective when it has full column rank with sigma_min >
-    ``_INJECTIVE_TOL`` sigma_max.  One stacked SVD of the padded blocks
-    serves every block.
+    ``_INJECTIVE_TOL`` sigma_max.  One stacked SVD serves every block: each
+    is padded with zero rows and columns to a common shape, which appends
+    zero singular values and leaves its own singular triplets in place.
     """
     out = dict.fromkeys(blocks)
-    tall = [key for key, blk in blocks.items() if blk.shape[0] >= blk.shape[1]]
-    if not tall:
-        return out
-    u, s, vh = np.linalg.svd(_padded([blocks[key] for key in tall]),
-                             full_matrices=False)
-    for i, key in enumerate(tall):
-        m, n = blocks[key].shape
+    if not blocks:
+        return out, 0.0
+    rows = max(blk.shape[0] for blk in blocks.values())
+    cols = max(blk.shape[1] for blk in blocks.values())
+    stack = np.zeros((len(blocks), rows, cols), dtype=complex)
+    for i, blk in enumerate(blocks.values()):
+        m, n = blk.shape
+        stack[i, :m, :n] = blk
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    for i, (key, blk) in enumerate(blocks.items()):
+        m, n = blk.shape
         sk = s[i, :n]
-        if sk[0] > 0.0 and sk[-1] > _INJECTIVE_TOL * sk[0]:
+        if m >= n and sk[0] > 0.0 and sk[-1] > _INJECTIVE_TOL * sk[0]:
             out[key] = (vh[i, :n, :n].conj().T / sk) @ u[i, :m, :n].conj().T
-    return out
-
-
-def _largest_norm(blocks) -> float:
-    """Largest 2-norm in per-axis dicts of blocks, by one stacked SVD."""
-    flat = [b for found in blocks for b in found.values()]
-    if not flat:
-        return 0.0
-    return float(np.linalg.svd(_padded(flat), compute_uv=False)[:, 0].max())
+    return out, float(s[:, 0].max())
 
 
 def _graded_nullspace(pair_a, pair_b):
@@ -327,7 +332,7 @@ def _graded_nullspace(pair_a, pair_b):
     entries of every other T_y are the unknowns.  Both relations of every
     block of every axis are then imposed on the unknowns, cut at 1e-8 times
     the largest block 2-norm of ``pair_a`` plus that of ``pair_b``.  Over
-    ``_DENSE_MAP_CAP`` unknowns x block entries, DimensionGuard is raised.
+    ``_DENSE_MAP_CAP`` unknowns x dim B x dim A, DimensionGuard is raised.
 
     Returns the basis and the sorted free points, or None when the pairs
     live on different windows.
@@ -339,9 +344,11 @@ def _graded_nullspace(pair_a, pair_b):
                           for pair in (pair_a, pair_b)]
     ka, kb = dict(pair_a.fibers), dict(pair_b.fibers)
     shared = sorted(ka.keys() & kb.keys(), reverse=True)
-    pinvs = _injective_pinvs({(axis, y): found[y]
-                              for axis, found in enumerate(blocks_b)
-                              for y in shared if y in found})
+    flat_a, flat_b = [{(axis, y): blk for axis, found in enumerate(blocks)
+                       for y, blk in found.items()}
+                      for blocks in (blocks_a, blocks_b)]
+    pinvs, norm_b = _injective_pinvs(flat_b)
+    norm_a = norm_b if pair_b is pair_a else _injective_pinvs(flat_a)[1]
     route, free, n_free = {}, {}, 0
     for y in shared:
         axis = next((i for i in range(len(steps))
@@ -353,16 +360,17 @@ def _graded_nullspace(pair_a, pair_b):
             route[y] = axis
     if n_free == 0:
         return [], []
-    cells = sum(kb[y] * ka[y] for y in shared)
-    if n_free * cells > _DENSE_MAP_CAP:
+    if n_free * pair_b.dim * pair_a.dim > _DENSE_MAP_CAP:
         raise DimensionGuard(
-            f"the graded solve has {n_free} unknowns over {cells} block "
-            f"entries, over {_DENSE_MAP_CAP}")
+            f"the graded solve has {n_free} unknowns for {pair_b.dim} x "
+            f"{pair_a.dim} intertwiners, over {_DENSE_MAP_CAP} entries")
 
     def block(blocks, sizes, axis, y):
+        q = _add(y, steps[axis])
         found = blocks[axis].get(y)
-        return found if found is not None else np.zeros(
-            (sizes.get(_add(y, steps[axis]), 0), sizes.get(y, 0)), dtype=complex)
+        if found is None:
+            return np.zeros((sizes.get(q, 0), sizes.get(y, 0)), dtype=complex)
+        return found
 
     # param[y][:, j] is T_y for the j-th unit vector of unknowns; a stack
     # kept as (rows, unknowns, columns) is multiplied from either side by
@@ -370,8 +378,9 @@ def _graded_nullspace(pair_a, pair_b):
     param = {}
 
     def t(y):
-        return param[y] if y in param else np.zeros(
-            (kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
+        if y in param:
+            return param[y]
+        return np.zeros((kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
 
     def left(b, stack):
         rows, _, cols = stack.shape
@@ -410,8 +419,6 @@ def _graded_nullspace(pair_a, pair_b):
             b = block(blocks_b, kb, axis, y)
             rows.append(flat(right(t(q), a) - left(b, t(y))))
             rows.append(flat(right(t(y), a.conj().T) - left(b.conj().T, t(q))))
-    norm_a = _largest_norm(blocks_a)
-    norm_b = norm_a if pair_b is pair_a else _largest_norm(blocks_b)
     kern = _kernel(np.hstack(rows).T, DEFAULT_TOL * (norm_a + norm_b))
     if kern.shape[1] == 0:
         return [], sorted(free)

@@ -206,16 +206,33 @@ def test_label_mismatch():
 
 
 def test_dimension_guard(monkeypatch, chain8):
-    # the canonical k = 2 chain: 4 unknowns (the top fiber) over 8 fibers of
-    # 2 x 2 entries; a parametrisation over the cap is refused by name
+    # the canonical k = 2 chain: 4 unknowns (the top fiber) for 16 x 16
+    # intertwiners; a solve over the cap is refused by name
     rep = RepGens.from_pair(build_pspace_pair(tail(chain8, 0), 2))
-    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 4 * 32 - 1)
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 4 * 16 * 16 - 1)
     with pytest.raises(DimensionGuard, match="graded solve has 4 unknowns"):
         commutant_basis(rep)
     with pytest.raises(DimensionGuard, match="graded solve"):
         unitarily_equivalent(rep, rep)
-    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 4 * 32)
+    monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 4 * 16 * 16)
     assert len(commutant_basis(rep)) == 4
+
+
+def test_a_pair_file_of_many_free_fibers_is_refused(tmp_path, capsys):
+    # 160 fibers of size 1 and no blocks: every fiber is free, so the basis
+    # would hold 160 elements of 160 x 160 (past the cap of 4e6 entries);
+    # both commands refuse it by name before building it
+    n = 160
+    doc = {"window": {"dim": 1, "lo": [0], "hi": [n - 1]},
+           "fibers": [[[p], 1] for p in range(n)], "blocks": [[]]}
+    for command, scenario in [("commutant", {"pair": doc}),
+                              ("equiv", {"pair_a": doc, "pair_b": doc})]:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(dict(scenario, command=command)))
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path)])
+        refused = json.loads(capsys.readouterr().out)
+        assert code == 1 and refused["kind"] == "DimensionGuard"
+        assert "160 unknowns" in refused["error"]
 
 
 def test_unitarily_equivalent_self(chain8):
@@ -478,7 +495,7 @@ def test_a_gens_list_over_the_map_cap_is_refused(tmp_path, capsys,
     solve, which builds no stacked map."""
     pair = build_pspace_pair(upset_from(chain8, [(2,)]), 2)
     gens = [matrix_to_json(g) for g in RepGens.from_pair(pair).gens]
-    # the graded solve has 4 unknowns over 6 x 4 block entries (96); the
+    # the graded solve has 4 unknowns for 12 x 12 intertwiners (576); the
     # dense seed has 24 elements, so a stacked map has 12 x 12 x 24 (3456)
     monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 1000)
     reports = []
