@@ -60,7 +60,8 @@ _DRAWS = 20
 _SEED_CAP = 20000
 _FULL_SEED_CAP = 2500
 #: Entries up to which ``_stacked_map`` builds a stacked map and the graded
-#: solve a parametrisation; above, they raise DimensionGuard.
+#: solve its basis (unknowns x dim B x dim A); above, they raise
+#: DimensionGuard.
 _DENSE_MAP_CAP = 4_000_000
 _CENTER_SEED = 20240502
 #: A generator block propagates the graded solve when sigma_min exceeds
@@ -293,31 +294,42 @@ def sylvester_nullspace(a_list, b_list):
     return basis
 
 
+def _padded(blocks):
+    """The blocks as one stack, zero-padded to a common shape: that appends
+    zero singular values and leaves each block's singular triplets in place."""
+    stack = np.zeros((len(blocks), max(b.shape[0] for b in blocks),
+                      max(b.shape[1] for b in blocks)), dtype=complex)
+    for i, b in enumerate(blocks):
+        stack[i, :b.shape[0], :b.shape[1]] = b
+    return stack
+
+
 def _injective_pinvs(blocks: dict):
     """Pseudo-inverse of every injective block (None for the others), and
-    the largest block 2-norm.
+    the largest block 2-norm, from one stacked SVD of the padded blocks.
 
     A block is injective when it has full column rank with sigma_min >
-    ``_INJECTIVE_TOL`` sigma_max.  One stacked SVD serves every block: each
-    is padded with zero rows and columns to a common shape, which appends
-    zero singular values and leaves its own singular triplets in place.
+    ``_INJECTIVE_TOL`` sigma_max.
     """
     out = dict.fromkeys(blocks)
     if not blocks:
         return out, 0.0
-    rows = max(blk.shape[0] for blk in blocks.values())
-    cols = max(blk.shape[1] for blk in blocks.values())
-    stack = np.zeros((len(blocks), rows, cols), dtype=complex)
-    for i, blk in enumerate(blocks.values()):
-        m, n = blk.shape
-        stack[i, :m, :n] = blk
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    u, s, vh = np.linalg.svd(_padded(list(blocks.values())), full_matrices=False)
     for i, (key, blk) in enumerate(blocks.items()):
         m, n = blk.shape
         sk = s[i, :n]
         if m >= n and sk[0] > 0.0 and sk[-1] > _INJECTIVE_TOL * sk[0]:
             out[key] = (vh[i, :n, :n].conj().T / sk) @ u[i, :m, :n].conj().T
     return out, float(s[:, 0].max())
+
+
+def _largest_norm(blocks: dict) -> float:
+    """The largest block 2-norm alone, from the singular values of the
+    padded blocks."""
+    if not blocks:
+        return 0.0
+    stack = _padded(list(blocks.values()))
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
 
 def _graded_nullspace(pair_a, pair_b):
@@ -348,7 +360,7 @@ def _graded_nullspace(pair_a, pair_b):
                        for y, blk in found.items()}
                       for blocks in (blocks_a, blocks_b)]
     pinvs, norm_b = _injective_pinvs(flat_b)
-    norm_a = norm_b if pair_b is pair_a else _injective_pinvs(flat_a)[1]
+    norm_a = norm_b if pair_b is pair_a else _largest_norm(flat_a)
     route, free, n_free = {}, {}, 0
     for y in shared:
         axis = next((i for i in range(len(steps))
