@@ -147,6 +147,13 @@ def _cmd_pair_build(doc, out, seed, tol):
     return data, _Checks(), [path]
 
 
+def _max_defect(pair, thetas, safe):
+    """Largest weak-Weyl defect over the angles and every shift up to the
+    margin; np.max keeps a NaN defect, where max() may drop it."""
+    shifts = itertools.product(range(safe.margin + 1), repeat=pair.window.dim)
+    return np.max([pr.weyl_defect(pair, thetas, a, safe) for a in shifts])
+
+
 def _cmd_pair_check(doc, out, seed, tol):
     pair = _resolve_pair(doc, "pair")
     margin = int(doc.get("margin", 2))
@@ -154,12 +161,9 @@ def _cmd_pair_check(doc, out, seed, tol):
     checks = _Checks()
     shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
     thetas = np.array(pr.dual_grid(pair.window))
-    # huge entries overflow into a non-finite value, which fails its check;
-    # np.max keeps a NaN defect, where max() may drop it
+    # huge entries overflow into a non-finite value, which fails its check
     with np.errstate(over="ignore", invalid="ignore"):
-        checks.add("weak-weyl-defect",
-                   np.max([pr.weyl_defect(pair, thetas, a, safe)
-                           for a in shifts]), tol)
+        checks.add("weak-weyl-defect", _max_defect(pair, thetas, safe), tol)
         checks.add("isometry-on-safe-region",
                    np.max([pr.isometry_defect(pair, a, safe) for a in shifts]),
                    tol)
@@ -274,9 +278,7 @@ def _cmd_counterexample(doc, out, seed, tol):
         margin = int(doc.get("margin", 1))
         safe = pr.SafeRegion(margin)
         thetas = np.array([[0.3, 0.7], [1.1, 0.2]])
-        worst = np.max([pr.weyl_defect(pair, thetas, a, safe)
-                        for a in itertools.product(range(margin + 1), repeat=2)])
-        checks.add("weak-weyl-defect", worst, tol)
+        checks.add("weak-weyl-defect", _max_defect(pair, thetas, safe), tol)
     elif sub == "transfer":
         dim_e, dim_f, equal = fp.commutant_transfer_check(family, ev, grid)
         data.update({"sampled_commutant_dim": dim_e,

@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import CheckFailed, DimensionGuard, LabelMismatch
 from .lattice import _add
+from .pairs import _max_opnorm, _stacks
 
 #: Kernel cutoff per unit of relation norm; *-algebra and centre residual.
 DEFAULT_TOL = 1e-8
@@ -474,26 +475,17 @@ def commutant_basis(rep: RepGens):
     return _commutant(rep)[0]
 
 
-def opnorm_exceeds(x, tol: float) -> bool:
-    """Whether ||x||_2 > tol for the matrix ``x``, or for some matrix of the
-    stack ``x``; the SVD runs only on matrices with ||.||_F > tol."""
-    x = np.asarray(x)
-    over = np.linalg.norm(x, axis=(-2, -1)) > tol
-    return bool(over.any()
-                and (np.linalg.norm(x[over], 2, axis=(-2, -1)) > tol).any())
-
-
 def check_central(elements, cbasis):
     """Raise CheckFailed unless every element commutes with every C_i
     within ``DEFAULT_TOL``.
 
-    Each element is checked against the stack of the C_i at once.
+    Each element is checked against the stack of the C_i at once, and the
+    largest commutator norm is read from ``pairs._max_opnorm``.
     """
     stack = np.asarray(cbasis)
     for z in elements:
-        comm = z @ stack - stack @ z
-        if opnorm_exceeds(comm, DEFAULT_TOL):
-            worst = np.linalg.norm(comm, 2, axis=(1, 2)).max()
+        worst = _max_opnorm([z @ stack - stack @ z], DEFAULT_TOL)
+        if worst > DEFAULT_TOL:
             raise CheckFailed(
                 "centre element fails to commute with the commutant "
                 f"(commutator {worst:.2e})")
@@ -592,11 +584,8 @@ def _polar_blocks(blocks):
     """
     factors = [None] * len(blocks)
     lo, hi = np.inf, 0.0
-    by_size = {}
-    for i, b in enumerate(blocks):
-        by_size.setdefault(b.shape[0], []).append(i)
-    for group in by_size.values():
-        u, s, vh = np.linalg.svd(np.stack([blocks[i] for i in group]))
+    for group, stack in _stacks(blocks):
+        u, s, vh = np.linalg.svd(stack)
         lo, hi = min(lo, float(s[:, -1].min())), max(hi, float(s[:, 0].max()))
         for i, polar in zip(group, u @ vh):
             factors[i] = polar

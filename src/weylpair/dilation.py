@@ -38,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .commutant import opnorm_exceeds
 from .errors import (
     BudgetExceeded,
     DepthZeroDegenerate,
@@ -83,12 +82,12 @@ class ComponentResult:
 
 @dataclass(eq=False)
 class Decomposition:
-    """Components and the witness onto their reassembled sum, dense and as
+    """Components and the witness onto their reassembled sum, kept as
     ``bases``: (component, point) to the component's rows of the witness
-    block there, the adjoint of an orthonormal basis of its range."""
+    block there, the adjoint of an orthonormal basis of its range.  The
+    witness block of a point stacks those rows in component order."""
 
     components: list[ComponentResult]
-    witness: np.ndarray = field(repr=False)
     reassembled: WeylPair = field(repr=False)
     bases: dict = field(repr=False)
 
@@ -134,7 +133,7 @@ def decompose_full(pair: WeylPair) -> Decomposition:
     equals the sum's block C_y within 1e-8.
     """
     worst = check_commuting_ranges(pair)
-    if worst > RANGE_TOL:
+    if not worst <= RANGE_TOL:
         raise NonCommutingRanges(
             f"range projections fail to commute (max commutator {worst:.3e})")
     hi, steps = pair.window.hi, pair.window.generators()
@@ -182,20 +181,17 @@ def decompose_full(pair: WeylPair) -> Decomposition:
     for axis, e in enumerate(steps):
         mats += [w[_add(y, e)] @ b @ w[y].conj().T - reassembled._blocks[axis][y]
                  for y, b in pair._blocks[axis].items()]
-    if any(opnorm_exceeds(s, 1e-8) for _, s in _stacks(mats)):
+    if _max_opnorm([s for _, s in _stacks(mats)], 1e-8) > 1e-8:
         raise FiberMismatch(
             "reassembled canonical sum is not unitarily equivalent to the "
             "input; the pair is not a truncation of a covariant model")
-    witness = np.zeros((pair.dim, pair.dim), dtype=complex)
-    for y, b in w.items():
-        witness[pair.block_slice(y), pair.block_slice(y)] = b
 
     results = []
     for raw, q in comps:
         t = _sub(raw.points[0], pair.window.lo)
         normalized, _ = translate_pset(raw, tuple(-c for c in t))
         results.append(ComponentResult(normalized, t, len(q), raw))
-    return Decomposition(results, witness, reassembled, bases)
+    return Decomposition(results, reassembled, bases)
 
 
 def decompose(pair: WeylPair) -> list[ComponentResult]:

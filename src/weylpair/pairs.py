@@ -15,8 +15,10 @@ margin, and nowhere else.
 
 A pair is kept as its generator blocks: the relation forbids any entry
 outside them, and the constructor refuses a dense generator that has one.
-The checks read V_a block by block, composed from the generator blocks, and
-their values are exact; dense generators are written only when asked for.
+The checks read V_a block by block, composed from the generator blocks in
+one order, and their values are exact; that the generators commute is
+checked once per pair, one commutator block per point.  Dense generators
+are written only when asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import opnorm_exceeds
 from .errors import (
     MarginTooSmall,
     NonCommutingGenerators,
@@ -83,7 +84,7 @@ class WeylPair:
             off += k
         self.dim = off
         self.label = label
-        self._paths: dict[tuple[Point, bool], dict] = {}
+        self._commuting = False
         self._shifts: dict[Point, dict] = {}
         self._safe: dict[int, tuple[Point, ...]] = {}
         self._blocks = self._check_grading(gens)
@@ -182,51 +183,61 @@ class WeylPair:
         fiber of y to zero.
 
         V_a is composed one generator block at a time in the order of
-        :func:`isometry_v` (axis 0 first), and the reverse order is compared
-        block by block: a discrepancy above 1e-10 raises
-        :class:`NonCommutingGenerators`.  Shifts are kept on the pair, so
-        each is composed once; the dict returned is the pair's own and is
-        read, not changed, by its callers.
+        :func:`isometry_v` (axis 0 first) only; before the pair's first
+        shift along two or more axes, :meth:`_check_commuting` checks once
+        that the generators commute.  Shifts are kept on the pair, so each
+        is composed once; the dict returned is the pair's own and is read,
+        not changed, by its callers.
         """
         a = tuple(int(c) for c in a)
         if a in self._shifts:
             return self._shifts[a]
         if len(a) != self.window.dim or any(c < 0 for c in a):
             raise ValueError("semigroup exponent must be a nonnegative vector")
-        fwd = self._path(a, False)
-        if sum(c > 0 for c in a) > 1:
-            bwd = self._path(a, True)
-            diffs = [fwd.get(y, 0.0) - bwd.get(y, 0.0)
-                     for y in fwd.keys() | bwd.keys()]
-            if _max_opnorm([s for _, s in _stacks(diffs)], 1e-10) > 1e-10:
-                raise NonCommutingGenerators(
-                    f"generator products differ for exponent {a}")
-        self._shifts[a] = fwd
-        return fwd
-
-    def _path(self, a: Point, reverse: bool) -> dict:
-        """Blocks of the product of generator steps making up V_a, with the
-        last axis stepped first when ``reverse`` is set."""
         axes = [i for i, c in enumerate(a) if c > 0]
-        if len(axes) <= 1:
-            reverse = False
-        if (a, reverse) in self._paths:
-            return self._paths[(a, reverse)]
+        if len(axes) > 1 and not self._commuting:
+            self._check_commuting()
         if not axes:
-            return {p: np.eye(k, dtype=complex) for p, k in self.fibers}
-        j = axes[0] if reverse else axes[-1]
-        prev_a = a[:j] + (a[j] - 1,) + a[j + 1:]
-        step = self._blocks[j]
-        if not any(prev_a):
-            out = dict(step)
+            out = {p: np.eye(k, dtype=complex) for p, k in self.fibers}
         else:
-            out = {}
-            for y, b in self._path(prev_a, reverse).items():
-                mid = _add(y, prev_a)
-                if mid in step:
-                    out[y] = step[mid] @ b
-        self._paths[(a, reverse)] = out
+            j = axes[-1]
+            prev_a = a[:j] + (a[j] - 1,) + a[j + 1:]
+            step = self._blocks[j]
+            if not any(prev_a):
+                out = dict(step)
+            else:
+                out = {}
+                for y, b in self.shift_blocks(prev_a).items():
+                    mid = _add(y, prev_a)
+                    if mid in step:
+                        out[y] = step[mid] @ b
+        self._shifts[a] = out
         return out
+
+    def _check_commuting(self):
+        """Raise :class:`NonCommutingGenerators` unless, for all axes
+        i < j, every block B^j_{y+e_i} B^i_y - B^i_{y+e_j} B^j_y of their
+        commutator (a missing block is zero) is within 1e-10 of 0.  A
+        non-finite commutator passes."""
+        steps = self.window.generators()
+        for i, j in itertools.combinations(range(self.window.dim), 2):
+            bi, bj, diffs = self._blocks[i], self._blocks[j], []
+            for y, (_, k) in self.offsets.items():
+                yi, yj = _add(y, steps[i]), _add(y, steps[j])
+                if (q := _add(yi, steps[j])) not in self.offsets:
+                    continue
+                diff = np.zeros((self.offsets[q][1], k), dtype=complex)
+                if yi in self.offsets:
+                    diff += bj[yi] @ bi[y]
+                if yj in self.offsets:
+                    diff -= bi[yj] @ bj[y]
+                diffs.append(diff)
+            worst = _max_opnorm([s for _, s in _stacks(diffs)], 1e-10)
+            if worst > 1e-10:
+                raise NonCommutingGenerators(
+                    f"generators {i} and {j} do not commute "
+                    f"(commutator {worst:.3e})")
+        self._commuting = True
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -365,7 +376,7 @@ def isometry_v(pair: WeylPair, a) -> np.ndarray:
         for axis in reversed(range(pair.window.dim)):
             if avec[axis]:
                 bwd = np.linalg.matrix_power(pair.gens[axis], avec[axis]) @ bwd
-        if opnorm_exceeds(fwd - bwd, 1e-10):
+        if _max_opnorm([(fwd - bwd)[None]], 1e-10) > 1e-10:
             raise NonCommutingGenerators(
                 f"generator products differ for exponent {avec}")
     return fwd

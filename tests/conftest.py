@@ -90,6 +90,19 @@ def fiber_mixing_unitary(pair, rng):
     return q
 
 
+def decomposition_witness(pair, dec):
+    """The dense block-diagonal witness of ``decompose_full``, written from
+    its ``bases``: the block of y stacks the components' rows there, in
+    component order."""
+    rows = {}
+    for (_, y), b in dec.bases.items():
+        rows.setdefault(y, []).append(b)
+    out = np.zeros((pair.dim, pair.dim), dtype=complex)
+    for y, bs in rows.items():
+        out[pair.block_slice(y), pair.block_slice(y)] = np.vstack(bs)
+    return out
+
+
 def safe_indices(pair, safe):
     """Coordinate indices of the blocks of the pair's safe points."""
     return np.array([i for s in map(pair.block_slice, pair.safe_points(safe))

@@ -47,7 +47,7 @@ from weylpair import (
 from weylpair.dilation import compress_to_base, decompose_full
 from weylpair.freeproduct import coordinate_family, sample_field
 
-from conftest import opnorm, tail, upset_from
+from conftest import decomposition_witness, opnorm, tail, upset_from
 
 
 def report(num, name, ok, detail):
@@ -137,7 +137,8 @@ def test_criterion_04_decompose_round_trip():
             failures.append(trial)
         ra = RepGens.from_pair(pair)
         rb = RepGens.from_pair(dec.reassembled)
-        res = max(opnorm(dec.witness @ x @ dec.witness.conj().T - y)
+        wit = decomposition_witness(pair, dec)
+        res = max(opnorm(wit @ x @ wit.conj().T - y)
                   for x, y in zip(ra.gens, rb.gens))
         worst_residual = max(worst_residual, res)
         if res > 1e-8:

@@ -18,6 +18,7 @@ from weylpair import (
     WellDefinednessViolation,
     WeylPair,
     build_pspace_pair,
+    check_commuting_ranges,
     commutant_basis,
     compress_to_base,
     decompose,
@@ -31,6 +32,7 @@ from weylpair import (
     translate_pset,
     unitarily_equivalent,
     unitary_u,
+    validate_pset,
 )
 from weylpair import commutant, dilation
 from weylpair.cli import main
@@ -39,8 +41,8 @@ from weylpair.dilation import decompose_full, e_diagonal
 from weylpair.lattice import _extremal_points, _leq, _sub
 from weylpair.serialize import pair_to_json
 
-from conftest import (fiber_mixing_unitary, opnorm, scale_block, tail,
-                      upset_from)
+from conftest import (decomposition_witness, fiber_mixing_unitary, opnorm,
+                      scale_block, tail, upset_from)
 
 
 @pytest.fixture
@@ -222,6 +224,18 @@ def test_noncommuting_base_rejected():
                          GridSpec(2, 2.5))
     with pytest.raises(NonCommutingRanges):
         minimal_dilation(pair, 1)
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+def test_a_non_finite_range_commutator_is_refused_as_noncommuting_ranges():
+    # every block scaled to 1e160: V_(1,1) composes them to 1e320, which
+    # overflows, so the range commutators read NaN
+    w = LatticeWindow((0, 0), (1, 1))
+    pair = build_pspace_pair(validate_pset(list(w.points()), w, SetKind.PSPACE), 1)
+    big = WeylPair(w, dict(pair.fibers), [1e160 * g for g in pair.gens])
+    assert np.isnan(check_commuting_ranges(big))
+    with pytest.raises(NonCommutingRanges, match="nan"):
+        decompose_full(big)
 
 
 def test_project_e_at_origin(bundle8):
@@ -497,7 +511,7 @@ def test_decompose_witness_residual(chain8):
     pair = direct_sum([build_pspace_pair(tail(chain8, 0), 2),
                        build_pspace_pair(tail(chain8, 4), 1)])
     dec = decompose_full(pair)
-    wit = dec.witness
+    wit = decomposition_witness(pair, dec)
     ra = RepGens.from_pair(pair)
     rb = RepGens.from_pair(dec.reassembled)
     for x, y in zip(ra.gens, rb.gens):

@@ -213,4 +213,6 @@ def test_pair_checks_take_no_dense_product_and_no_extra_norm(calls, monkeypatch)
     calls.clear()
     _pair_checks(pair, 2)
     assert pair.dim == 32
-    assert calls["norm"] == 18 and calls["svd"] == 0
+    # one stacked norm per defect with a safe block (4), per isometry
+    # defect (9) and for the ranges, and one for the generators' commutator
+    assert calls["norm"] == 15 and calls["svd"] == 0

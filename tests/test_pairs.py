@@ -10,6 +10,7 @@ from weylpair import (
     MarginTooSmall,
     NonCommutingGenerators,
     PairInvariantViolation,
+    PSet,
     SafeRegion,
     SetKind,
     WeylPair,
@@ -34,8 +35,8 @@ from weylpair.serialize import pair_from_json, pair_to_json
 
 from conftest import (dense_grid_defect, dense_isometry_defect,
                       dense_range_commutator, dense_weyl_defect,
-                      fiber_mixing_unitary, opnorm, range_projection, tail,
-                      upset_from)
+                      fiber_mixing_unitary, opnorm, range_projection,
+                      scale_block, tail, upset_from)
 
 
 def full_pair(k=1):
@@ -120,12 +121,45 @@ def test_shift_blocks_are_the_blocks_of_the_dense_shift(square4):
     sets = [upset_from(square4, [(1, 0), (0, 2)]), upset_from(square4, [(2, 2)])]
     pair, _ = canonical_sum(square4, [(ps.points, k) for ps, k in zip(sets, (2, 1))],
                             "sum")
-    for a in itertools.product(range(3), repeat=2):
-        dense = np.zeros((pair.dim, pair.dim), dtype=complex)
-        for y, b in pair.shift_blocks(a).items():
-            dense[pair.block_slice(tuple(c + d for c, d in zip(y, a))),
-                  pair.block_slice(y)] = b
-        assert np.array_equal(dense, isometry_v(pair, a))
+    cube = LatticeWindow((0, 0, 0), (2, 2, 2))
+    sets = [upset_from(cube, [(1, 0, 0), (0, 1, 1)]), upset_from(cube, [(0, 0, 0)])]
+    solid, _ = canonical_sum(cube, [(ps.points, k) for ps, k in zip(sets, (1, 2))],
+                             "solid")
+    rng = np.random.default_rng(8)
+    cases = [(pair, True), (solid, True)]
+    # fiber-mixed copies: their blocks are not 0/1
+    for p in (pair, solid):
+        q = fiber_mixing_unitary(p, rng)
+        cases.append((WeylPair(p.window, dict(p.fibers),
+                               [q @ g @ q.conj().T for g in p.gens]), False))
+    for p, exact in cases:
+        for a in itertools.product(range(3), repeat=p.window.dim):
+            dense = np.zeros((p.dim, p.dim), dtype=complex)
+            for y, b in p.shift_blocks(a).items():
+                dense[p.block_slice(tuple(c + d for c, d in zip(y, a))),
+                      p.block_slice(y)] = b
+            if exact:
+                assert np.array_equal(dense, isometry_v(p, a))
+            else:
+                assert opnorm(dense - isometry_v(p, a)) <= 1e-12
+
+
+@pytest.mark.parametrize("first", [(2, 1), (1, 1), (1, 2), (2, 2)])
+def test_one_generator_commutator_decides_every_multi_axis_shift(square4, first):
+    pair = build_pspace_pair(PSet(square4, tuple(square4.points()),
+                                  SetKind.PSPACE), 1)
+    # the 1 x 1 block of axis 0 at (1, 1) scaled by 1 - eps: the commutator
+    # of the generators reads eps at (0, 1) and at (1, 1)
+    bad = scale_block(pair, 0, (1, 1), 2e-10)
+    bad.shift_blocks((2, 0))  # a shift along one axis needs no check
+    with pytest.raises(NonCommutingGenerators, match="generators 0 and 1"):
+        bad.shift_blocks(first)
+    with pytest.raises(NonCommutingGenerators):
+        weyl_defect(bad, np.zeros(2), first, SafeRegion(2))
+    good = scale_block(pair, 0, (1, 1), 1e-11)
+    assert good.shift_blocks(first)
+    assert weyl_defect(good, np.array(dual_grid(square4)), first,
+                       SafeRegion(2)) <= 1e-10
 
 
 def test_stray_entry_pairs_are_refused(chain8, square4):

@@ -76,7 +76,8 @@ from weylpair.serialize import document_to_json, pair_from_json, pair_to_json
 from weylpair import commutant, dilation
 from weylpair.dilation import decompose_full
 
-from conftest import (brute_force_upsets, dense_dilation_checks,
+from conftest import (brute_force_upsets, decomposition_witness,
+                      dense_dilation_checks,
                       dense_isometry_defect, dense_range_commutator,
                       dense_weyl_defect,
                       equivalence_by_draws, fiber_mixing_unitary, opnorm,
@@ -112,7 +113,8 @@ def test_mixed_direct_sum_is_classified_by_its_data(case):
     assert {c.raw.points: c.multiplicity for c in dec.components} == expected
     ra = RepGens.from_pair(pair)
     rb = RepGens.from_pair(dec.reassembled)
-    assert max(opnorm(dec.witness @ x @ dec.witness.conj().T - y)
+    wit = decomposition_witness(pair, dec)
+    assert max(opnorm(wit @ x @ wit.conj().T - y)
                for x, y in zip(ra.gens, rb.gens)) <= 1e-8
 
 
@@ -122,7 +124,7 @@ def test_depth_zero_embedding_is_the_decomposition_witness(case):
     # both are written from the same routed bases, and at depth zero the
     # dilated layout is the reassembled one
     pair, _ = case
-    witness = decompose_full(pair).witness
+    witness = decomposition_witness(pair, decompose_full(pair))
     assert np.array_equal(dilation.minimal_dilation(pair, 0).embed, witness)
 
 
