@@ -133,7 +133,7 @@ def decompose_full(pair: WeylPair) -> Decomposition:
     equals the sum's block C_y within 1e-8.
     """
     worst = check_commuting_ranges(pair)
-    if not worst <= RANGE_TOL:
+    if not worst <= RANGE_TOL:  # a NaN commutator is refused too
         raise NonCommutingRanges(
             f"range projections fail to commute (max commutator {worst:.3e})")
     hi, steps = pair.window.hi, pair.window.generators()
