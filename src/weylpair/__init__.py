@@ -63,7 +63,6 @@ from .pairs import (
     dual_grid,
     isometry_defect,
     isometry_v,
-    recover_position_projections,
     unitary_u,
     weyl_defect,
 )

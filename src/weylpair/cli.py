@@ -71,6 +71,16 @@ def _resolve_pair(doc, key):
     return ser.pair_from_json(val)
 
 
+def _number(doc, key, default, kind=int):
+    """``doc[key]``, or ``default``, as ``kind``; else ScenarioParseError."""
+    val = doc.get(key, default)
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioParseError(
+            f"field '{key}' must be a number, not {val!r}") from exc
+
+
 def _resolve_family(doc, seed):
     fam_doc = doc.get("family", {"kind": "demo"})
     if isinstance(fam_doc, str):
@@ -79,16 +89,19 @@ def _resolve_family(doc, seed):
                 f"referenced family file {fam_doc} does not exist")
         with open(fam_doc, "r", encoding="utf-8") as fh:
             return ser.family_from_json(json.load(fh))
+    if not isinstance(fam_doc, dict):
+        raise ScenarioParseError(
+            "field 'family' must be a family object or a family file")
     if "P" in fam_doc:
         return ser.family_from_json(fam_doc)
     kind = fam_doc.get("kind", "demo")
-    kappa = int(fam_doc.get("kappa", 6))
+    kappa = _number(fam_doc, "kappa", 6)
     if kind == "demo":
-        return fp.demo_family(kappa, seed=int(fam_doc.get("seed", seed)))
+        return fp.demo_family(kappa, seed=_number(fam_doc, "seed", seed))
     if kind == "random":
-        return fp.random_family(kappa, int(fam_doc.get("parts_p", kappa)),
-                                int(fam_doc.get("parts_q", kappa)),
-                                seed=int(fam_doc.get("seed", seed)))
+        return fp.random_family(kappa, _number(fam_doc, "parts_p", kappa),
+                                _number(fam_doc, "parts_q", kappa),
+                                seed=_number(fam_doc, "seed", seed))
     raise ScenarioParseError(f"unknown family kind {kind!r}")
 
 
@@ -139,7 +152,7 @@ def _cmd_pair_build(doc, out, seed, tol):
     if "pspace" not in doc:
         raise ScenarioParseError("scenario lacks required field 'pspace'")
     ps = ser.pset_from_json(doc["pspace"])
-    k = int(doc.get("k", 1))
+    k = _number(doc, "k", 1)
     pair = pr.build_pspace_pair(ps, k)
     path = os.path.join(out, doc.get("file", "pair.json"))
     _write_document(path, ser.pair_to_json(pair, matrix=np.asarray))
@@ -156,7 +169,7 @@ def _max_defect(pair, thetas, safe):
 
 def _cmd_pair_check(doc, out, seed, tol):
     pair = _resolve_pair(doc, "pair")
-    margin = int(doc.get("margin", 2))
+    margin = _number(doc, "margin", 2)
     safe = pr.SafeRegion(margin)
     checks = _Checks()
     shifts = list(itertools.product(range(margin + 1), repeat=pair.window.dim))
@@ -174,7 +187,7 @@ def _cmd_pair_check(doc, out, seed, tol):
 
 def _cmd_dilate(doc, out, seed, tol):
     pair = _resolve_pair(doc, "pair")
-    depth = int(doc.get("depth", 2))
+    depth = _number(doc, "depth", 2)
     bundle = dila.minimal_dilation(pair, depth)
     checks = _Checks()
     for name, value, bound in dila.dilation_checks(bundle, tol):
@@ -195,6 +208,9 @@ def _cmd_decompose(doc, out, seed, tol):
 
 def _cmd_commutant(doc, out, seed, tol):
     if "gens" in doc:
+        if not isinstance(doc["gens"], list) or not doc["gens"]:
+            raise ScenarioParseError(
+                "field 'gens' must be a nonempty list of matrices")
         gens = [ser.matrix_from_json(g) for g in doc["gens"]]
         rep = RepGens(gens[0].shape[0], gens)
     else:
@@ -250,20 +266,14 @@ def _cmd_counterexample(doc, out, seed, tol):
         export_heatmap(rows, path)
         artifacts.append(path)
     elif sub == "plateau":
-        mmax = int(doc.get("mmax", 2))
-        nmax = int(doc.get("nmax", 2))
-        h = grid.step
-        bound = (1 - ev.b) * (1 - ev.d) - 2 * h
+        mmax = _number(doc, "mmax", 2)
+        nmax = _number(doc, "nmax", 2)
+        bound = (1 - ev.b) * (1 - ev.d) - 2 * grid.step
         fractions = {}
         sample = fp.sample_field(family, ev, grid)
-        vals = sample.vals
         for m in range(mmax + 1):
             for n in range(nmax + 1):
-                pts = fp.plateau(sample, m, n)
-                total = sum(1 for s in vals if m <= s < m + 1) * \
-                    sum(1 for t in vals if n <= t < n + 1)
-                frac = len(pts) / total if total else 0.0
-                fractions[f"{m},{n}"] = frac
+                frac = fractions[f"{m},{n}"] = fp.plateau_fraction(sample, m, n)
                 checks.add(f"plateau-fraction-{m}-{n}", frac, bound,
                            larger_ok=True)
         data["fractions"] = fractions
@@ -271,11 +281,17 @@ def _cmd_counterexample(doc, out, seed, tol):
         pair = fp.build_r2_pair(family, ev, grid)
         data["dim"] = pair.dim
         probe = doc.get("probe", [[1, 0], [0, 1], [2, 0], [0, 2]])
+        if not isinstance(probe, list) or not all(
+                isinstance(a, list) and len(a) == pair.window.dim
+                and all(isinstance(c, int) and c >= 0 for c in a)
+                for a in probe):
+            raise ScenarioParseError(
+                "field 'probe' must list shifts of two nonnegative integers")
         witness = pr.check_commuting_ranges(pair, [tuple(a) for a in probe])
         data["max_range_commutator"] = float(witness)
         if doc.get("expect_noncommuting", True):
             checks.add("noncommuting-witness", witness, 0.1, larger_ok=True)
-        margin = int(doc.get("margin", 1))
+        margin = _number(doc, "margin", 1)
         safe = pr.SafeRegion(margin)
         thetas = np.array([[0.3, 0.7], [1.1, 0.2]])
         checks.add("weak-weyl-defect", _max_defect(pair, thetas, safe), tol)
@@ -318,9 +334,9 @@ def run_scenario(command: str, scenario_path: str, out: str = ".",
             f"scenario declares command {declared!r} but {command!r} was invoked")
     if command not in _COMMANDS:
         raise ScenarioParseError(f"unknown command {command!r}")
-    seed = int(doc.get("seed", 0)) if seed is None else int(seed)
-    tol = float(doc.get("tol", DEFAULT_TOL)) if tol is None else float(tol)
-    if tol <= 0:
+    seed = _number(doc, "seed", 0) if seed is None else int(seed)
+    tol = _number(doc, "tol", DEFAULT_TOL, float) if tol is None else float(tol)
+    if not tol > 0:
         raise ScenarioParseError("tolerance must be positive")
     os.makedirs(out, exist_ok=True)
     data, checks, artifacts = _COMMANDS[command](doc, out, seed, tol)

@@ -4,9 +4,10 @@ Everything reduces to one primitive: the joint nullspace of the maps
 T -> T A_i - B_i T (with the adjoint maps always included, so the result
 is adjoint closed).  Two solvers compute it.
 
-Represented pairs take the graded solve.  Their generators include the
-position observable, so every solution is block diagonal, T = sum T_y with
-T_y from the fiber of y in one pair to the fiber of y in the other.  Where
+Represented pairs take the graded solve, on their generator blocks.
+Their generators include the position observable, so every solution is
+block diagonal, T = sum T_y with T_y from the fiber of y in one pair to
+the fiber of y in the other.  Where
 a generator block B of the second pair from y to y + e_i is injective, the
 relation T_{y+e_i} A = B T_y gives T_y = B^+ T_{y+e_i} A.  Walking the
 points downward from the top corner of the window, every T_y is fixed by
@@ -24,7 +25,7 @@ projections at the top corner.
 
 Unitary equivalence of two represented pairs on one window is read from
 the fibers first: different fiber sizes decide it at once, before any
-solve.
+solve.  Every largest 2-norm here is read from ``pairs._max_opnorm``.
 
 Every other generator list goes to ``sylvester_nullspace``: it seeds the
 search with the exact kernel of a well-chosen Hermitian map (eigenvectors
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import CheckFailed, DimensionGuard, LabelMismatch
 from .lattice import _add
-from .pairs import _max_opnorm, _stacks
+from .pairs import _max_opnorm, _stacks, intertwining_blocks
 
 #: Kernel cutoff per unit of relation norm; *-algebra and centre residual.
 DEFAULT_TOL = 1e-8
@@ -70,28 +71,25 @@ _CENTER_SEED = 20240502
 _INJECTIVE_TOL = 1e-8
 
 
-@dataclass(eq=False)
 class RepGens:
     """A finite generator list; solves close it under adjoints implicitly.
 
-    ``pair`` is set by ``from_pair`` to the represented pair the list was
-    read from; the solvers then use its grading.
+    ``from_pair`` sets ``pair`` to the represented pair the list is read
+    from; the solvers then use its blocks, and ``gens`` is written from
+    them on its first read.
     """
 
-    dim: int
-    gens: list
-    labels: list[str] | None = None
-    pair: object = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.gens = [np.asarray(g, dtype=complex) for g in self.gens]
-        for g in self.gens:
-            if g.shape != (self.dim, self.dim):
+    def __init__(self, dim: int, gens, labels: list[str] | None = None):
+        self.dim = dim
+        self.pair = None
+        self._gens = [np.asarray(g, dtype=complex) for g in gens]
+        for g in self._gens:
+            if g.shape != (dim, dim):
                 raise DimensionGuard(
-                    f"generator shape {g.shape} does not match dim {self.dim}")
-        if self.labels is None:
-            self.labels = [f"g{i}" for i in range(len(self.gens))]
-        if len(self.labels) != len(self.gens):
+                    f"generator shape {g.shape} does not match dim {dim}")
+        self.labels = ([f"g{i}" for i in range(len(self._gens))]
+                       if labels is None else labels)
+        if len(self.labels) != len(self._gens):
             raise LabelMismatch("one label per generator required")
 
     @classmethod
@@ -101,11 +99,16 @@ class RepGens:
         The character unitaries enter through the position observable (same
         commutant, one Hermitian generator), followed by the generators.
         """
-        gens = [pair.position_observable(), *pair.gens]
-        labels = ["pos"] + [f"V{i}" for i in range(pair.window.dim)]
-        rep = cls(pair.dim, gens, labels)
-        rep.pair = pair
+        rep = cls(pair.dim, [], [])
+        rep.labels = ["pos"] + [f"V{i}" for i in range(pair.window.dim)]
+        rep.pair, rep._gens = pair, None
         return rep
+
+    @property
+    def gens(self) -> list:
+        if self._gens is None:
+            self._gens = [self.pair.position_observable(), *self.pair.gens]
+        return self._gens
 
 
 @dataclass(eq=False)
@@ -324,15 +327,6 @@ def _injective_pinvs(blocks: dict):
     return out, float(s[:, 0].max())
 
 
-def _largest_norm(blocks: dict) -> float:
-    """The largest block 2-norm alone, from the singular values of the
-    padded blocks."""
-    if not blocks:
-        return 0.0
-    stack = _padded(list(blocks.values()))
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
-
-
 def _graded_nullspace(pair_a, pair_b):
     """Orthonormal basis of the intertwiners of two represented pairs.
 
@@ -361,7 +355,8 @@ def _graded_nullspace(pair_a, pair_b):
                        for y, blk in found.items()}
                       for blocks in (blocks_a, blocks_b)]
     pinvs, norm_b = _injective_pinvs(flat_b)
-    norm_a = norm_b if pair_b is pair_a else _largest_norm(flat_a)
+    norm_a = norm_b if pair_b is pair_a else _max_opnorm(
+        [s for _, s in _stacks(list(flat_a.values()))])
     route, free, n_free = {}, {}, 0
     for y in shared:
         axis = next((i for i in range(len(steps))
@@ -453,17 +448,17 @@ def _commutant(rep: RepGens):
 
     The coordinates are None unless the graded solve found the basis.
     """
+    solved = _graded_nullspace(rep.pair, rep.pair)
+    if solved is not None:
+        basis, free = solved
+        coords = np.arange(rep.dim)
+        return basis, np.concatenate(
+            [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
     if not rep.gens:
         eye = np.eye(rep.dim, dtype=complex)
         return [np.outer(eye[:, i], eye[:, j].conj())
                 for i in range(rep.dim) for j in range(rep.dim)], None
-    solved = _graded_nullspace(rep.pair, rep.pair)
-    if solved is None:
-        return sylvester_nullspace(rep.gens, rep.gens), None
-    basis, free = solved
-    coords = np.arange(rep.dim)
-    return basis, np.concatenate(
-        [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
+    return sylvester_nullspace(rep.gens, rep.gens), None
 
 
 def commutant_basis(rep: RepGens):
@@ -538,7 +533,7 @@ def center_basis(cbasis, free=None):
     rng = np.random.default_rng(_CENTER_SEED)
     draws = np.stack([np.tensordot(coeff, small, axes=1) for coeff in
                       rng.standard_normal((2, c)) + 1j * rng.standard_normal((2, c))])
-    scale = float(np.linalg.norm(draws, 2, axis=(1, 2)).max())
+    scale = _max_opnorm([draws])
     _check_star_algebra(small, small @ draws[:, None] / scale)
     blocks = [(small @ x - x @ small).reshape(c, -1).T
               for g in draws for x in (g, g.conj().T)]
@@ -597,17 +592,18 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, seed: int = 20240405):
 
     Up to ``_DRAWS`` random coefficient draws over the intertwiner basis
     find an invertible element whenever one exists (the invertibles form a
-    dense open set of the span); its polar unitary is returned after a
-    conjugation check at residual 1e-8, read from the Frobenius norm first.
+    dense open set of the span).  Its polar unitary W is returned when
+    ``pairs.intertwining_blocks`` puts every W_y* W_y - 1 and every block
+    of W X_a - X_b W within 1e-8, absolute.
 
     Lists read from pairs on one window are inequivalent when the fiber
     sizes differ, since the position observables then have different
     spectra; that is decided before any solve.  Otherwise every intertwiner
     of such lists is block diagonal over the fibers, and so is its polar
     factor: it is taken fiber by fiber, with one stacked SVD per fiber
-    size.  Any other list is one block.  The drawn element counts as
-    invertible when its smallest singular value over all blocks is at least
-    1e-6 times the largest.
+    size, and checked on the pairs' generator blocks.  Any other list is
+    one block.  The drawn element counts as invertible when its smallest
+    singular value over all blocks is at least 1e-6 times the largest.
     """
     if ra.dim != rb.dim:
         return False, None
@@ -619,42 +615,35 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, seed: int = 20240405):
     basis = intertwiners(ra, rb)
     if not basis:
         return False, None
-    cuts = ([pa.block_slice(y) for y in pa.points] if one_window
-            else [slice(0, ra.dim)])
+    if one_window:
+        steps = pa.window.generators()
+        cuts = {y: pa.block_slice(y) for y in pa.points}
+        blocks = [[p.graded_blocks(i) for i in range(len(steps))] for p in (pa, pb)]
+    else:
+        cuts, steps = {(): slice(0, ra.dim)}, [()] * len(ra.gens)
+        blocks = [[{(): g} for g in r.gens] for r in (ra, rb)]
     basis = np.stack(basis)
     rng = np.random.default_rng(seed)
     for _ in range(_DRAWS):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         t = np.tensordot(coeff, basis, axes=1)
-        factors, lo, hi = _polar_blocks([t[c, c] for c in cuts])
+        factors, lo, hi = _polar_blocks([t[c, c] for c in cuts.values()])
         if hi <= 0 or lo < 1e-6 * hi:
             continue
         witness = np.zeros_like(t)
-        for c, polar in zip(cuts, factors):
+        for c, polar in zip(cuts.values(), factors):
             witness[c, c] = polar
         trace = np.trace(witness)
         if abs(trace) > 1e-8:  # fix the free global phase deterministically
             witness = witness * (trace.conjugate() / abs(trace))
-        worst = 0.0
-        for xa, xb in zip(ra.gens, rb.gens):
-            res = witness @ xa @ witness.conj().T - xb
-            # ||res||_2 <= ||res||_F and the scale is at least 1
-            if np.linalg.norm(res) > 1e-8:
-                worst = max(worst, np.linalg.norm(res, 2)
-                            / (1.0 + np.linalg.norm(xb, 2)))
+        iso, res = intertwining_blocks(
+            {y: witness[c, c] for y, c in cuts.items()}, steps, *blocks)
+        worst = _max_opnorm(iso + res, 1e-8)
         if worst <= 1e-8:
             return True, witness
         raise CheckFailed(
             f"invertible intertwiner found but conjugation residual {worst:.2e}")
     return False, None
-
-
-def span_distance(basis, m) -> float:
-    """Frobenius distance of a matrix from the span of an orthonormal basis."""
-    acc = np.zeros_like(np.asarray(m, dtype=complex))
-    for b in basis:
-        acc += np.vdot(b, m) * b
-    return float(np.linalg.norm(acc - m))
 
 
 def subspace_gap(basis_a, basis_b) -> float:

@@ -49,8 +49,8 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _sub, translate_pset
-from .pairs import (WeylPair, _max_opnorm, _stacks, canonical_sum,
-                    check_commuting_ranges, unitary_u)
+from .pairs import (WeylPair, _max_opnorm, canonical_sum,
+                    check_commuting_ranges, intertwining_blocks, unitary_u)
 
 RANGE_TOL = 1e-10
 #: Largest disagreement between two evaluation routes of ``extend_u``.
@@ -129,8 +129,9 @@ def decompose_full(pair: WeylPair) -> Decomposition:
     rows of the witness block of y are q* m_y.  FiberMismatch is raised
     unless every eigenvalue lies within 1e-8 of 0 or 1, every set is
     upward invariant, the canonical sum of the components has the pair's
-    fibers, every witness block W_y is unitary and every W_{y+e} B_y W_y*
-    equals the sum's block C_y within 1e-8.
+    fibers, and the witness W passes ``pairs.intertwining_blocks`` against
+    the sum: every W_y* W_y - 1 and every W_{y+e} B_y - C_y W_y, C_y the
+    sum's block, within 1e-8.
     """
     worst = check_commuting_ranges(pair)
     if not worst <= RANGE_TOL:  # a NaN commutator is refused too
@@ -177,11 +178,8 @@ def decompose_full(pair: WeylPair) -> Decomposition:
     for (_, y), rows in bases.items():  # the sum's components in order
         w.setdefault(y, []).append(rows)
     w = {y: np.vstack(rows) for y, rows in w.items()}
-    mats = [b @ b.conj().T - np.eye(len(b)) for b in w.values()]
-    for axis, e in enumerate(steps):
-        mats += [w[_add(y, e)] @ b @ w[y].conj().T - reassembled._blocks[axis][y]
-                 for y, b in pair._blocks[axis].items()]
-    if _max_opnorm([s for _, s in _stacks(mats)], 1e-8) > 1e-8:
+    iso, res = intertwining_blocks(w, steps, pair._blocks, reassembled._blocks)
+    if not _max_opnorm(iso + res, 1e-8) <= 1e-8:
         raise FiberMismatch(
             "reassembled canonical sum is not unitarily equivalent to the "
             "input; the pair is not a truncation of a covariant model")
@@ -396,10 +394,11 @@ def dilation_checks(bundle: DilationBundle, tol: float):
     shifts:
 
     - ``embed-isometry`` (tol 1e-12): ||E* E - 1||, the worst fiber block;
-    - ``dilation-extends-isometries``: max over e of ||W_e E - E V_e||.
+    - ``dilation-extends-isometries``: max over e of ||E V_e - W_e E||.
       Its block from the fiber of y lands in the dilated block of y + e,
       so the blocks sit at distinct (row, column) points and the operator
-      norm is their maximum;
+      norm is their maximum.  Both are read from the blocks of
+      ``pairs.intertwining_blocks`` for the relation E V_e = W_e E;
     - ``exhaustion-defect``: ||1 - P||, with P the projection onto the span
       of W_{-a} E over the depth box (singular values above 1e-10).  Every
       column of W_{-a} E lives in one dilated point, so the span splits by
@@ -412,21 +411,9 @@ def dilation_checks(bundle: DilationBundle, tol: float):
     """
     base, dilated = bundle.base, bundle.dilated
     blocks = bundle.embed_blocks
-    iso = _max_opnorm([s for _, s in _stacks(
-        [b.conj().T @ b - np.eye(b.shape[1]) for b in blocks.values()])])
-    diffs = []
-    for axis, e in enumerate(base.window.generators()):
-        w_blocks = dilated.graded_blocks(axis)
-        v_blocks = base.graded_blocks(axis)
-        for y, block in blocks.items():
-            q = _add(y, e)
-            if q not in dilated.offsets:
-                continue  # W_e and V_e both send the fiber of y to zero
-            diff = w_blocks[y] @ block
-            if y in v_blocks:
-                diff -= blocks[q] @ v_blocks[y]
-            diffs.append(diff)
-    extends = _max_opnorm([s for _, s in _stacks(diffs)])
+    iso, res = intertwining_blocks(blocks, base.window.generators(),
+                                   base._blocks, dilated._blocks)
+    iso, extends = _max_opnorm(iso), _max_opnorm(res)
 
     # exhaustion: W_{-a} moves the rows of each component from the dilated
     # block of y to its block of y - a when the support holds both points

@@ -303,6 +303,16 @@ def plateau(sample: FieldSample, m: int,
     return _grid_points(vals, cell & equal[sample.ids])
 
 
+def plateau_fraction(sample: FieldSample, m: int, n: int) -> float:
+    """Share of the grid points of the unit cell at (m, n) on its
+    :func:`plateau`, and 0.0 for a cell that holds no grid point."""
+    vals = sample.vals
+    total = int(((m <= vals) & (vals < m + 1)).sum()) \
+        * int(((n <= vals) & (vals < n + 1)).sum())
+    found = len(plateau(sample, m, n))
+    return found / total if total else 0.0
+
+
 def _grid_points(vals, mask) -> list[tuple[float, float]]:
     """The grid points (vals[i], vals[j]) where ``mask`` holds, row by row."""
     vals = vals.tolist()

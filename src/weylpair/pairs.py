@@ -18,7 +18,9 @@ outside them, and the constructor refuses a dense generator that has one.
 The checks read V_a block by block, composed from the generator blocks in
 one order, and their values are exact; that the generators commute is
 checked once per pair, one commutator block per point.  Dense generators
-are written only when asked for.
+are written only when asked for.  An operator T with T A = B T between two
+pairs (an equivalence witness, a decomposition witness, a dilation
+embedding) is checked on its blocks by :func:`intertwining_blocks`.
 """
 
 from __future__ import annotations
@@ -247,15 +249,6 @@ class WeylPair:
         off, k = self.offsets[p]
         return slice(off, off + k)
 
-    def position_projection(self, p) -> np.ndarray:
-        """Coordinate projection onto the fiber block of a point."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        p = tuple(int(c) for c in p)
-        if p in self.offsets:
-            s = self.block_slice(p)
-            out[s, s] = np.eye(s.stop - s.start)
-        return out
-
     def position_phases(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
         out = np.empty(self.dim, dtype=complex)
@@ -471,6 +464,28 @@ def _max_opnorm(stacks, floor: float = 0.0) -> float:
     return worst
 
 
+def intertwining_blocks(t: dict, steps, blocks_a, blocks_b):
+    """The isometry blocks T_y* T_y - 1 and, for every generator, the
+    residual blocks T_{y+e} A_y - B_y T_y of the relation T A = B T, each
+    as stacks by shape for :func:`_max_opnorm`.
+
+    ``t`` maps y to T_y, from the fiber of y under A to that under B;
+    generator i moves y by ``steps[i]``, with blocks ``blocks_a[i]`` and
+    ``blocks_b[i]`` by source point; a missing block is zero.  A generator
+    list is the one point () with steps (): T_() is T, A_() a generator.
+    """
+    iso = [b.conj().T @ b - np.eye(b.shape[1]) for b in t.values()]
+    res = []
+    for e, found_a, found_b in zip(steps, blocks_a, blocks_b):
+        for y in {**found_a, **found_b}:
+            q = _add(y, e)
+            ta = t[q] @ found_a[y] if y in found_a and q in t else None
+            bt = found_b[y] @ t[y] if y in found_b and y in t else None
+            if ta is not None or bt is not None:
+                res.append(-bt if ta is None else ta if bt is None else ta - bt)
+    return [s for _, s in _stacks(iso)], [s for _, s in _stacks(res)]
+
+
 def isometry_defect(pair: WeylPair, a, safe: SafeRegion) -> float:
     """Norm of (V_a* V_a - 1) compressed to the safe blocks.
 
@@ -552,27 +567,6 @@ def dual_grid(window: LatticeWindow) -> list[np.ndarray]:
     """Finite dual grid: theta_i = 2 pi j / N_i with N_i the window sides."""
     axes = [np.arange(n) * (2.0 * np.pi / n) for n in window.sides]
     return [np.array(t) for t in itertools.product(*axes)]
-
-
-def recover_position_projections(window: LatticeWindow, samples) -> dict:
-    """Invert character samples into position projections.
-
-    ``samples`` pairs each dual-grid angle vector with the corresponding
-    unitary.  When the unitaries are graded by window points the finite
-    Fourier inversion  P_y = (1/|grid|) sum_theta exp(-i theta.y) U_theta
-    is exact.
-    """
-    samples = list(samples)
-    total = len(samples)
-    out = {}
-    for y in window.points():
-        acc = None
-        yv = np.asarray(y, dtype=float)
-        for theta, u in samples:
-            term = np.exp(-1j * float(np.asarray(theta) @ yv)) * np.asarray(u)
-            acc = term if acc is None else acc + term
-        out[y] = acc / total
-    return out
 
 
 def canonical_defect_sweep(pspace: PSet, k: int, margin: int) -> float:

@@ -58,6 +58,41 @@ def opnorm(m):
     return float(np.linalg.norm(m, 2))
 
 
+def span_distance(basis, m) -> float:
+    """Frobenius distance of a matrix from the span of an orthonormal basis."""
+    acc = np.zeros_like(np.asarray(m, dtype=complex))
+    for b in basis:
+        acc += np.vdot(b, m) * b
+    return float(np.linalg.norm(acc - m))
+
+
+def position_projection(pair, p):
+    """Coordinate projection onto the fiber block of a point."""
+    out = np.zeros((pair.dim, pair.dim), dtype=complex)
+    p = tuple(int(c) for c in p)
+    if p in pair.offsets:
+        s = pair.block_slice(p)
+        out[s, s] = np.eye(s.stop - s.start)
+    return out
+
+
+def recover_position_projections(window, samples) -> dict:
+    """Invert character samples into position projections.
+
+    ``samples`` pairs each dual-grid angle vector with the corresponding
+    unitary.  When the unitaries are graded by window points the finite
+    Fourier inversion  P_y = (1/|grid|) sum_theta exp(-i theta.y) U_theta
+    is exact.
+    """
+    samples = list(samples)
+    out = {}
+    for y in window.points():
+        yv = np.asarray(y, dtype=float)
+        out[y] = sum(np.exp(-1j * float(np.asarray(theta) @ yv)) * np.asarray(u)
+                     for theta, u in samples) / len(samples)
+    return out
+
+
 def dense_pair_doc(pair):
     """The pair's document in the dense form, every generator entry listed,
     as an old or hand-written pair file holds it."""

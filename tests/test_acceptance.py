@@ -36,7 +36,6 @@ from weylpair import (
     extend_u,
     isometry_v,
     minimal_dilation,
-    plateau,
     random_family,
     spec_support,
     summarize,
@@ -45,7 +44,8 @@ from weylpair import (
     unitary_u,
 )
 from weylpair.dilation import compress_to_base, decompose_full
-from weylpair.freeproduct import coordinate_family, sample_field
+from weylpair.freeproduct import (coordinate_family, plateau_fraction,
+                                  sample_field)
 
 from conftest import decomposition_witness, opnorm, tail, upset_from
 
@@ -286,8 +286,7 @@ def test_criterion_08_plateau_fractions():
     sample = sample_field(fam, ev, grid)
     for m in range(3):
         for n in range(3):
-            pts = plateau(sample, m, n)
-            worst_frac = min(worst_frac, len(pts) / 100.0)
+            worst_frac = min(worst_frac, plateau_fraction(sample, m, n))
     ok = worst_frac >= bound
     report(8, "plateau-fraction-per-unit-cell", ok,
            f"min fraction {worst_frac:.3f} >= bound {bound:.3f}")

@@ -371,6 +371,28 @@ def test_parse_errors(tmp_path, capsys):
     code, out = run(capsys, ["pspace-enum", "--scenario", sc])
     assert code == 2
 
+    # malformed fields: each is named in a parse report, never a traceback
+    window = {"lo": [0], "hi": [3]}
+    cases = [
+        ("counterexample", {"sub": "plateau", "family": 5}, "family"),
+        ("pspace-enum", {"window": window, "seed": "x"}, "seed"),
+        ("pspace-enum", {"window": window, "tol": "x"}, "tol"),
+        ("commutant", {"gens": []}, "gens"),
+        ("counterexample", {"sub": "pair", "probe": [[1]]}, "probe"),
+        ("counterexample", {"sub": "pair", "probe": [[1, -1]]}, "probe"),
+        ("counterexample", {"sub": "plateau", "mmax": [2]}, "mmax"),
+        ("counterexample", {"family": {"kind": "demo", "kappa": "six"}},
+         "kappa"),
+    ]
+    for i, (command, fields, name) in enumerate(cases):
+        sc = write_scenario(tmp_path, f"field_{i}.json",
+                            dict(fields, command=command))
+        code, out = run(capsys, [command, "--scenario", sc,
+                                 "--out", str(tmp_path)])
+        report = json.loads(out)
+        assert code == 2 and report["kind"] == "parse", (fields, out)
+        assert f"'{name}'" in report["error"], (fields, out)
+
 
 def test_export_heatmap(tmp_path):
     rows = [(s, t, float(s + t)) for s in range(4) for t in range(4)]

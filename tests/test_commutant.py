@@ -31,12 +31,12 @@ from weylpair import (
     unitary_u,
 )
 from weylpair.cli import main
-from weylpair.commutant import check_central, span_distance
+from weylpair.commutant import check_central
 from weylpair.serialize import matrix_to_json, pair_to_json
 
 from conftest import (dense_subspace_gap, equivalence_by_draws,
-                      fiber_mixing_unitary, opnorm, scale_block, tail,
-                      upset_from)
+                      fiber_mixing_unitary, opnorm, scale_block, span_distance,
+                      tail, upset_from)
 
 
 def kron_nullspace_dim(gens, tol=1e-8):
@@ -333,6 +333,41 @@ def test_random_conjugate_recovered(chain8):
     assert ok
     for x, y in zip(gens, conj):
         assert opnorm(witness @ x @ witness.conj().T - y) < 1e-8
+
+
+def test_a_non_intertwining_unitary_is_refused_by_the_block_check(
+        chain8, monkeypatch):
+    """The refusal branch, reached with a faked intertwiner basis whose
+    elements are invertible but intertwine nothing: pairs on one window
+    are checked per fiber block, a generator list as one block."""
+    checked = []
+    shared = commutant.intertwining_blocks
+
+    def spy(t, *args):
+        checked.append(sorted(t))
+        return shared(t, *args)
+
+    monkeypatch.setattr(commutant, "intertwining_blocks", spy)
+    pa = build_pspace_pair(tail(chain8, 0), 1)
+    pb = scale_block(pa, 0, (3,), 0.5)
+    monkeypatch.setattr(commutant, "intertwiners",
+                        lambda ra, rb: [np.eye(8, dtype=complex)])
+    with pytest.raises(CheckFailed, match="conjugation residual 5.00e-01"):
+        unitarily_equivalent(RepGens.from_pair(pa), RepGens.from_pair(pb))
+    assert checked == [list(pa.points)]
+
+    gens = [pa.position_observable(), *pa.gens]
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
+    monkeypatch.setattr(commutant, "intertwiners", lambda ra, rb: [q])
+    with pytest.raises(CheckFailed, match="conjugation residual"):
+        unitarily_equivalent(RepGens(8, gens), RepGens(8, gens))
+    assert checked[1:] == [[()]]
+
+
+def test_the_empty_generator_list_has_the_full_matrix_algebra_as_commutant():
+    s = summarize(RepGens(3, []))
+    assert (s.commutant_dim, s.center_dim) == (9, 1)
+    assert s.is_factor and not s.is_irreducible
 
 
 def test_schur_consistency(chain8):

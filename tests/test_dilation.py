@@ -36,13 +36,12 @@ from weylpair import (
 )
 from weylpair import commutant, dilation
 from weylpair.cli import main
-from weylpair.commutant import span_distance
 from weylpair.dilation import decompose_full, e_diagonal
 from weylpair.lattice import _extremal_points, _leq, _sub
 from weylpair.serialize import pair_to_json
 
 from conftest import (decomposition_witness, fiber_mixing_unitary, opnorm,
-                      scale_block, tail, upset_from)
+                      scale_block, span_distance, tail, upset_from)
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from weylpair import (
 )
 from weylpair.cli import export_heatmap, main
 from weylpair.freeproduct import (PLATEAU_TOL, PROJ_TOL, coordinate_family,
-                                  sample_field)
+                                  plateau_fraction, sample_field)
 from weylpair.serialize import matrix_to_json
 
 from conftest import opnorm
@@ -281,8 +281,22 @@ def test_plateau_fraction_bound():
     sample = sample_field(fam, EV, grid)
     for m in range(3):
         for n in range(3):
-            frac = len(plateau(sample, m, n)) / 100.0
-            assert frac >= bound
+            assert plateau_fraction(sample, m, n) >= bound
+
+
+def test_plateau_fraction_counts_the_grid_points_of_the_cell():
+    """Oracle: the grid points of the cell counted one by one; a partial
+    cell at the grid's edge and a cell outside the grid included."""
+    fam = demo_family(6)
+    for grid in (GridSpec(10, 4.0), GridSpec(3, 2.5), GridSpec(4, 1.75, 0.5)):
+        sample = sample_field(fam, EV, grid)
+        vals = sample.vals
+        for m, n in itertools.product(range(4), repeat=2):
+            total = sum(1 for s in vals if m <= s < m + 1) * \
+                sum(1 for t in vals if n <= t < n + 1)
+            want = len(plateau(sample, m, n)) / total if total else 0.0
+            assert plateau_fraction(sample, m, n) == want
+    assert plateau_fraction(sample, 3, 3) == 0.0
 
 
 def test_plateau_contains_sample_point():

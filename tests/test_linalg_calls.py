@@ -20,8 +20,8 @@ from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, PSet,
                       ProjectionFamily, RepGens, SafeRegion, SetKind, WeylPair,
                       build_pspace_pair, check_commuting_ranges,
                       check_increasing, demo_family, direct_sum, dual_grid,
-                      isometry_defect, random_family, sylvester_nullspace,
-                      unitarily_equivalent, weyl_defect)
+                      isometry_defect, random_family, summarize,
+                      sylvester_nullspace, unitarily_equivalent, weyl_defect)
 from weylpair.cli import run_scenario
 from weylpair.freeproduct import sample_field
 from weylpair.serialize import pair_to_json
@@ -117,11 +117,21 @@ def test_different_fibers_take_no_svd_and_no_solve(calls, monkeypatch):
     assert calls["svd"] == 0
 
 
-def test_equivalent_graded_pair_takes_a_blockwise_polar(full_svds):
+def test_equivalent_graded_pair_takes_a_blockwise_polar(full_svds,
+                                                       monkeypatch):
     w = LatticeWindow((0, 0), (3, 3))
     pair = _tail_sum(w, [(0, 1), (2, 2)])
     q = fiber_mixing_unitary(pair, np.random.default_rng(4))
     twin = WeylPair(w, dict(pair.fibers), [q @ g @ q.conj().T for g in pair.gens])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix read on the graded path")
+
+    # from here on, no dense generator or position observable may be read
+    monkeypatch.setattr(WeylPair, "gens", property(refuse))
+    monkeypatch.setattr(WeylPair, "position_observable", refuse)
+    summary = summarize(RepGens.from_pair(pair))
+    assert (summary.commutant_dim, summary.center_dim) == (5, 2)
     ok, witness = unitarily_equivalent(RepGens.from_pair(pair),
                                        RepGens.from_pair(twin))
     assert ok

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import weylpair.pairs as pr
+
 from weylpair import (
     EvaluationPoint,
     GridSpec,
@@ -25,7 +27,6 @@ from weylpair import (
     enumerate_pspaces,
     isometry_defect,
     isometry_v,
-    recover_position_projections,
     unitary_u,
     validate_pset,
     weyl_defect,
@@ -35,7 +36,8 @@ from weylpair.serialize import pair_from_json, pair_to_json
 
 from conftest import (dense_grid_defect, dense_isometry_defect,
                       dense_range_commutator, dense_weyl_defect,
-                      fiber_mixing_unitary, opnorm, range_projection,
+                      fiber_mixing_unitary, opnorm, position_projection,
+                      range_projection, recover_position_projections,
                       scale_block, tail, upset_from)
 
 
@@ -357,9 +359,9 @@ def test_graded_shift_property(chain8):
     for a in [(1,), (2,)]:
         v = isometry_v(pair, a)
         for y, _ in pair.fibers:
-            py = pair.position_projection(y)
+            py = position_projection(pair, y)
             target = tuple(c + d for c, d in zip(y, a))
-            pya = pair.position_projection(target)
+            pya = position_projection(pair, target)
             assert opnorm(pya @ v @ py - v @ py) < 1e-13
 
 
@@ -411,7 +413,7 @@ def test_position_recovery_from_dual_samples(chain8):
     samples = [(theta, unitary_u(pair, theta)) for theta in dual_grid(chain8)]
     recovered = recover_position_projections(chain8, samples)
     for y in chain8.points():
-        assert opnorm(recovered[y] - pair.position_projection(y)) < 1e-12
+        assert opnorm(recovered[y] - position_projection(pair, y)) < 1e-12
 
 
 def test_pair_json_roundtrip(chain8):
@@ -473,3 +475,31 @@ def test_a_nan_defect_fails_its_check():
     checks.add("nan-larger-ok", float("nan"), 0.1, larger_ok=True)
     assert [c["pass"] for c in checks.items] == [True, False, False]
     assert checks.first_failure() == "nan"
+
+
+def test_intertwining_blocks_are_the_blocks_of_the_dense_relation():
+    """Oracle: T V_e - W_e T and T* T - 1 written dense.  Each is a partial
+    block permutation of its blocks, so its norm is their largest; as a
+    generator list, T is one block and the residuals are the dense ones."""
+    w = LatticeWindow((0, 0), (3, 3))
+    pair = direct_sum([build_pspace_pair(upset_from(w, [(0, 2), (2, 0)]), 2),
+                       build_pspace_pair(upset_from(w, [(1, 1)]), 1)])
+    rng = np.random.default_rng(7)
+    q = fiber_mixing_unitary(pair, rng)
+    twin = WeylPair(w, dict(pair.fibers), [q @ g @ q.conj().T for g in pair.gens])
+    for t in (q, q + 1e-3 * fiber_mixing_unitary(pair, rng)):
+        dense_res = max(opnorm(t @ a - b @ t) for a, b in zip(pair.gens, twin.gens))
+        dense_iso = opnorm(t.conj().T @ t - np.eye(pair.dim))
+        blocks = {y: t[pair.block_slice(y), pair.block_slice(y)]
+                  for y in pair.points}
+        iso, res = pr.intertwining_blocks(
+            blocks, w.generators(), *[[p.graded_blocks(axis) for axis in range(2)]
+                                      for p in (pair, twin)])
+        flat = pr.intertwining_blocks({(): t}, [(), ()],
+                                      [{(): a} for a in pair.gens],
+                                      [{(): b} for b in twin.gens])
+        for got in (iso, flat[0]):
+            assert pr._max_opnorm(got) == pytest.approx(dense_iso, abs=1e-14)
+        for got in (res, flat[1]):
+            assert pr._max_opnorm(got) == pytest.approx(dense_res, abs=1e-14)
+    assert dense_res > 1e-4
