@@ -85,11 +85,15 @@ def recover_position_projections(window, samples) -> dict:
     is exact.
     """
     samples = list(samples)
+    total = len(samples)
     out = {}
     for y in window.points():
+        acc = None
         yv = np.asarray(y, dtype=float)
-        out[y] = sum(np.exp(-1j * float(np.asarray(theta) @ yv)) * np.asarray(u)
-                     for theta, u in samples) / len(samples)
+        for theta, u in samples:
+            term = np.exp(-1j * float(np.asarray(theta) @ yv)) * np.asarray(u)
+            acc = term if acc is None else acc + term
+        out[y] = acc / total
     return out
 
 
