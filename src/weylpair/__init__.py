@@ -37,7 +37,6 @@ from .errors import (
     PairInvariantViolation,
     PatternNotYSet,
     ScenarioParseError,
-    WellDefinednessViolation,
     WeylPairError,
     WindowMismatch,
 )

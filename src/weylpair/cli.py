@@ -268,6 +268,10 @@ def _cmd_counterexample(doc, out, seed, tol):
     elif sub == "plateau":
         mmax = _number(doc, "mmax", 2)
         nmax = _number(doc, "nmax", 2)
+        for key, val in (("mmax", mmax), ("nmax", nmax)):
+            if val < 0:  # no cell would be checked
+                raise ScenarioParseError(
+                    f"field '{key}' must be nonnegative, not {val}")
         bound = (1 - ev.b) * (1 - ev.d) - 2 * grid.step
         fractions = {}
         sample = fp.sample_field(family, ev, grid)

@@ -17,17 +17,19 @@ dilated pair is the canonical sum of the enlarged supports, built from its
 identity holds exactly; outside it nothing is claimed.  The reassembled sum
 of a decomposition and the dilated sum are both ``pairs.canonical_sum``.
 Every W_x is a coordinate map on the dilated layout
-(``DilationBundle.shift_map``): ``DilationBundle.apply_w`` applies it as a
-row gather, and only ``DilationBundle.w`` writes it out dense.  The
-embedding of the base space is kept as its blocks, one per base point, and
-``dilation_checks`` reads the defects of the dilation on those blocks.
+(``DilationBundle.shift_map``), and only ``DilationBundle.w`` writes it out
+dense.  The embedding of the base space is kept as its blocks, one per base
+point, and ``dilation_checks`` reads the defects of the dilation on those
+blocks.
 
-The module also carries the covariant projection family E_x (projections
-onto shifted copies of the embedded base space, read off as 0/1 diagonals
-by a shift and a mask lookup on a per-bundle table),
-integration of test functions against it, the joint spectrum of the
-commuting family, and the extension of the base character unitaries to the
-dilation space.
+The module also carries the covariant representation (W, E) read off the
+same model: the projection family E_x (projections onto shifted copies of
+the embedded base space, 0/1 diagonals found by a shift and a mask lookup
+on a per-bundle table), integration of test functions against it as a sum
+of diagonals, the joint spectrum of the commuting family as the distinct
+columns of the diagonal table, the extension of the base character
+unitaries as the dilated pair's own character unitaries, and compression
+back onto the base space block by block.
 """
 
 from __future__ import annotations
@@ -46,15 +48,12 @@ from .errors import (
     InvarianceViolation,
     NonCommutingRanges,
     PatternNotYSet,
-    WellDefinednessViolation,
 )
 from .lattice import LatticeWindow, PSet, Point, SetKind, _add, _sub, translate_pset
 from .pairs import (WeylPair, _max_opnorm, canonical_sum,
                     check_commuting_ranges, intertwining_blocks, unitary_u)
 
 RANGE_TOL = 1e-10
-#: Largest disagreement between two evaluation routes of ``extend_u``.
-ROUTE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -92,29 +91,6 @@ class Decomposition:
     bases: dict = field(repr=False)
 
 
-def _joint_split(dim: int, members, refuse):
-    """Joint eigenspaces of commuting Hermitian matrices with eigenvalues 0
-    and 1, as (orthonormal basis, pattern) pairs.
-
-    ``members`` yields (point, matrix) in order.  Each branch is split
-    along the eigenspaces of its compression q* M q, and its pattern lists
-    the points where its eigenvalue is 1.  An eigenvalue more than 1e-8
-    from 0 and 1 raises ``refuse(point, eigenvalues)``.
-    """
-    branches = [(np.eye(dim, dtype=complex), [])]
-    for x, mat in members:
-        refined = []
-        for q, pat in branches:
-            vals, vecs = np.linalg.eigh(q.conj().T @ mat @ q)
-            ones = vals > 0.5
-            if np.abs(vals - ones).max() > 1e-8:
-                raise refuse(x, vals)
-            refined += [(q @ vecs[:, part], p) for part, p in
-                        ((ones, pat + [x]), (~ones, pat)) if part.any()]
-        branches = refined
-    return branches
-
-
 def decompose_full(pair: WeylPair) -> Decomposition:
     """Split a commuting-range position-graded pair into canonical parts.
 
@@ -149,15 +125,25 @@ def decompose_full(pair: WeylPair) -> Decomposition:
         m[y] = (np.zeros((len(m[hi]), pair.offsets[y][1])) if b is None
                 else m[_add(y, steps[axis])] @ b)
 
-    def refuse(y, vals):
-        return FiberMismatch(
-            f"the range of V_{_sub(hi, y)} at the top corner has eigenvalues "
-            f"{vals}, not 0 and 1: the pair is not unitarily equivalent to a "
-            f"canonical sum")
-
+    # each branch (orthonormal basis, points where its eigenvalue is 1) is
+    # split along the eigenspaces of its compression of the next range
+    branches = [(np.eye(len(m[hi]), dtype=complex), [])]
+    for y in points:
+        proj = m[y] @ m[y].conj().T
+        refined = []
+        for q, pat in branches:
+            vals, vecs = np.linalg.eigh(q.conj().T @ proj @ q)
+            ones = vals > 0.5
+            if np.abs(vals - ones).max() > 1e-8:
+                raise FiberMismatch(
+                    f"the range of V_{_sub(hi, y)} at the top corner has "
+                    f"eigenvalues {vals}, not 0 and 1: the pair is not "
+                    f"unitarily equivalent to a canonical sum")
+            refined += [(q @ vecs[:, part], p) for part, p in
+                        ((ones, pat + [y]), (~ones, pat)) if part.any()]
+        branches = refined
     merged = {}
-    for q, pat in _joint_split(len(m[hi]), ((y, m[y] @ m[y].conj().T)
-                                            for y in points), refuse):
+    for q, pat in branches:
         merged.setdefault(tuple(pat), []).append(q)
     comps = []
     for pat, qs in merged.items():
@@ -212,12 +198,12 @@ class DilationBundle:
     y into the dilated block of y, so it is kept as those blocks:
     ``embed_blocks`` maps y to its (dilated fiber) x (base fiber) block, and
     ``embed`` is the dense view.  All unitarity, covariance and exhaustion
-    claims are made for shifts of supremum norm at most ``budget`` only.
+    claims are made only for shifts of supremum norm at most ``budget``, the
+    depth.
     """
 
     base: WeylPair
     depth: int
-    budget: int
     window_ext: LatticeWindow
     components: list  # (raw PSet in base window, multiplicity)
     supports: list    # point tuples in the extended window, aligned
@@ -229,6 +215,10 @@ class DilationBundle:
     @property
     def dim(self) -> int:
         return self.dilated.dim
+
+    @property
+    def budget(self) -> int:
+        return self.depth
 
     @cached_property
     def embed(self) -> np.ndarray:
@@ -334,18 +324,6 @@ class DilationBundle:
         out[self.shift_map(x)] = 1.0
         return out
 
-    def apply_w(self, x, m) -> np.ndarray:
-        """W_x @ m, as a row gather of the complex ``m``.
-
-        W_x is a 0/1 partial permutation, so the gather has the values of
-        the product; only the sign of a zero entry may differ.
-        """
-        rows, cols = self.shift_map(x)
-        m = np.asarray(m, dtype=complex)
-        out = np.zeros((self.dim,) + m.shape[1:], dtype=complex)
-        out[rows] = m[cols]
-        return out
-
 
 def _extended_support(raw: PSet, wext: LatticeWindow, depth: int):
     """Points of the extended window from which a shift in the depth box
@@ -381,7 +359,7 @@ def minimal_dilation(pair: WeylPair, depth: int) -> DilationBundle:
     for (ci, y), rows in dec.bases.items():
         blocks[y][idx[(ci, y)]:idx[(ci, y)] + len(rows)] = rows
     return DilationBundle(
-        base=pair, depth=depth, budget=depth, window_ext=wext,
+        base=pair, depth=depth, window_ext=wext,
         components=comps, supports=supports, dilated=dilated, index=idx,
         embed_blocks=blocks,
     )
@@ -506,70 +484,58 @@ def budget_box(bundle: DilationBundle) -> LatticeWindow:
 
 @dataclass(eq=False)
 class CovariantRep:
-    """A commuting projection family indexed by a budget box.
+    """The projection family of a dilation bundle, indexed by its budget
+    box: E_x is :func:`project_e` of the bundle."""
 
-    Usually produced from a dilation bundle; hand-built families (for
-    degenerate examples) only need the family and the box.
-    """
-
-    bundle: DilationBundle | None
-    box: LatticeWindow
-    efamily: dict = field(repr=False, default_factory=dict)
+    bundle: DilationBundle
 
     @classmethod
     def from_bundle(cls, bundle: DilationBundle) -> "CovariantRep":
-        box = budget_box(bundle)
-        fam = {p: project_e(bundle, p) for p in box.points()}
-        return cls(bundle, box, fam)
+        return cls(bundle)
+
+    @cached_property
+    def box(self) -> LatticeWindow:
+        return budget_box(self.bundle)
 
     def e(self, x) -> np.ndarray:
-        xv = tuple(int(c) for c in x)
-        if xv not in self.efamily:
-            raise BudgetExceeded(f"{xv} outside the family box")
-        return self.efamily[xv]
+        return project_e(self.bundle, x)
 
 
 def integrate_family(rep: CovariantRep, f) -> np.ndarray:
     """Integrate a test function against the projection family.
 
-    Returns weight * sum_x f(x) E_x; linear in f, and monotone differences
-    of deltas give positive semidefinite results.
+    Returns weight * sum_x f(x) E_x, a sum of the :func:`e_diagonal`
+    diagonals; linear in f, and monotone differences of deltas give
+    positive semidefinite results.
     """
-    out = None
+    out = np.zeros(rep.bundle.dim, dtype=complex)
     for p, v in f.support:
-        term = rep.box.weight * v * rep.e(p)
-        out = term if out is None else out + term
-    if out is None:
-        dim = next(iter(rep.efamily.values())).shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-    return out
+        out += rep.box.weight * v * e_diagonal(rep.bundle, p)
+    return np.diag(out)
 
 
 def joint_spectrum(rep: CovariantRep):
     """Simultaneous eigenvalue patterns of the commuting projection family.
 
-    Splits eigenspaces along each family member in lexicographic order
-    (``_joint_split``, eigenvalues within 1e-8 of 0 or 1).  Each pattern
-    (the set of indices where the family acts as one) must be downward
-    invariant inside the box; anything else signals numerical failure or a
-    non-covariant family.  Returns (pattern set, eigenspace dimension) pairs.
+    Every E_x is a 0/1 diagonal, so each coordinate is a joint eigenvector:
+    its pattern (the box points whose E_x is one on it) is its column of
+    the :func:`e_diagonal` table, and the coordinates of one column span a
+    joint eigenspace.  Each pattern must be downward invariant inside the
+    box; anything else signals a non-covariant family and raises
+    PatternNotYSet.  Returns (pattern set, eigenspace dimension) pairs.
     """
     pts = sorted(rep.box.points())
-
-    def refuse(x, vals):
-        return PatternNotYSet(f"family member at {x} is not a projection on a "
-                              f"joint eigenspace (eigenvalues {vals})")
-
-    branches = _joint_split(rep.e(pts[0]).shape[0],
-                            ((x, rep.e(x)) for x in pts), refuse)
+    table = np.array([e_diagonal(rep.bundle, x) for x in pts])
+    cols, counts = np.unique(table.T > 0.5, axis=0, return_counts=True)
     out = []
-    for q, pat in branches:
+    for col, count in zip(cols, counts):
+        pat = tuple(x for x, one in zip(pts, col) if one)
         try:
-            pattern = PSet(rep.box, tuple(pat), SetKind.YSET)
+            pattern = PSet(rep.box, pat, SetKind.YSET)
         except (InvarianceViolation, EmptySetError) as exc:
             raise PatternNotYSet(f"pattern {pat} fails downward invariance: "
                                  f"{exc}") from exc
-        out.append((pattern, q.shape[1]))
+        out.append((pattern, int(count)))
     out.sort(key=lambda t: t[0].points)
     return out
 
@@ -578,69 +544,32 @@ def joint_spectrum(rep: CovariantRep):
 # extending the character unitaries to the dilation space
 
 
-def extend_u(bundle: DilationBundle, theta,
-             u_on_h: np.ndarray | None = None) -> np.ndarray:
+def extend_u(bundle: DilationBundle, theta) -> np.ndarray:
     """Extend a base character unitary to the dilation space.
 
-    On the block of y the extension acts by the base unitary pulled back
-    through any budget shift that re-enters the component; all admissible
-    routes must agree within ``ROUTE_TOL``, otherwise the input is not
-    covariant and WellDefinednessViolation is raised.  The extension
-    restricts to the base unitary on the embedded space exactly and
-    intertwines the dilated shifts with the character phase inside the
-    budget.
+    The extension is the dilated pair's character unitary, exp(i theta.y)
+    on the block of y.  The embedding maps the fiber of each base point y
+    into the dilated block of y, so this restricts to the base unitary on
+    the embedded space exactly, and on the block of y it is the base
+    unitary pulled back through any budget shift that re-enters the
+    component.  It commutes with every E_x and intertwines the dilated
+    shifts with the character phase inside the budget.
     """
-    th = np.asarray(theta, dtype=float)
-    if u_on_h is None:
-        u_on_h = unitary_u(bundle.base, th)
-    g = bundle.embed @ np.asarray(u_on_h, dtype=complex) @ bundle.embed.conj().T
-    # the embedded unitary must stay block diagonal for routes to make sense
-    stray = g.copy()
-    out = np.zeros((bundle.dim, bundle.dim), dtype=complex)
-    offsets = bundle.dilated.offsets
-    box = list(itertools.product(range(bundle.budget + 1),
-                                 repeat=bundle.base.window.dim))
-    for ci, ((raw, k), supp) in enumerate(zip(bundle.components, bundle.supports)):
-        members = set(raw.points)
-        gblocks = {}
-        for p in raw.points:
-            r0 = offsets[p][0] + bundle.index[(ci, p)]
-            gblocks[p] = g[r0:r0 + k, r0:r0 + k]
-            stray[r0:r0 + k, r0:r0 + k] = 0.0
-        for p in supp:
-            routes = []
-            for a in box:
-                q = _add(p, a)
-                if q in members:
-                    phase = np.exp(-1j * float(th @ np.asarray(a, dtype=float)))
-                    routes.append(phase * gblocks[q])
-            if not routes:
-                raise BudgetExceeded(
-                    f"block {p} unreachable within budget {bundle.budget}")
-            for other in routes[1:]:
-                if np.linalg.norm(other - routes[0], 2) > ROUTE_TOL:
-                    raise WellDefinednessViolation(
-                        f"evaluation routes disagree at block {p}")
-            r0 = offsets[p][0] + bundle.index[(ci, p)]
-            out[r0:r0 + k, r0:r0 + k] = routes[0]
-    if np.abs(stray).max(initial=0.0) > ROUTE_TOL:
-        raise WellDefinednessViolation(
-            "base unitary does not preserve the position grading")
-    return out
+    return unitary_u(bundle.dilated, theta)
 
 
 def compress_to_base(rep: CovariantRep) -> WeylPair:
     """Compress the dilated shifts back onto the embedded base space.
 
+    With E_y the embedding block of y and C_y the dilated generator block
+    from y, the compressed generator block from y is E_{y+e}* C_y E_y.
     This inverts the dilation: the compressed pair is the base pair again,
-    up to the (numerically exact) reassembly witness.
+    up to the rounding of the reassembly witness.
     """
-    if rep.bundle is None:
-        raise ValueError("compression needs a bundle-backed representation")
     b = rep.bundle
-    window = b.base.window
-    gens = []
-    for e in window.generators():
-        gens.append(b.embed.conj().T @ b.apply_w(e, b.embed))
-    fibers = dict(b.base.fibers)
-    return WeylPair(window, fibers, gens, label=f"compressed({b.base.label})")
+    emb = b.embed_blocks
+    gens = [{y: emb[_add(y, e)].conj().T @ blocks[y] @ emb[y]
+             for y in emb if _add(y, e) in emb}
+            for e, blocks in zip(b.base.window.generators(), b.dilated._blocks)]
+    return WeylPair(b.base.window, dict(b.base.fibers), gens,
+                    label=f"compressed({b.base.label})")

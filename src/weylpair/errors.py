@@ -61,10 +61,6 @@ class FiberMismatch(WeylPairError):
     """A factor block of a decomposition is not a canonical truncation."""
 
 
-class WellDefinednessViolation(WeylPairError):
-    """Two evaluation routes for the extended character unitary disagree."""
-
-
 class DepthZeroDegenerate(WeylPairError):
     """A depth-zero dilation only supports forward semigroup shifts."""
 

@@ -186,60 +186,55 @@ def _select_index(ev: EvaluationPoint, s: float, t: float) -> tuple[int, int] | 
 
 
 def cell_projection(family: ProjectionFamily, ev: EvaluationPoint,
-                    s: float, t: float, f_lookup=None) -> np.ndarray:
+                    s: float, t: float) -> np.ndarray:
     """The projection field at a quarter-plane point.
 
     Exactly one of the four half-open cells of the unit square contains the
     evaluation point, and the corresponding step projection is returned;
-    outside the closed quarter plane the field vanishes.  ``f_lookup``
-    substitutes the step-projection table (diagnostic hook used to study
-    corrupted, non-monotone fields).
+    outside the closed quarter plane the field vanishes.
     """
     sel = _select_index(ev, s, t)
     if sel is None:
         return np.zeros((family.kappa, family.kappa), dtype=complex)
-    lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
-    return lookup(*sel)
+    return step_projection(family, *sel)
 
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
     """The field on a square grid: at grid point (vals[i], vals[j]) it is
     ``mats[ids[i, j]]``, the step projection of selection ``sels[ids[i, j]]``.
-    ``sels`` is sorted and distinct; ``lookup`` is the step-projection
-    table the projections were read from."""
+    ``sels`` is sorted and distinct; ``family`` is the family the
+    projections were read from."""
 
     vals: np.ndarray
     ids: np.ndarray
     sels: list
     mats: list
-    lookup: object
+    family: ProjectionFamily
 
     def step(self, m: int, n: int) -> np.ndarray:
         """Step projection of (m, n), from the sample when it was selected."""
         if (m, n) in self.sels:
             return self.mats[self.sels.index((m, n))]
-        return self.lookup(m, n)
+        return step_projection(self.family, m, n)
 
 
 def sample_field(family: ProjectionFamily, ev: EvaluationPoint,
-                 grid: GridSpec, f_lookup=None) -> FieldSample:
+                 grid: GridSpec) -> FieldSample:
     """The field of ``family`` on every point of the square grid, once.
 
     Each distinct step-projection selection is evaluated once.  The
     selection is separable (its first index depends on s alone, its second
     on t alone), so the picks are read once per axis and ``ids`` is their
-    product index.  ``f_lookup`` replaces the step-projection table
-    (diagnostic hook used to study corrupted, non-monotone fields).
+    product index.
 
     A grid value that puts a cell boundary on the evaluation point raises
-    BoundaryCoincidence.  Unless ``f_lookup`` replaces the step-projection
-    table, a grid on which the field selects a projection past the family
-    raises IndexBeyondFamily before any projection is built: the field
-    picks step projection (m, 0) or (0, n) on the axes, so a grid value
-    whose index passes the last projection of its sequence is reached
-    whenever the other coordinate selects 0.  The message states the
-    largest extent this family and evaluation point admit at the grid's
+    BoundaryCoincidence.  A grid on which the field selects a projection
+    past the family raises IndexBeyondFamily before any projection is
+    built: the field picks step projection (m, 0) or (0, n) on the axes, so
+    a grid value whose index passes the last projection of its sequence is
+    reached whenever the other coordinate selects 0.  The message states
+    the largest extent this family and evaluation point admit at the grid's
     denominator and offset.
     """
     vals = grid.values()
@@ -251,26 +246,25 @@ def sample_field(family: ProjectionFamily, ev: EvaluationPoint,
             raise BoundaryCoincidence(
                 f"grid value {v} puts a cell boundary on the evaluation point")
         picks[i] = [m if c < r else m + 1 for c in ev.p0]
-    if f_lookup is None:
-        for axis, (count, row) in enumerate([(family.np_count, "first"),
-                                             (family.nq_count, "second")]):
-            over = np.nonzero(picks[:, axis] > count)[0]
-            if over.size and np.any(picks[:, 1 - axis] == 0):
-                bound = count + 1 - ev.p0[axis]
-                reach = grid.offset + grid.step * math.ceil(
-                    (bound - grid.offset) * grid.denominator)
-                raise IndexBeyondFamily(
-                    f"grid value {vals[over[0]]:g} selects index "
-                    f"{picks[over[0], axis]} beyond the {count} {row}-row "
-                    f"projections; this family and evaluation point admit "
-                    f"grid values below {bound:g}, an extent of at most "
-                    f"{reach} at denominator {grid.denominator}")
+    for axis, (count, row) in enumerate([(family.np_count, "first"),
+                                         (family.nq_count, "second")]):
+        over = np.nonzero(picks[:, axis] > count)[0]
+        if over.size and np.any(picks[:, 1 - axis] == 0):
+            bound = count + 1 - ev.p0[axis]
+            reach = grid.offset + grid.step * math.ceil(
+                (bound - grid.offset) * grid.denominator)
+            raise IndexBeyondFamily(
+                f"grid value {vals[over[0]]:g} selects index "
+                f"{picks[over[0], axis]} beyond the {count} {row}-row "
+                f"projections; this family and evaluation point admit "
+                f"grid values below {bound:g}, an extent of at most "
+                f"{reach} at denominator {grid.denominator}")
     firsts, first_id = np.unique(picks[:, 0], return_inverse=True)
     seconds, second_id = np.unique(picks[:, 1], return_inverse=True)
     ids = first_id[:, None] * len(seconds) + second_id[None, :]
     sels = [(int(m), int(n)) for m in firsts for n in seconds]
-    lookup = f_lookup or (lambda mm, nn: step_projection(family, mm, nn))
-    return FieldSample(vals, ids, sels, [lookup(*sel) for sel in sels], lookup)
+    return FieldSample(vals, ids, sels,
+                       [step_projection(family, *sel) for sel in sels], family)
 
 
 def check_increasing(sample: FieldSample) -> float:

@@ -381,6 +381,9 @@ def test_parse_errors(tmp_path, capsys):
         ("counterexample", {"sub": "pair", "probe": [[1]]}, "probe"),
         ("counterexample", {"sub": "pair", "probe": [[1, -1]]}, "probe"),
         ("counterexample", {"sub": "plateau", "mmax": [2]}, "mmax"),
+        # a negative bound checks no cell, so it is refused, not passed
+        ("counterexample", {"sub": "plateau", "mmax": -1}, "mmax"),
+        ("counterexample", {"sub": "plateau", "nmax": -3}, "nmax"),
         ("counterexample", {"family": {"kind": "demo", "kappa": "six"}},
          "kappa"),
     ]

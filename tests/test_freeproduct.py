@@ -243,18 +243,20 @@ def test_check_increasing_honest_family():
     assert check_increasing(sample_field(fam, EV, grid)) <= 1e-12
 
 
-def test_check_increasing_detects_corruption():
+def test_check_increasing_detects_corruption(monkeypatch):
     # disjoint coordinate sequences make the violation a full negated
     # projection direction
     fam = coordinate_family(6, [[0], [1], [2]], [[3], [4], [5]])
     grid = GridSpec(10, 3.0)
+    original = fp.step_projection
 
-    def corrupted(m, n):
+    def corrupted(family, m, n):
         if (m, n) == (0, 0):
-            return fam.plist[0]
-        return step_projection(fam, m, n)
+            return family.plist[0]
+        return original(family, m, n)
 
-    violation = check_increasing(sample_field(fam, EV, grid, corrupted))
+    monkeypatch.setattr(fp, "step_projection", corrupted)
+    violation = check_increasing(sample_field(fam, EV, grid))
     assert violation >= 1.0 - 1e-12
 
 
@@ -491,10 +493,10 @@ SAMPLED_GRIDS = [GridSpec(1, 3.0), GridSpec(2, 3.0), GridSpec(5, 3.0),
 SKEW = EvaluationPoint(0.2, 0.4, 0.3, 0.6, (0.27, 0.55))
 
 
-def _per_point_field(fam, grid, f_lookup=None, ev=EV):
+def _per_point_field(fam, grid, ev=EV):
     vals = grid.values()
-    return vals, [[cell_projection(fam, ev, s, t, f_lookup=f_lookup)
-                   for t in vals] for s in vals]
+    return vals, [[cell_projection(fam, ev, s, t) for t in vals]
+                  for s in vals]
 
 
 def _per_point_violation(vals, field):
@@ -557,24 +559,29 @@ def test_sample_matches_the_per_point_field(name, grid, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_FAMILIES))
-def test_check_increasing_matches_the_per_point_pairs(name):
+def test_check_increasing_matches_the_per_point_pairs(name, monkeypatch):
     fam = SAMPLED_FAMILIES[name]()
+    original = fp.step_projection
 
-    def corrupted(m, n):
+    def corrupted(family, m, n):
         if (m, n) == (0, 0):
-            return fam.plist[0]
-        return step_projection(fam, m, n)
+            return family.plist[0]
+        return original(family, m, n)
 
-    for grid in SAMPLED_GRIDS[:2]:
-        for f_lookup in (None, corrupted):
-            want = _per_point_violation(*_per_point_field(fam, grid, f_lookup))
-            assert check_increasing(sample_field(fam, EV, grid, f_lookup)) \
-                == want
+    def sampled(grid):
+        return check_increasing(sample_field(fam, EV, grid))
+
     for grid in SAMPLED_GRIDS:
-        assert check_increasing(sample_field(fam, EV, grid)) <= 1e-12
-        if name == "coordinate":
-            assert check_increasing(sample_field(fam, EV, grid, corrupted)) \
-                >= 1.0 - 1e-12
+        assert sampled(grid) <= 1e-12
+    # the honest field, then the field with step projection (0, 0) corrupted
+    for patch in (original, corrupted):
+        monkeypatch.setattr(fp, "step_projection", patch)
+        for grid in SAMPLED_GRIDS[:2]:
+            want = _per_point_violation(*_per_point_field(fam, grid))
+            assert sampled(grid) == want
+    if name == "coordinate":
+        for grid in SAMPLED_GRIDS:
+            assert sampled(grid) >= 1.0 - 1e-12
 
 
 def test_each_consumer_evaluates_each_selection_once(monkeypatch):

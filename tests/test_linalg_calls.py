@@ -1,5 +1,6 @@
 """LAPACK call counts of the stacked kappa x kappa checks, of the pair
-checks, of the equivalence decision and of the dilate command.
+checks, of the equivalence decision, of the dilate command and of the
+covariant layer of a dilation.
 
 Each test spies on ``numpy.linalg`` (or on a solver or W_x builder) and
 counts calls, so a check that falls back to one call per matrix, or to a
@@ -17,11 +18,12 @@ import weylpair.commutant as commutant
 import weylpair.dilation as dilation
 import weylpair.pairs as pairs
 from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, PSet,
-                      ProjectionFamily, RepGens, SafeRegion, SetKind, WeylPair,
-                      build_pspace_pair, check_commuting_ranges,
-                      check_increasing, demo_family, direct_sum, dual_grid,
-                      isometry_defect, random_family, summarize,
-                      sylvester_nullspace, unitarily_equivalent, weyl_defect)
+                      ProjectionFamily, RepGens, SafeRegion, SetKind,
+                      TestFunction, WeylPair, build_pspace_pair,
+                      check_commuting_ranges, check_increasing, demo_family,
+                      direct_sum, dual_grid, isometry_defect, random_family,
+                      summarize, sylvester_nullspace, unitarily_equivalent,
+                      weyl_defect)
 from weylpair.cli import run_scenario
 from weylpair.freeproduct import sample_field
 from weylpair.serialize import pair_to_json
@@ -200,6 +202,24 @@ def test_dilate_applies_w_without_dense_matrices(tmp_path, monkeypatch,
     shapes = factored[1:]
     assert shapes and all(max(shape[-2:]) <= max(rows, cols)
                           for shape in shapes)
+
+
+def test_the_covariant_layer_takes_no_linear_algebra(calls):
+    # the joint spectrum, integration, character extension and compression
+    # read the bundle's diagonal table and blocks
+    for w, parts in [(LatticeWindow((0,), (7,)), [(0, 2), (3, 1)]),
+                     (LatticeWindow((0, 0), (3, 3)), [(0, 1), (2, 2)])]:
+        bundle = dilation.minimal_dilation(_tail_sum(w, parts), 2)
+        rep = dilation.CovariantRep.from_bundle(bundle)
+        calls.clear()
+        spectrum = dilation.joint_spectrum(rep)
+        f = (TestFunction.delta(rep.box, (0,) * w.dim)
+             + TestFunction.delta(rep.box, (1,) * w.dim, -0.5))
+        dilation.integrate_family(rep, f)
+        dilation.extend_u(bundle, np.full(w.dim, 0.7))
+        dilation.compress_to_base(rep)
+        assert sum(d for _, d in spectrum) == bundle.dim
+        assert not calls, dict(calls)
 
 
 def _pair_checks(pair, margin):

@@ -13,8 +13,13 @@ stdout differs, each check whose value changed is listed as old → new.
 Both revisions write into the same output directory, emptied before each
 run, because scenario files name pair files by absolute path.
 
-Exits 0 when every digest agrees and 1 after listing the operations that
-differ.
+It also runs every ``demos/`` script of each revision once and compares
+their exit codes and the SHA-256 of their stdout: the covariant layer of a
+dilation (``CovariantRep``, ``joint_spectrum``, ``extend_u``,
+``compress_to_base``) runs in no workload, and only the demos print it.
+
+Exits 0 when every digest agrees and 1 after listing the operations and
+demos that differ.
 """
 
 from __future__ import annotations
@@ -83,27 +88,53 @@ def digest_round(tree: str, workload: str, seed: int, out: str) -> list[dict]:
     return digests
 
 
-def run_revision(rev: str, workload: str, seed: int, out: str) -> list[dict]:
-    """The digests of one round of ``workload`` on a fresh archive of
-    ``rev``, run in its own interpreter."""
+@contextlib.contextmanager
+def _checkout(rev: str):
+    """A fresh archive of ``rev`` in a temporary directory, and the
+    environment that runs it with the benchmark's thread cap."""
     tree = tempfile.mkdtemp(prefix="same_outputs_")
     try:
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                                  stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        shutil.rmtree(out, ignore_errors=True)
         env = dict(os.environ, WEYLPAIR_THREADS="1")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             env.pop(var, None)
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--digest", tree,
-             "--workload", workload, "--seed", str(seed), "--out", out],
-            cwd=tree, env=env, check=True, stdout=subprocess.PIPE, text=True)
-        return json.loads(proc.stdout)
+        yield tree, env
     finally:
         shutil.rmtree(tree, ignore_errors=True)
+
+
+def run_revision(rev: str, workload: str, seed: int, out: str) -> list[dict]:
+    """The digests of one round of ``workload`` on a fresh archive of
+    ``rev``, run in its own interpreter."""
+    with _checkout(rev) as (tree, env):
         shutil.rmtree(out, ignore_errors=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--digest", tree,
+                 "--workload", workload, "--seed", str(seed), "--out", out],
+                cwd=tree, env=env, check=True, stdout=subprocess.PIPE,
+                text=True)
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
+        return json.loads(proc.stdout)
+
+
+def run_demos(rev: str) -> dict:
+    """The exit code and the SHA-256 of stdout of every ``demos/`` script
+    of a fresh archive of ``rev``, by script name."""
+    with _checkout(rev) as (tree, env):
+        env["PYTHONPATH"] = os.path.join(tree, "src")
+        demos = os.path.join(tree, "demos")
+        found = {}
+        for name in sorted(os.listdir(demos)):
+            if name.endswith(".py"):
+                proc = subprocess.run([sys.executable, os.path.join(demos, name)],
+                                      cwd=tree, env=env, stdout=subprocess.PIPE)
+                found[name] = [proc.returncode, _sha(proc.stdout)]
+        return found
 
 
 def compare(a: list[dict], b: list[dict]) -> list[str]:
@@ -133,6 +164,20 @@ def compare(a: list[dict], b: list[dict]) -> list[str]:
     return lines
 
 
+def compare_demos(a: dict, b: dict) -> list[str]:
+    """What differs between the demo runs of two revisions, one line per
+    script: a script of one revision only, the exit code or stdout."""
+    lines = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            lines.append(f"{name}: in one revision only")
+        elif a[name][0] != b[name][0]:
+            lines.append(f"{name}: exit code {a[name][0]} against {b[name][0]}")
+        elif a[name][1] != b[name][1]:
+            lines.append(f"{name}: stdout")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("revs", nargs="*", metavar="REV")
@@ -149,16 +194,21 @@ def main(argv=None) -> int:
     if len(args.revs) != 2:
         parser.error("two revisions are needed")
     differ = False
+
+    def report(what: str, lines: list[str]):
+        nonlocal differ
+        differ = differ or bool(lines)
+        print(f"{what}, {'identical' if not lines else f'{len(lines)} differ'}")
+        for line in lines:
+            print(f"  {line}")
+
     for seed in args.seed:
         for workload in args.workload or WORKLOADS:
             a, b = (run_revision(rev, workload, seed, args.out)
                     for rev in args.revs)
-            lines = compare(a, b)
-            differ = differ or bool(lines)
-            print(f"seed {seed} {workload}: {len(b)} operations, "
-                  f"{'identical' if not lines else f'{len(lines)} differ'}")
-            for line in lines:
-                print(f"  {line}")
+            report(f"seed {seed} {workload}: {len(b)} operations", compare(a, b))
+    a, b = (run_demos(rev) for rev in args.revs)
+    report(f"demos: {len(b)} scripts", compare_demos(a, b))
     return 1 if differ else 0
 
 
