@@ -30,6 +30,7 @@ from .errors import (
     IndexBeyondFamily,
     InvarianceViolation,
     LabelMismatch,
+    ListKindMismatch,
     MarginTooSmall,
     MonotonicityBroken,
     NonCommutingGenerators,

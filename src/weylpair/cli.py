@@ -45,14 +45,21 @@ def export_heatmap(rows, path: str) -> str:
     return path
 
 
-def _load_scenario(path: str) -> dict:
+def _load_json(path: str, name: str):
+    """The JSON document of the ``name`` file at ``path``; a missing file
+    or one that is not valid JSON raises ScenarioParseError."""
     if not os.path.exists(path):
-        raise ScenarioParseError(f"scenario file {path} does not exist")
+        raise ScenarioParseError(f"{name} file {path} does not exist")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
+        raise ScenarioParseError(f"{name} file {path} is not valid JSON: "
+                                 f"{exc}") from exc
+
+
+def _load_scenario(path: str) -> dict:
+    doc = _load_json(path, "scenario")
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     return doc
@@ -64,10 +71,7 @@ def _resolve_pair(doc, key):
         raise ScenarioParseError(f"scenario lacks required field '{key}'")
     val = doc[key]
     if isinstance(val, str):
-        if not os.path.exists(val):
-            raise ScenarioParseError(f"referenced pair file {val} does not exist")
-        with open(val, "r", encoding="utf-8") as fh:
-            val = json.load(fh)
+        val = _load_json(val, "referenced pair")
     return ser.pair_from_json(val)
 
 
@@ -84,11 +88,7 @@ def _number(doc, key, default, kind=int):
 def _resolve_family(doc, seed):
     fam_doc = doc.get("family", {"kind": "demo"})
     if isinstance(fam_doc, str):
-        if not os.path.exists(fam_doc):
-            raise ScenarioParseError(
-                f"referenced family file {fam_doc} does not exist")
-        with open(fam_doc, "r", encoding="utf-8") as fh:
-            return ser.family_from_json(json.load(fh))
+        return ser.family_from_json(_load_json(fam_doc, "referenced family"))
     if not isinstance(fam_doc, dict):
         raise ScenarioParseError(
             "field 'family' must be a family object or a family file")
@@ -194,7 +194,7 @@ def _cmd_dilate(doc, out, seed, tol):
         checks.add(name, value, bound)
     path = os.path.join(out, doc.get("file", "bundle.json"))
     _write_document(path, ser.bundle_to_json(bundle))
-    data = {"dim": bundle.dim, "depth": depth, "budget": bundle.budget,
+    data = {"dim": bundle.dim, "depth": depth, "budget": bundle.depth,
             "file": path}
     return data, checks, [path]
 

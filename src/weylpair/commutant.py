@@ -2,19 +2,24 @@
 
 Everything reduces to one primitive: the joint nullspace of the maps
 T -> T A_i - B_i T (with the adjoint maps always included, so the result
-is adjoint closed).  Two solvers compute it.
+is adjoint closed).  One dispatch, ``_solve``, picks the solver for every
+commutant and intertwiner: two lists read from represented pairs take the
+graded solve, on any windows of one lattice dimension; two plain generator
+lists take ``sylvester_nullspace``, and the empty list's commutant is every
+matrix; one list of each kind is refused with ``ListKindMismatch``.
 
-Represented pairs take the graded solve, on their generator blocks.
-Their generators include the position observable, so every solution is
-block diagonal, T = sum T_y with T_y from the fiber of y in one pair to
-the fiber of y in the other.  Where
-a generator block B of the second pair from y to y + e_i is injective, the
-relation T_{y+e_i} A = B T_y gives T_y = B^+ T_{y+e_i} A.  Walking the
-points downward from the top corner of the window, every T_y is fixed by
-the few "free" fibers that have no injective outgoing block - the matrix
-form of the Morita equivalence behind the classification.  All block
-relations are then imposed on the free entries alone, so the kernel SVD
-has as many columns as the free fibers have entries, not n^2.
+The graded solve works on the generator blocks.  The character unitaries
+are part of the algebra, so every solution is block diagonal, T = sum T_y
+with T_y from the fiber of y in one pair to the fiber of y in the other.
+Points are absolute, so the windows need not agree: a point a pair leaves
+out carries the zero fiber, and a block missing at a window edge is a zero
+block.  Where a generator block B of the second pair from y to y + e_i is
+injective, the relation T_{y+e_i} A = B T_y gives T_y = B^+ T_{y+e_i} A.
+Walking the points downward, every T_y is fixed by the few "free" fibers
+that have no injective outgoing block - the matrix form of the Morita
+equivalence behind the classification.  All block relations are then
+imposed on the free entries alone, so the kernel SVD has as many columns
+as the free fibers have entries, not n^2.
 
 The same fibers carry the centre.  Restricting a commutant element to its
 free-fiber blocks is an injective *-homomorphism, so ``summarize`` solves
@@ -23,19 +28,19 @@ and lifts the solution through its coefficients.  ``dilation`` classifies
 a pair without this module's solves: it reads the components off the range
 projections at the top corner.
 
-Unitary equivalence of two represented pairs on one window is read from
-the fibers first: different fiber sizes decide it at once, before any
-solve.  Every largest 2-norm here is read from ``pairs._max_opnorm``.
+Unitary equivalence of two represented pairs is read from the fibers
+first: different fiber sizes decide it at once, before any solve.  Every
+largest 2-norm here is read from ``pairs._max_opnorm``.
 
-Every other generator list goes to ``sylvester_nullspace``: it seeds the
-search with the exact kernel of a well-chosen Hermitian map (eigenvectors
-with equal eigenvalues give a factored basis u v* of that kernel) and
-refines the seed through the remaining maps with thin SVDs.  A map listed
-more than once (a sampled field repeats the identity and the step
-projections) adds no condition, so repeated pairs (A_i, B_i), compared by
-bytes, are dropped before the seed is chosen.  Each map is stacked whole
-on the seed, so a list whose stacked map would pass ``_DENSE_MAP_CAP``
-entries is refused with ``DimensionGuard``.
+``sylvester_nullspace`` seeds the search with the exact kernel of a
+well-chosen Hermitian map (eigenvectors with equal eigenvalues give a
+factored basis u v* of that kernel) and refines the seed through the
+remaining maps with thin SVDs.  A map listed more than once (a sampled
+field repeats the identity and the step projections) adds no condition, so
+repeated pairs (A_i, B_i), compared by bytes, are dropped before the seed
+is chosen.  Each map is stacked whole on the seed, so a list whose stacked
+map would pass ``_DENSE_MAP_CAP`` entries is refused with
+``DimensionGuard``.
 
 Every kernel is cut by one rule (``_kernel``): a singular value is rank
 when it exceeds 1e-8 (||A|| + ||B||) of the relation T A = B T imposed -
@@ -51,7 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckFailed, DimensionGuard, LabelMismatch
+from .errors import (CheckFailed, DimensionGuard, LabelMismatch,
+                     ListKindMismatch)
 from .lattice import _add
 from .pairs import _max_opnorm, _stacks, intertwining_blocks
 
@@ -74,41 +80,31 @@ _INJECTIVE_TOL = 1e-8
 class RepGens:
     """A finite generator list; solves close it under adjoints implicitly.
 
-    ``from_pair`` sets ``pair`` to the represented pair the list is read
-    from; the solvers then use its blocks, and ``gens`` is written from
-    them on its first read.
+    ``from_pair`` reads the list from a represented pair: ``pair`` is set,
+    ``gens`` is None, and the solves read the pair's blocks.
     """
 
     def __init__(self, dim: int, gens, labels: list[str] | None = None):
         self.dim = dim
         self.pair = None
-        self._gens = [np.asarray(g, dtype=complex) for g in gens]
-        for g in self._gens:
+        self.gens = [np.asarray(g, dtype=complex) for g in gens]
+        for g in self.gens:
             if g.shape != (dim, dim):
                 raise DimensionGuard(
                     f"generator shape {g.shape} does not match dim {dim}")
-        self.labels = ([f"g{i}" for i in range(len(self._gens))]
+        self.labels = ([f"g{i}" for i in range(len(self.gens))]
                        if labels is None else labels)
-        if len(self.labels) != len(self._gens):
+        if len(self.labels) != len(self.gens):
             raise LabelMismatch("one label per generator required")
 
     @classmethod
     def from_pair(cls, pair) -> "RepGens":
-        """Generators of the algebra of a represented pair.
-
-        The character unitaries enter through the position observable (same
-        commutant, one Hermitian generator), followed by the generators.
-        """
-        rep = cls(pair.dim, [], [])
+        """Generators of the algebra of a represented pair: the character
+        unitaries (through the position grading), then the generators."""
+        rep = cls(pair.dim, [])
         rep.labels = ["pos"] + [f"V{i}" for i in range(pair.window.dim)]
-        rep.pair, rep._gens = pair, None
+        rep.pair, rep.gens = pair, None
         return rep
-
-    @property
-    def gens(self) -> list:
-        if self._gens is None:
-            self._gens = [self.pair.position_observable(), *self.pair.gens]
-        return self._gens
 
 
 @dataclass(eq=False)
@@ -332,8 +328,8 @@ def _graded_nullspace(pair_a, pair_b):
 
     Solves T V_i = W_i T and T V_i* = W_i* T for the generators V_i of
     ``pair_a`` and W_i of ``pair_b``, with T block diagonal (T maps the
-    fiber of y in ``pair_a`` to the fiber of y in ``pair_b``): the same
-    space ``sylvester_nullspace`` finds for the lists of ``RepGens.from_pair``.
+    fiber of y in ``pair_a`` to the fiber of y in ``pair_b``, the zero
+    fiber where a pair has none), on windows of one lattice dimension.
     Points are walked in reverse lexicographic order; T_y = B^+ T_{y+e_i} A
     through the first axis whose ``pair_b`` block B is injective, and the
     entries of every other T_y are the unknowns.  Both relations of every
@@ -341,11 +337,8 @@ def _graded_nullspace(pair_a, pair_b):
     the largest block 2-norm of ``pair_a`` plus that of ``pair_b``.  Over
     ``_DENSE_MAP_CAP`` unknowns x dim B x dim A, DimensionGuard is raised.
 
-    Returns the basis and the sorted free points, or None when the pairs
-    live on different windows.
+    Returns the basis and the sorted free points.
     """
-    if pair_a is None or pair_b is None or pair_a.window != pair_b.window:
-        return None
     steps = pair_a.window.generators()
     blocks_a, blocks_b = [[pair.graded_blocks(axis) for axis in range(len(steps))]
                           for pair in (pair_a, pair_b)]
@@ -443,31 +436,41 @@ def _graded_nullspace(pair_a, pair_b):
     return list(out), sorted(free)
 
 
-def _commutant(rep: RepGens):
-    """Commutant basis and the coordinates of its free fibers.
+def _solve(ra: RepGens, rb: RepGens):
+    """Basis of {T : T X_a = X_b T pairwise}, and the sorted free points of
+    the graded solve (None for plain lists).
 
-    The coordinates are None unless the graded solve found the basis.
+    Labels must agree, and both lists must be of one kind: two lists read
+    from pairs take the graded solve, two plain lists the dense solver, and
+    the empty list gives every dim B x dim A matrix.
     """
-    solved = _graded_nullspace(rep.pair, rep.pair)
-    if solved is not None:
-        basis, free = solved
-        coords = np.arange(rep.dim)
-        return basis, np.concatenate(
-            [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
-    if not rep.gens:
-        eye = np.eye(rep.dim, dtype=complex)
-        return [np.outer(eye[:, i], eye[:, j].conj())
-                for i in range(rep.dim) for j in range(rep.dim)], None
-    return sylvester_nullspace(rep.gens, rep.gens), None
+    if ra.labels != rb.labels:
+        raise LabelMismatch(f"generator labels differ: {ra.labels} vs {rb.labels}")
+    if (ra.pair is None) != (rb.pair is None):
+        raise ListKindMismatch(
+            "one generator list is read from a pair and the other is not")
+    if ra.pair is not None:
+        return _graded_nullspace(ra.pair, rb.pair)
+    if not ra.gens:
+        units = np.eye(rb.dim * ra.dim, dtype=complex)
+        return list(units.reshape(-1, rb.dim, ra.dim)), None
+    return sylvester_nullspace(ra.gens, rb.gens), None
+
+
+def _commutant(rep: RepGens):
+    """Commutant basis and the coordinates of its free fibers (None for a
+    plain list)."""
+    basis, free = _solve(rep, rep)
+    if free is None:
+        return basis, None
+    coords = np.arange(rep.dim)
+    return basis, np.concatenate(
+        [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
 
 
 def commutant_basis(rep: RepGens):
-    """Orthonormal basis of the commutant of a *-closed generator list.
-
-    Lists read from a represented pair take the graded solve; all others
-    the dense solver.
-    """
-    return _commutant(rep)[0]
+    """Orthonormal basis of the commutant of a *-closed generator list."""
+    return _solve(rep, rep)[0]
 
 
 def check_central(elements, cbasis):
@@ -554,21 +557,9 @@ def summarize(rep: RepGens) -> AlgebraSummary:
     return AlgebraSummary(cbasis, center_basis(cbasis, free))
 
 
-def _check_lists(ra: RepGens, rb: RepGens):
-    if ra.labels != rb.labels:
-        raise LabelMismatch(f"generator labels differ: {ra.labels} vs {rb.labels}")
-
-
 def intertwiners(ra: RepGens, rb: RepGens):
-    """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned.
-
-    Two lists read from pairs on one window take the graded solve.
-    """
-    _check_lists(ra, rb)
-    solved = _graded_nullspace(ra.pair, rb.pair)
-    if solved is not None:
-        return solved[0]
-    return sylvester_nullspace(ra.gens, rb.gens)
+    """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned."""
+    return _solve(ra, rb)[0]
 
 
 def _polar_blocks(blocks):
@@ -596,26 +587,26 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, seed: int = 20240405):
     ``pairs.intertwining_blocks`` puts every W_y* W_y - 1 and every block
     of W X_a - X_b W within 1e-8, absolute.
 
-    Lists read from pairs on one window are inequivalent when the fiber
-    sizes differ, since the position observables then have different
-    spectra; that is decided before any solve.  Otherwise every intertwiner
-    of such lists is block diagonal over the fibers, and so is its polar
-    factor: it is taken fiber by fiber, with one stacked SVD per fiber
-    size, and checked on the pairs' generator blocks.  Any other list is
-    one block.  The drawn element counts as invertible when its smallest
+    Lists read from pairs are inequivalent when the fiber sizes differ,
+    since the character unitaries then have different spectra; that is
+    decided before any solve, once the labels agree.  Otherwise every
+    intertwiner of such lists is block diagonal over the fibers, and so is
+    its polar factor: it is taken fiber by fiber, with one stacked SVD per
+    fiber size, and checked on the pairs' generator blocks.  A plain list
+    is one block.  The drawn element counts as invertible when its smallest
     singular value over all blocks is at least 1e-6 times the largest.
     """
     if ra.dim != rb.dim:
         return False, None
     pa, pb = ra.pair, rb.pair
-    one_window = pa is not None and pb is not None and pa.window == pb.window
-    if one_window and pa.fibers != pb.fibers:
-        _check_lists(ra, rb)
+    graded = pa is not None and pb is not None
+    # a label or kind mismatch is refused by the solve
+    if graded and ra.labels == rb.labels and pa.fibers != pb.fibers:
         return False, None
     basis = intertwiners(ra, rb)
     if not basis:
         return False, None
-    if one_window:
+    if graded:
         steps = pa.window.generators()
         cuts = {y: pa.block_slice(y) for y in pa.points}
         blocks = [[p.graded_blocks(i) for i in range(len(steps))] for p in (pa, pb)]

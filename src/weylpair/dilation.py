@@ -198,8 +198,8 @@ class DilationBundle:
     y into the dilated block of y, so it is kept as those blocks:
     ``embed_blocks`` maps y to its (dilated fiber) x (base fiber) block, and
     ``embed`` is the dense view.  All unitarity, covariance and exhaustion
-    claims are made only for shifts of supremum norm at most ``budget``, the
-    depth.
+    claims are made only for shifts of supremum norm at most the depth (the
+    budget).
     """
 
     base: WeylPair
@@ -215,10 +215,6 @@ class DilationBundle:
     @property
     def dim(self) -> int:
         return self.dilated.dim
-
-    @property
-    def budget(self) -> int:
-        return self.depth
 
     @cached_property
     def embed(self) -> np.ndarray:
@@ -283,16 +279,19 @@ class DilationBundle:
     def _check_shift(self, x) -> Point:
         """``x`` as a point, if W_x is available.
 
-        Semigroup directions are always available; mixed or negative shifts
-        require a positive depth and are budgeted by the supremum norm.
+        A shift of the wrong length raises ValueError.  Semigroup directions
+        are always available; mixed or negative shifts require a positive
+        depth and are budgeted by the supremum norm.
         """
         xv = tuple(int(c) for c in x)
+        if len(xv) != self.base.window.dim:
+            raise ValueError(f"shift {xv} does not match the window dimension")
         if any(c < 0 for c in xv):
             if self.depth == 0:
                 raise DepthZeroDegenerate(
                     "depth-zero dilation supports forward shifts only")
-            if max(abs(c) for c in xv) > self.budget:
-                raise BudgetExceeded(f"shift {xv} exceeds budget {self.budget}")
+            if max(abs(c) for c in xv) > self.depth:
+                raise BudgetExceeded(f"shift {xv} exceeds budget {self.depth}")
         return xv
 
     def shift_map(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -457,8 +456,8 @@ def e_diagonal(bundle: DilationBundle, x) -> np.ndarray:
     xv = tuple(int(c) for c in x)
     if len(xv) != bundle.base.window.dim:
         raise ValueError(f"shift {xv} does not match the window dimension")
-    if max(abs(c) for c in xv) > bundle.budget:
-        raise BudgetExceeded(f"shift {xv} exceeds budget {bundle.budget}")
+    if max(abs(c) for c in xv) > bundle.depth:
+        raise BudgetExceeded(f"shift {xv} exceeds budget {bundle.depth}")
     return bundle._diagonals[xv].copy()
 
 
@@ -473,7 +472,7 @@ def project_e(bundle: DilationBundle, x) -> np.ndarray:
 
 
 def budget_box(bundle: DilationBundle) -> LatticeWindow:
-    r = bundle.budget
+    r = bundle.depth
     d = bundle.base.window.dim
     return LatticeWindow((-r,) * d, (r,) * d, bundle.base.window.weight)
 

@@ -37,6 +37,10 @@ class LabelMismatch(WeylPairError):
     """Two generator lists are not aligned label-by-label."""
 
 
+class ListKindMismatch(WeylPairError):
+    """One generator list is read from a pair and the other is not."""
+
+
 class WindowMismatch(WeylPairError):
     """Operands live on different lattice windows."""
 

@@ -256,18 +256,6 @@ class WeylPair:
             out[off:off + k] = np.exp(1j * float(th @ np.asarray(p)))
         return out
 
-    def position_observable(self) -> np.ndarray:
-        """Hermitian position marker: window index of y on the block of y.
-
-        Its spectral projections are exactly the position projections, so
-        commuting with it is the same as commuting with every character
-        unitary of the pair.
-        """
-        diag = np.empty(self.dim)
-        for p, (off, k) in self.offsets.items():
-            diag[off:off + k] = self.window.index(p)
-        return np.diag(diag).astype(complex)
-
     def safe_points(self, safe: SafeRegion) -> tuple[Point, ...]:
         """Points with a nonzero fiber and y + margin*1 inside the window."""
         if safe.margin > min(self.window.sides):

@@ -148,7 +148,7 @@ def bundle_to_json(bundle) -> dict:
     :func:`document_to_json`."""
     doc = pair_to_json(bundle.dilated, np.asarray)
     doc["depth"] = bundle.depth
-    doc["budget"] = bundle.budget
+    doc["budget"] = bundle.depth
     doc["base"] = pair_to_json(bundle.base, np.asarray)
     return doc
 

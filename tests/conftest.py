@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from weylpair import (LatticeWindow, SetKind, WeylPair, intertwiners,
-                      isometry_v, validate_pset)
+from weylpair import (LatticeWindow, RepGens, SetKind, WeylPair,
+                      intertwiners, isometry_v, validate_pset)
 from weylpair.errors import CheckFailed, MarginTooSmall
 from weylpair.serialize import matrix_to_json, window_to_json
 
@@ -56,6 +56,22 @@ def brute_force_upsets(window):
 
 def opnorm(m):
     return float(np.linalg.norm(m, 2))
+
+
+def position_diagonal(pair):
+    """The position marker: the window index of y on the fiber of y.  Its
+    spectral projections are the position projections, so commuting with
+    it is commuting with every character unitary of the pair."""
+    return np.diag(np.repeat([pair.window.index(p) for p, _ in pair.fibers],
+                             [k for _, k in pair.fibers])).astype(complex)
+
+
+def dense_rep(pair):
+    """Oracle list of a pair's algebra with no pair behind it: the position
+    marker, then the dense generators, labelled as ``RepGens.from_pair``
+    labels them, so that the dense solver takes it."""
+    return RepGens(pair.dim, [position_diagonal(pair), *pair.gens],
+                   ["pos"] + [f"V{i}" for i in range(pair.window.dim)])
 
 
 def span_distance(basis, m) -> float:
@@ -224,6 +240,8 @@ def equivalence_by_draws(ra, rb, draws=20, seed=20240405):
     basis = intertwiners(ra, rb)
     if not basis:
         return False, None
+    dense = [r.gens if r.pair is None else dense_rep(r.pair).gens
+             for r in (ra, rb)]
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -236,7 +254,7 @@ def equivalence_by_draws(ra, rb, draws=20, seed=20240405):
         if abs(trace) > 1e-8:
             witness = witness * (trace.conjugate() / abs(trace))
         worst = max(opnorm(witness @ xa @ witness.conj().T - xb)
-                    / (1.0 + opnorm(xb)) for xa, xb in zip(ra.gens, rb.gens))
+                    / (1.0 + opnorm(xb)) for xa, xb in zip(*dense))
         if worst <= 1e-8:
             return True, witness
         raise CheckFailed(f"conjugation residual {worst:.2e}")

@@ -47,7 +47,7 @@ from weylpair.dilation import compress_to_base, decompose_full
 from weylpair.freeproduct import (coordinate_family, plateau_fraction,
                                   sample_field)
 
-from conftest import decomposition_witness, opnorm, tail, upset_from
+from conftest import decomposition_witness, dense_rep, opnorm, tail, upset_from
 
 
 def report(num, name, ok, detail):
@@ -135,11 +135,9 @@ def test_criterion_04_decompose_round_trip():
                             for c in dec.components})
         if expected_norm != got_norm:
             failures.append(trial)
-        ra = RepGens.from_pair(pair)
-        rb = RepGens.from_pair(dec.reassembled)
         wit = decomposition_witness(pair, dec)
-        res = max(opnorm(wit @ x @ wit.conj().T - y)
-                  for x, y in zip(ra.gens, rb.gens))
+        res = max(opnorm(wit @ x @ wit.conj().T - y) for x, y in zip(
+            dense_rep(pair).gens, dense_rep(dec.reassembled).gens))
         worst_residual = max(worst_residual, res)
         if res > 1e-8:
             failures.append(trial)
@@ -184,7 +182,7 @@ def _dilation_defects(pair, depth):
             if all(a <= b for a, b in zip(x, y)):
                 worst = max(worst, max(0.0, -np.linalg.eigvalsh(ex - ey).min()))
             xy = tuple(a + b for a, b in zip(x, y))
-            if max(abs(c) for c in xy) <= bundle.budget:
+            if max(abs(c) for c in xy) <= bundle.depth:
                 idx = bundle.safe_indices([tuple(-c for c in x)])
                 if idx.size:
                     wx = bundle.w(x)

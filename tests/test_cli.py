@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import matrix_to_json, pair_to_json, pset_to_json
 
-from conftest import dense_pair_doc, fiber_mixing_unitary, tail, upset_from
+from conftest import (dense_pair_doc, dense_rep, fiber_mixing_unitary, tail,
+                      upset_from)
 
 
 def write_scenario(tmp_path, name, doc):
@@ -371,6 +373,22 @@ def test_parse_errors(tmp_path, capsys):
     code, out = run(capsys, ["pspace-enum", "--scenario", sc])
     assert code == 2
 
+    # referenced pair and family files go through the scenario's loader
+    missing = str(tmp_path / "absent.json")
+    pair = pair_to_json(build_pspace_pair(tail(LatticeWindow((0,), (3,)), 0), 1))
+    for command, key in [("pair-check", "pair"), ("equiv", "pair_a"),
+                         ("equiv", "pair_b"), ("counterexample", "family")]:
+        for path, says in [(str(bad), "not valid JSON"),
+                           (missing, "does not exist")]:
+            fields = {"pair_a": pair, "pair_b": pair, key: path}
+            sc = write_scenario(tmp_path, "ref.json",
+                                dict(fields, command=command))
+            code, out = run(capsys, [command, "--scenario", sc,
+                                     "--out", str(tmp_path)])
+            report = json.loads(out)
+            assert code == 2 and report["kind"] == "parse", (key, out)
+            assert path in report["error"] and says in report["error"]
+
     # malformed fields: each is named in a parse report, never a traceback
     window = {"lo": [0], "hi": [3]}
     cases = [
@@ -400,11 +418,11 @@ def test_parse_errors(tmp_path, capsys):
 def test_export_heatmap(tmp_path):
     rows = [(s, t, float(s + t)) for s in range(4) for t in range(4)]
     path = export_heatmap(rows, str(tmp_path / "h.csv"))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "s,t,value"
     assert len(lines) == 17
     empty = export_heatmap([], str(tmp_path / "e.csv"))
-    assert open(empty).read() == "s,t,value\n"
+    assert Path(empty).read_text() == "s,t,value\n"
 
 
 def test_export_heatmap_bytes_match_the_per_row_writer(tmp_path):
@@ -423,8 +441,8 @@ def test_export_heatmap_bytes_match_the_per_row_writer(tmp_path):
     rows += [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (1, 2, 3)]
     got = export_heatmap(rows, str(tmp_path / "got.csv"))
     want = per_row(rows, str(tmp_path / "want.csv"))
-    assert open(got, "rb").read() == open(want, "rb").read()
-    assert b"-0," in open(got, "rb").read()
+    assert Path(got).read_bytes() == Path(want).read_bytes()
+    assert b"-0," in Path(got).read_bytes()
 
 
 def test_run_scenario_seed_override(tmp_path):
@@ -433,6 +451,25 @@ def test_run_scenario_seed_override(tmp_path):
         "seed": 3})
     report, code = run_scenario("pspace-enum", sc, out=str(tmp_path), seed=9)
     assert code == 0 and report["seed"] == 9
+
+
+def test_equiv_reads_positions_on_any_window(tmp_path, capsys):
+    # the full chains of 0..3 and 1..4 differ in U_theta; the points 1..4
+    # on the windows 1..4 and 0..4 are one operator pair
+    def chain(lo, hi, first):
+        window = LatticeWindow((lo,), (hi,))
+        pair = build_pspace_pair(tail(window, first), 1)
+        path = tmp_path / f"chain_{lo}_{hi}_{first}.json"
+        path.write_text(json.dumps(pair_to_json(pair)))
+        return str(path)
+
+    for (a, b), want in [((chain(0, 3, 0), chain(1, 4, 1)), False),
+                         ((chain(1, 4, 1), chain(0, 4, 1)), True)]:
+        sc = write_scenario(tmp_path, "equiv.json",
+                            {"command": "equiv", "pair_a": a, "pair_b": b})
+        code, out = run(capsys, ["equiv", "--scenario", sc,
+                                 "--out", str(tmp_path)])
+        assert code == 0 and json.loads(out)["data"]["equivalent"] is want
 
 
 def test_commutant_of_a_generator_list_takes_the_dense_solver(
@@ -448,7 +485,7 @@ def test_commutant_of_a_generator_list_takes_the_dense_solver(
     w = LatticeWindow((0,), (7,))
     pair = direct_sum([build_pspace_pair(tail(w, 0), 2),
                        build_pspace_pair(tail(w, 3), 1)])
-    gens = RepGens.from_pair(pair).gens
+    gens = dense_rep(pair).gens
     reports = []
     for name, doc in [("pair", {"pair": pair_to_json(pair)}),
                       ("gens", {"gens": [matrix_to_json(g) for g in gens]})]:
@@ -514,7 +551,7 @@ def test_reports_do_not_depend_on_thread_count(tmp_path):
                 env=env, capture_output=True, text=True, check=True)
             # each run writes its artifacts over the last one's
             reports.append((proc.stdout, [
-                open(path, "rb").read()
+                Path(path).read_bytes()
                 for path in json.loads(proc.stdout)["artifacts"]]))
         assert json.loads(reports[0][0])["ok"]
         assert reports[0] == reports[1]

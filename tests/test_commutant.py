@@ -11,6 +11,7 @@ from weylpair import (
     GridSpec,
     LabelMismatch,
     LatticeWindow,
+    ListKindMismatch,
     PSet,
     RepGens,
     SetKind,
@@ -32,11 +33,12 @@ from weylpair import (
 )
 from weylpair.cli import main
 from weylpair.commutant import check_central
+from weylpair.pairs import intertwining_blocks
 from weylpair.serialize import matrix_to_json, pair_to_json
 
-from conftest import (dense_subspace_gap, equivalence_by_draws,
-                      fiber_mixing_unitary, opnorm, scale_block, span_distance,
-                      tail, upset_from)
+from conftest import (dense_rep, dense_subspace_gap, equivalence_by_draws,
+                      fiber_mixing_unitary, opnorm, position_diagonal,
+                      scale_block, span_distance, tail, upset_from)
 
 
 def kron_nullspace_dim(gens, tol=1e-8):
@@ -72,9 +74,10 @@ def test_canonical_pair_commutant_vs_kron_oracle(k, expected):
     rep = RepGens.from_pair(pair)
     basis = commutant_basis(rep)
     assert len(basis) == expected
-    assert kron_nullspace_dim(rep.gens) == expected
+    gens = dense_rep(pair).gens
+    assert kron_nullspace_dim(gens) == expected
     assert max(opnorm(t @ g - g @ t) / (1.0 + opnorm(g))
-               for t in basis for g in rep.gens) < 1e-10
+               for t in basis for g in gens) < 1e-10
 
 
 def test_dual_sample_generators_agree_with_position(chain8):
@@ -105,7 +108,7 @@ def test_double_commutant_contains_generators():
     rep = RepGens.from_pair(pair)
     cbasis = commutant_basis(rep)
     bicom = sylvester_nullspace(cbasis, cbasis)
-    for g in rep.gens + [np.eye(pair.dim, dtype=complex)]:
+    for g in dense_rep(pair).gens + [np.eye(pair.dim, dtype=complex)]:
         assert span_distance(bicom, g) < 1e-8
 
 
@@ -143,14 +146,15 @@ def test_summarize_center_equals_commutant_cap_bicommutant(square4):
             build_pspace_pair(upset_from(square4, [(2, 2)]), 2),
             build_pspace_pair(upset_from(square4, [(1, 3), (3, 1)]), 1)])),
         RepGens(mixed.dim, [q @ g @ q.conj().T
-                            for g in RepGens.from_pair(mixed).gens]),
+                            for g in dense_rep(mixed).gens]),
     ]
     for rep in reps:
+        gens = rep.gens if rep.pair is None else dense_rep(rep.pair).gens
         s = summarize(rep)
         cbasis = s.commutant_basis
         bicom = sylvester_nullspace(cbasis, cbasis)
         # reference centre: the commutant of the generators and the commutant
-        center_alt = sylvester_nullspace(rep.gens + cbasis, rep.gens + cbasis)
+        center_alt = sylvester_nullspace(gens + cbasis, gens + cbasis)
         for z in center_alt:
             assert span_distance(cbasis, z) < 1e-8
             assert span_distance(bicom, z) < 1e-8
@@ -181,8 +185,8 @@ def test_intertwiners_position_only_vs_full(chain8):
     b, _ = translate_pset(a, (1,))
     pa = build_pspace_pair(a, 1)
     pb = build_pspace_pair(b, 1)
-    pos_only_a = RepGens(pa.dim, [pa.position_observable()], ["pos"])
-    pos_only_b = RepGens(pb.dim, [pb.position_observable()], ["pos"])
+    pos_only_a = RepGens(pa.dim, [position_diagonal(pa)], ["pos"])
+    pos_only_b = RepGens(pb.dim, [position_diagonal(pb)], ["pos"])
     assert len(intertwiners(pos_only_a, pos_only_b)) == 7
     assert len(intertwiners(RepGens.from_pair(pa), RepGens.from_pair(pb))) == 0
 
@@ -323,7 +327,7 @@ def test_different_fibers_are_inequivalent_before_any_solve(monkeypatch,
 
 def test_random_conjugate_recovered(chain8):
     pair = build_pspace_pair(tail(chain8, 0), 1)
-    gens = [pair.position_observable()] + list(pair.gens)
+    gens = dense_rep(pair).gens
     rng = np.random.default_rng(3)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     q, _ = np.linalg.qr(g)
@@ -356,7 +360,7 @@ def test_a_non_intertwining_unitary_is_refused_by_the_block_check(
         unitarily_equivalent(RepGens.from_pair(pa), RepGens.from_pair(pb))
     assert checked == [list(pa.points)]
 
-    gens = [pa.position_observable(), *pa.gens]
+    gens = dense_rep(pa).gens
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
     monkeypatch.setattr(commutant, "intertwiners", lambda ra, rb: [q])
     with pytest.raises(CheckFailed, match="conjugation residual"):
@@ -365,9 +369,54 @@ def test_a_non_intertwining_unitary_is_refused_by_the_block_check(
 
 
 def test_the_empty_generator_list_has_the_full_matrix_algebra_as_commutant():
-    s = summarize(RepGens(3, []))
+    empty = RepGens(3, [])
+    s = summarize(empty)
     assert (s.commutant_dim, s.center_dim) == (9, 1)
     assert s.is_factor and not s.is_irreducible
+    # intertwiners and equivalence take the same solve
+    assert len(intertwiners(empty, empty)) == 9
+    ok, witness = unitarily_equivalent(empty, empty)
+    assert ok and opnorm(witness.conj().T @ witness - np.eye(3)) < 1e-12
+    wide = intertwiners(RepGens(2, []), empty)
+    assert len(wide) == 6 and {t.shape for t in wide} == {(3, 2)}
+
+
+def _chain(lo, hi, points):
+    """The canonical pair of the chain set ``points`` on the window lo..hi."""
+    window = LatticeWindow((lo,), (hi,))
+    return build_pspace_pair(
+        PSet(window, tuple((p,) for p in points), SetKind.PSPACE), 1)
+
+
+def test_pairs_on_different_windows_take_the_graded_solve(monkeypatch):
+    """Points are absolute: the full chains of 0..3 and 1..4 differ in
+    U_theta by exp(i theta), and the points 1..4 on the windows 1..4 and
+    0..4 are one operator pair.  Neither the dense solver nor a dense
+    generator is read, and a pair list with a plain list is refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solver or dense generator read")
+
+    shifted = [_chain(0, 3, range(4)), _chain(1, 4, range(1, 5))]
+    pa, pb = _chain(1, 4, range(1, 5)), _chain(0, 4, range(1, 5))
+    plain = RepGens(pa.dim, [np.eye(pa.dim)] * 2, ["pos", "V0"])
+    monkeypatch.setattr(commutant, "sylvester_nullspace", refuse)
+    monkeypatch.setattr(WeylPair, "gens", property(refuse))
+
+    ra, rb = (RepGens.from_pair(p) for p in shifted)
+    assert intertwiners(ra, rb) == []
+    assert unitarily_equivalent(ra, rb) == (False, None)
+    ra, rb = RepGens.from_pair(pa), RepGens.from_pair(pb)
+    assert len(intertwiners(ra, rb)) == 1
+    ok, witness = unitarily_equivalent(ra, rb)
+    assert ok
+    blocks = {y: witness[pb.block_slice(y), pa.block_slice(y)] for y in pa.points}
+    iso, res = intertwining_blocks(blocks, pa.window.generators(),
+                                   [pa.graded_blocks(0)], [pb.graded_blocks(0)])
+    assert max(opnorm(m) for s in iso + res for m in s) <= 1e-12
+    for call in (intertwiners, unitarily_equivalent):
+        for lists in [(ra, plain), (plain, rb)]:
+            with pytest.raises(ListKindMismatch, match="read from a pair"):
+                call(*lists)
 
 
 def test_schur_consistency(chain8):
@@ -425,7 +474,7 @@ def test_graded_inputs_never_reach_the_dense_solver(monkeypatch, chain8, square4
     assert len(intertwiners(ra, rb)) == 5
     ok, witness = unitarily_equivalent(ra, rb)
     assert ok
-    assert opnorm(witness @ ra.gens[1] @ witness.conj().T - rb.gens[1]) < 1e-8
+    assert opnorm(witness @ pair.gens[0] @ witness.conj().T - twin.gens[0]) < 1e-8
     assert [(c.translation, c.multiplicity) for c in decompose(twin)] == \
         [((0,), 2), ((3,), 1)]
     square = build_pspace_pair(upset_from(square4, [(1, 0), (0, 2)]), 2)
@@ -459,8 +508,7 @@ def test_graded_inputs_solve_the_centre_on_the_free_fibers(monkeypatch, chain8):
 
     # a generator list with no pair solves the centre in full space
     seen.clear()
-    rep = RepGens.from_pair(twin)
-    s = summarize(RepGens(rep.dim, rep.gens, rep.labels))
+    s = summarize(dense_rep(twin))
     assert s.center_dim == 2
     assert seen == [None]
 
@@ -487,22 +535,21 @@ def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
         g = canonical.gens[0].copy()
         g[0, -1] = 1e-11
         got = commutant_basis(
-            RepGens(canonical.dim, [canonical.position_observable(), g]))
+            RepGens(canonical.dim, [position_diagonal(canonical), g]))
         assert len(calls) == k
         want = commutant_basis(RepGens.from_pair(canonical))
         assert len(got) == len(want) == k * k
         assert subspace_gap(got, want) <= 1e-8
 
-    # the same blocks on a wider window: same positions, different windows
+    # the same blocks on a wider window: the graded solve, as on one window
     wide = WeylPair(LatticeWindow((0,), (9,)), dict(clean.fibers), clean.gens)
     got = intertwiners(RepGens.from_pair(clean), RepGens.from_pair(wide))
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8
 
     # a generator list with no pair
-    rep = RepGens.from_pair(clean)
-    got = commutant_basis(RepGens(rep.dim, rep.gens, rep.labels))
-    assert len(calls) == 5
+    got = commutant_basis(dense_rep(clean))
+    assert len(calls) == 4
     assert len(got) == 4 and subspace_gap(got, graded) <= 1e-8
 
 
@@ -514,7 +561,7 @@ def test_both_solvers_read_a_scaled_chain_as_decompose_does(chain8):
     pair = scale_block(build_pspace_pair(tail(chain8, 0), 2), 0, (3,), 5e-10)
     assert [c.multiplicity for c in decompose(pair)] == [2]
     rep = RepGens.from_pair(pair)
-    for r in (rep, RepGens(rep.dim, rep.gens, rep.labels)):
+    for r in (rep, dense_rep(pair)):
         s = summarize(r)
         assert (s.commutant_dim, s.center_dim) == (4, 1)
 
@@ -529,7 +576,7 @@ def test_a_gens_list_over_the_map_cap_is_refused(tmp_path, capsys,
     the report says to pass the pair file; that file takes the graded
     solve, which builds no stacked map."""
     pair = build_pspace_pair(upset_from(chain8, [(2,)]), 2)
-    gens = [matrix_to_json(g) for g in RepGens.from_pair(pair).gens]
+    gens = [matrix_to_json(g) for g in dense_rep(pair).gens]
     # the graded solve has 4 unknowns for 12 x 12 intertwiners (576); the
     # dense seed has 24 elements, so a stacked map has 12 x 12 x 24 (3456)
     monkeypatch.setattr(commutant, "_DENSE_MAP_CAP", 1000)

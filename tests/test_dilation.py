@@ -39,8 +39,8 @@ from weylpair.dilation import decompose_full, e_diagonal
 from weylpair.lattice import _extremal_points, _leq, _sub
 from weylpair.serialize import pair_to_json
 
-from conftest import (decomposition_witness, fiber_mixing_unitary, opnorm,
-                      scale_block, span_distance, tail, upset_from)
+from conftest import (decomposition_witness, dense_rep, fiber_mixing_unitary,
+                      opnorm, scale_block, span_distance, tail, upset_from)
 
 
 @pytest.fixture
@@ -169,7 +169,7 @@ def _bundle_cases(chain8, square4):
 
 def test_e_diagonal_matches_the_per_point_loop(chain8, square4):
     for bundle in _bundle_cases(chain8, square4):
-        r = bundle.budget
+        r = bundle.depth
         d = bundle.base.window.dim
         for x in itertools.product(range(-r, r + 1), repeat=d):
             got = e_diagonal(bundle, x)
@@ -182,7 +182,7 @@ def test_e_diagonal_matches_the_per_point_loop(chain8, square4):
 
 def test_w_refuses_backward_shifts_past_the_budget(chain8, square4):
     for bundle in _bundle_cases(chain8, square4):
-        r = bundle.budget
+        r = bundle.depth
         d = bundle.base.window.dim
         # forward shifts are not budgeted
         assert bundle.w((r + 1,) * d).shape == (bundle.dim, bundle.dim)
@@ -192,6 +192,18 @@ def test_w_refuses_backward_shifts_past_the_budget(chain8, square4):
         else:
             with pytest.raises(BudgetExceeded):
                 bundle.w((-r - 1,) * d)
+
+
+def test_shifts_of_the_wrong_length_are_refused(chain8, square4):
+    # one entry per axis, or ValueError: on the 2-d bundles, (1, 0, 5) once
+    # read as W_(1,0) and (1,) as the zero matrix
+    for bundle in _bundle_cases(chain8, square4):
+        d = bundle.base.window.dim
+        for x in [(1,) + (0,) * (d - 1) + (5,), (1,) * (d - 1)]:
+            for call in (bundle.w, bundle.shift_map,
+                         lambda x: e_diagonal(bundle, x)):
+                with pytest.raises(ValueError, match="window dimension"):
+                    call(x)
 
 
 def test_depth_zero_degenerate(chain8):
@@ -273,7 +285,7 @@ def test_family_observations(bundle8):
         wx = bundle8.w(x)
         for y in [(0,), (1,), (-2,)]:
             xy = tuple(a + b for a, b in zip(x, y))
-            if max(abs(c) for c in xy) > bundle8.budget:
+            if max(abs(c) for c in xy) > bundle8.depth:
                 continue
             idx = bundle8.safe_indices([tuple(-c for c in x)])
             diff = wx @ rep.e(y) @ wx.conj().T - rep.e(xy)
@@ -491,9 +503,7 @@ def test_decompose_witness_residual(chain8):
                        build_pspace_pair(tail(chain8, 4), 1)])
     dec = decompose_full(pair)
     wit = decomposition_witness(pair, dec)
-    ra = RepGens.from_pair(pair)
-    rb = RepGens.from_pair(dec.reassembled)
-    for x, y in zip(ra.gens, rb.gens):
+    for x, y in zip(dense_rep(pair).gens, dense_rep(dec.reassembled).gens):
         assert opnorm(wit @ x @ wit.conj().T - y) < 1e-8
 
 
@@ -604,7 +614,7 @@ def test_restriction_isomorphism_dims(chain8):
         base_comm = commutant_basis(RepGens.from_pair(pair))
         kside = RepGens(
             bundle.dim,
-            [bundle.dilated.position_observable()] + list(bundle.dilated.gens)
+            dense_rep(bundle.dilated).gens
             + [project_e(bundle, (0,) * pair.window.dim)],
             labels=["pos", "W0", "E0"])
         k_comm = commutant_basis(kside)

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,7 +556,7 @@ def test_sample_matches_the_per_point_field(name, grid, tmp_path, capsys):
     capsys.readouterr()
     oracle = export_heatmap([(s, t, float(np.trace(e).real))
                              for s, t, e in points], str(tmp_path / "oracle.csv"))
-    assert (tmp_path / "cli.csv").read_bytes() == open(oracle, "rb").read()
+    assert (tmp_path / "cli.csv").read_bytes() == Path(oracle).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_FAMILIES))

@@ -77,8 +77,8 @@ from weylpair import commutant, dilation
 from weylpair.dilation import decompose_full
 
 from conftest import (brute_force_upsets, decomposition_witness,
-                      dense_dilation_checks,
-                      dense_isometry_defect, dense_range_commutator,
+                      dense_dilation_checks, dense_isometry_defect,
+                      dense_rep, dense_range_commutator,
                       dense_weyl_defect,
                       equivalence_by_draws, fiber_mixing_unitary, opnorm,
                       scale_block, tail, upset_from)
@@ -111,11 +111,9 @@ def test_mixed_direct_sum_is_classified_by_its_data(case):
 
     dec = decompose_full(pair)
     assert {c.raw.points: c.multiplicity for c in dec.components} == expected
-    ra = RepGens.from_pair(pair)
-    rb = RepGens.from_pair(dec.reassembled)
     wit = decomposition_witness(pair, dec)
-    assert max(opnorm(wit @ x @ wit.conj().T - y)
-               for x, y in zip(ra.gens, rb.gens)) <= 1e-8
+    assert max(opnorm(wit @ x @ wit.conj().T - y) for x, y in zip(
+        dense_rep(pair).gens, dense_rep(dec.reassembled).gens)) <= 1e-8
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -163,9 +161,8 @@ def test_near_cutoff_pairs_are_classified_or_refused_by_name(pair):
     # where decompose classifies the pair, the graded and the dense solver
     # read (sum m^2, number of components); elsewhere they agree, or one of
     # them raises a named error instead of reading an impossible algebra
-    rep = RepGens.from_pair(pair)
     graded, dense = (_summary(r) for r in
-                     (rep, RepGens(rep.dim, rep.gens, rep.labels)))
+                     (RepGens.from_pair(pair), dense_rep(pair)))
     try:
         comps = decompose_full(pair).components
     except WeylPairError:
@@ -370,8 +367,9 @@ def solver_pairs(draw):
 def test_graded_solve_matches_dense_oracle(case):
     pair, partner = case
     ra, rb = RepGens.from_pair(pair), RepGens.from_pair(partner)
-    for got, want in ((commutant_basis(ra), sylvester_nullspace(ra.gens, ra.gens)),
-                      (intertwiners(ra, rb), sylvester_nullspace(ra.gens, rb.gens))):
+    da, db = dense_rep(pair).gens, dense_rep(partner).gens
+    for got, want in ((commutant_basis(ra), sylvester_nullspace(da, da)),
+                      (intertwiners(ra, rb), sylvester_nullspace(da, db))):
         assert len(got) == len(want)
         assert subspace_gap(got, want) <= 1e-8
 
@@ -424,7 +422,7 @@ def test_free_fiber_classification_matches_dense_path(case):
         coords = np.arange(pair.dim)
         assert list(commutant._commutant(rep)[1]) == [
             i for pt in free for i in coords[pair.block_slice(pt)]]
-        dense = summarize(RepGens(rep.dim, rep.gens, rep.labels))
+        dense = summarize(dense_rep(pair))
         assert graded.center_dim == dense.center_dim
         # each component is a factor with an m x m commutant
         comps = _components(pair)

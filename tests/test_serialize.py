@@ -10,6 +10,7 @@ and empty containers.  The oracle expands point sets and arrays into their
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,13 +83,13 @@ def test_pair_and_bundle_files_are_the_json_text(tmp_path):
     sc = write_scenario(tmp_path, {"command": "pair-build", "k": 2,
                                    "pspace": pset_to_json(ps)})
     report, code = run_scenario("pair-build", sc, out=str(tmp_path))
-    text = open(report["data"]["file"]).read()
+    text = Path(report["data"]["file"]).read_text()
     assert code == 0 and text == json.dumps(pair_to_json(pair), sort_keys=True,
                                             indent=1)
     sc = write_scenario(tmp_path, {"command": "dilate", "depth": 2,
                                    "pair": report["data"]["file"]})
     report, code = run_scenario("dilate", sc, out=str(tmp_path))
-    text = open(report["data"]["file"]).read()
+    text = Path(report["data"]["file"]).read_text()
     assert code == 0
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
     assert json.loads(text)["base"] == pair_to_json(pair)
