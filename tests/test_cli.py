@@ -14,9 +14,9 @@ import weylpair.commutant as commutant
 import weylpair.dilation as dilation
 import weylpair.lattice as lattice
 import weylpair.serialize as serialize
-from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, RepGens,
-                      SetKind, WeylPair, build_pspace_pair, build_r2_pair,
-                      demo_family, direct_sum, validate_pset)
+from weylpair import (EvaluationPoint, GridSpec, LatticeWindow, SetKind,
+                      WeylPair, build_pspace_pair, build_r2_pair, demo_family,
+                      direct_sum, validate_pset)
 from weylpair.cli import export_heatmap, main, run_scenario
 from weylpair.serialize import matrix_to_json, pair_to_json, pset_to_json
 
