@@ -46,8 +46,9 @@ def export_heatmap(rows, path: str) -> str:
 
 
 def _load_json(path: str, name: str):
-    """The JSON document of the ``name`` file at ``path``; a missing file
-    or one that is not valid JSON raises ScenarioParseError."""
+    """The JSON document of the ``name`` file at ``path``; a missing file,
+    one that cannot be read as UTF-8 text (a directory, say) or one that is
+    not valid JSON raises ScenarioParseError."""
     if not os.path.exists(path):
         raise ScenarioParseError(f"{name} file {path} does not exist")
     try:
@@ -55,6 +56,9 @@ def _load_json(path: str, name: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{name} file {path} is not valid JSON: "
+                                 f"{exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioParseError(f"{name} file {path} cannot be read: "
                                  f"{exc}") from exc
 
 
@@ -85,6 +89,17 @@ def _number(doc, key, default, kind=int):
             f"field '{key}' must be a number, not {val!r}") from exc
 
 
+def _count(doc, key, default, most=math.inf):
+    """``doc[key]``, or ``default``, as an int from 0 to ``most``; else
+    ScenarioParseError."""
+    val = _number(doc, key, default)
+    if val < 0:
+        raise ScenarioParseError(f"field '{key}' must be nonnegative, not {val}")
+    if val > most:
+        raise ScenarioParseError(f"field '{key}' must be at most {most}, not {val}")
+    return val
+
+
 def _resolve_family(doc, seed):
     fam_doc = doc.get("family", {"kind": "demo"})
     if isinstance(fam_doc, str):
@@ -95,12 +110,13 @@ def _resolve_family(doc, seed):
     if "P" in fam_doc:
         return ser.family_from_json(fam_doc)
     kind = fam_doc.get("kind", "demo")
-    kappa = _number(fam_doc, "kappa", 6)
+    kappa = _count(fam_doc, "kappa", 6)
     if kind == "demo":
         return fp.demo_family(kappa, seed=_number(fam_doc, "seed", seed))
     if kind == "random":
-        return fp.random_family(kappa, _number(fam_doc, "parts_p", kappa),
-                                _number(fam_doc, "parts_q", kappa),
+        # a basis of kappa vectors is sliced into at most kappa parts
+        return fp.random_family(kappa, _count(fam_doc, "parts_p", kappa, kappa),
+                                _count(fam_doc, "parts_q", kappa, kappa),
                                 seed=_number(fam_doc, "seed", seed))
     raise ScenarioParseError(f"unknown family kind {kind!r}")
 
@@ -187,7 +203,7 @@ def _cmd_pair_check(doc, out, seed, tol):
 
 def _cmd_dilate(doc, out, seed, tol):
     pair = _resolve_pair(doc, "pair")
-    depth = _number(doc, "depth", 2)
+    depth = _count(doc, "depth", 2)
     bundle = dila.minimal_dilation(pair, depth)
     checks = _Checks()
     for name, value, bound in dila.dilation_checks(bundle, tol):
@@ -266,12 +282,8 @@ def _cmd_counterexample(doc, out, seed, tol):
         export_heatmap(rows, path)
         artifacts.append(path)
     elif sub == "plateau":
-        mmax = _number(doc, "mmax", 2)
-        nmax = _number(doc, "nmax", 2)
-        for key, val in (("mmax", mmax), ("nmax", nmax)):
-            if val < 0:  # no cell would be checked
-                raise ScenarioParseError(
-                    f"field '{key}' must be nonnegative, not {val}")
+        # a negative bound would check no cell
+        mmax, nmax = _count(doc, "mmax", 2), _count(doc, "nmax", 2)
         bound = (1 - ev.b) * (1 - ev.d) - 2 * grid.step
         fractions = {}
         sample = fp.sample_field(family, ev, grid)

@@ -2,11 +2,16 @@
 
 Everything reduces to one primitive: the joint nullspace of the maps
 T -> T A_i - B_i T (with the adjoint maps always included, so the result
-is adjoint closed).  One dispatch, ``_solve``, picks the solver for every
-commutant and intertwiner: two lists read from represented pairs take the
-graded solve, on any windows of one lattice dimension; two plain generator
-lists take ``sylvester_nullspace``, and the empty list's commutant is every
-matrix; one list of each kind is refused with ``ListKindMismatch``.
+is adjoint closed).  A generator list (``RepGens``) carries its block
+layout: each generator's step and blocks by source point, and each point's
+coordinate slice.  A pair's layout is its grading; a plain list is the one
+block at the point (), every step ().  Two lists align when they have as
+many steps: plain lists as many generators, pairs windows of one lattice
+dimension.  One dispatch, ``_solve``, refuses a pair list with a plain
+list (``ListKindMismatch``), then lists that do not align
+(``LabelMismatch``).  Two pair lists take the graded solve, two plain
+lists ``sylvester_nullspace`` (the empty list's commutant is every
+matrix); the free points come with the basis, () for a plain list.
 
 The graded solve works on the generator blocks.  The character unitaries
 are part of the algebra, so every solution is block diagonal, T = sum T_y
@@ -22,15 +27,15 @@ imposed on the free entries alone, so the kernel SVD has as many columns
 as the free fibers have entries, not n^2.
 
 The same fibers carry the centre.  Restricting a commutant element to its
-free-fiber blocks is an injective *-homomorphism, so ``summarize`` solves
-the centre on the m x m restrictions (m the total size of the free fibers)
-and lifts the solution through its coefficients.  ``dilation`` classifies
-a pair without this module's solves: it reads the components off the range
-projections at the top corner.
+free-point blocks is an injective *-homomorphism, so ``summarize`` solves
+the centre on the m x m restrictions (m the total size of the free
+blocks) and lifts the solution through its coefficients.  ``dilation``
+classifies a pair without this module's solves: it reads the components
+off the range projections at the top corner.
 
-Unitary equivalence of two represented pairs is read from the fibers
-first: different fiber sizes decide it at once, before any solve.  Every
-largest 2-norm here is read from ``pairs._max_opnorm``.
+Two aligned lists with different layouts (fiber sizes, or dimensions) are
+inequivalent before any solve.  Every largest 2-norm here is read from
+``pairs._max_opnorm``.
 
 ``sylvester_nullspace`` seeds the search with the exact kernel of a
 well-chosen Hermitian map (eigenvectors with equal eigenvalues give a
@@ -78,13 +83,17 @@ _INJECTIVE_TOL = 1e-8
 
 
 class RepGens:
-    """A finite generator list; solves close it under adjoints implicitly.
+    """A finite generator list and its block layout; solves close the list
+    under adjoints implicitly.
 
-    ``from_pair`` reads the list from a represented pair: ``pair`` is set,
-    ``gens`` is None, and the solves read the pair's blocks.
+    The layout: ``steps``, each generator's shift; ``cuts``, each point's
+    coordinate slice; ``blocks``, each generator's blocks by source point
+    (a missing block is zero).  A plain list is the one point (), each
+    generator its own block.  ``from_pair`` reads the layout off a pair's
+    grading and sets ``pair``; ``gens`` is then None.
     """
 
-    def __init__(self, dim: int, gens, labels: list[str] | None = None):
+    def __init__(self, dim: int, gens):
         self.dim = dim
         self.pair = None
         self.gens = [np.asarray(g, dtype=complex) for g in gens]
@@ -92,18 +101,19 @@ class RepGens:
             if g.shape != (dim, dim):
                 raise DimensionGuard(
                     f"generator shape {g.shape} does not match dim {dim}")
-        self.labels = ([f"g{i}" for i in range(len(self.gens))]
-                       if labels is None else labels)
-        if len(self.labels) != len(self.gens):
-            raise LabelMismatch("one label per generator required")
+        self.steps = ((),) * len(self.gens)
+        self.cuts = {(): slice(0, dim)}
+        self.blocks = [{(): g} for g in self.gens]
 
     @classmethod
     def from_pair(cls, pair) -> "RepGens":
         """Generators of the algebra of a represented pair: the character
         unitaries (through the position grading), then the generators."""
         rep = cls(pair.dim, [])
-        rep.labels = ["pos"] + [f"V{i}" for i in range(pair.window.dim)]
         rep.pair, rep.gens = pair, None
+        rep.steps = tuple(pair.window.generators())
+        rep.cuts = {y: pair.block_slice(y) for y in pair.points}
+        rep.blocks = [pair.graded_blocks(axis) for axis in range(len(rep.steps))]
         return rep
 
 
@@ -246,13 +256,24 @@ def _kernel(a, cutoff: float, rsvd: bool = True):
     right singular vectors of ``a``, so the cutoff decides the same kernel.
     That pays on the large graded and centre systems; the small refinement
     steps of ``sylvester_nullspace`` are decomposed whole, which is faster.
+    An SVD that does not converge is retried on the adjoint (same singular
+    values); a second failure raises CheckFailed naming the system's shape.
     """
     m, r = a.shape
     if rsvd and m > r > 0:
         a = np.linalg.qr(a, mode="r")
     rank = 0
     if a.size:
-        _, s, vh = np.linalg.svd(a, full_matrices=(a.shape[0] < r))
+        full = a.shape[0] < r
+        try:
+            _, s, vh = np.linalg.svd(a, full_matrices=full)
+        except np.linalg.LinAlgError:
+            try:
+                u, s, _ = np.linalg.svd(a.conj().T, full_matrices=full)
+            except np.linalg.LinAlgError as exc:
+                raise CheckFailed(f"the SVD of the {m} x {r} kernel system "
+                                  "does not converge") from exc
+            vh = u.conj().T
         rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T if rank else np.eye(r, dtype=complex)
 
@@ -323,32 +344,29 @@ def _injective_pinvs(blocks: dict):
     return out, float(s[:, 0].max())
 
 
-def _graded_nullspace(pair_a, pair_b):
-    """Orthonormal basis of the intertwiners of two represented pairs.
+def _graded_nullspace(ra: RepGens, rb: RepGens):
+    """Orthonormal basis of the intertwiners of two lists read from pairs.
 
     Solves T V_i = W_i T and T V_i* = W_i* T for the generators V_i of
-    ``pair_a`` and W_i of ``pair_b``, with T block diagonal (T maps the
-    fiber of y in ``pair_a`` to the fiber of y in ``pair_b``, the zero
-    fiber where a pair has none), on windows of one lattice dimension.
-    Points are walked in reverse lexicographic order; T_y = B^+ T_{y+e_i} A
-    through the first axis whose ``pair_b`` block B is injective, and the
-    entries of every other T_y are the unknowns.  Both relations of every
-    block of every axis are then imposed on the unknowns, cut at 1e-8 times
-    the largest block 2-norm of ``pair_a`` plus that of ``pair_b``.  Over
-    ``_DENSE_MAP_CAP`` unknowns x dim B x dim A, DimensionGuard is raised.
+    ``ra`` and W_i of ``rb``, with T block diagonal (T maps the fiber of y
+    in ``ra`` to the fiber of y in ``rb``, the zero fiber where a list has
+    none), on windows of one lattice dimension.  Points are walked in
+    reverse lexicographic order; T_y = B^+ T_{y+e_i} A through the first
+    axis whose ``rb`` block B is injective, and the entries of every other
+    T_y are the unknowns.  Both relations of every block of every axis are
+    then imposed on the unknowns, cut at 1e-8 times the largest block
+    2-norm of ``ra`` plus that of ``rb``.  Over ``_DENSE_MAP_CAP`` unknowns
+    x dim B x dim A, DimensionGuard is raised.
 
     Returns the basis and the sorted free points.
     """
-    steps = pair_a.window.generators()
-    blocks_a, blocks_b = [[pair.graded_blocks(axis) for axis in range(len(steps))]
-                          for pair in (pair_a, pair_b)]
-    ka, kb = dict(pair_a.fibers), dict(pair_b.fibers)
+    steps = ra.steps
+    ka, kb = ({y: c.stop - c.start for y, c in r.cuts.items()} for r in (ra, rb))
     shared = sorted(ka.keys() & kb.keys(), reverse=True)
-    flat_a, flat_b = [{(axis, y): blk for axis, found in enumerate(blocks)
-                       for y, blk in found.items()}
-                      for blocks in (blocks_a, blocks_b)]
+    flat_a, flat_b = [{(axis, y): blk for axis, found in enumerate(r.blocks)
+                       for y, blk in found.items()} for r in (ra, rb)]
     pinvs, norm_b = _injective_pinvs(flat_b)
-    norm_a = norm_b if pair_b is pair_a else _max_opnorm(
+    norm_a = norm_b if rb.pair is ra.pair else _max_opnorm(
         [s for _, s in _stacks(list(flat_a.values()))])
     route, free, n_free = {}, {}, 0
     for y in shared:
@@ -361,17 +379,15 @@ def _graded_nullspace(pair_a, pair_b):
             route[y] = axis
     if n_free == 0:
         return [], []
-    if n_free * pair_b.dim * pair_a.dim > _DENSE_MAP_CAP:
+    if n_free * rb.dim * ra.dim > _DENSE_MAP_CAP:
         raise DimensionGuard(
-            f"the graded solve has {n_free} unknowns for {pair_b.dim} x "
-            f"{pair_a.dim} intertwiners, over {_DENSE_MAP_CAP} entries")
+            f"the graded solve has {n_free} unknowns for {rb.dim} x "
+            f"{ra.dim} intertwiners, over {_DENSE_MAP_CAP} entries")
 
     def block(blocks, sizes, axis, y):
-        q = _add(y, steps[axis])
         found = blocks[axis].get(y)
-        if found is None:
-            return np.zeros((sizes.get(q, 0), sizes.get(y, 0)), dtype=complex)
-        return found
+        return found if found is not None else np.zeros(
+            (sizes.get(_add(y, steps[axis]), 0), sizes.get(y, 0)), dtype=complex)
 
     # param[y][:, j] is T_y for the j-th unit vector of unknowns; a stack
     # kept as (rows, unknowns, columns) is multiplied from either side by
@@ -379,9 +395,8 @@ def _graded_nullspace(pair_a, pair_b):
     param = {}
 
     def t(y):
-        if y in param:
-            return param[y]
-        return np.zeros((kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
+        return param[y] if y in param else np.zeros(
+            (kb.get(y, 0), n_free, ka.get(y, 0)), dtype=complex)
 
     def left(b, stack):
         rows, _, cols = stack.shape
@@ -409,15 +424,15 @@ def _graded_nullspace(pair_a, pair_b):
             axis = route[y]
             param[y] = left(pinvs[(axis, y)],
                             right(t(_add(y, steps[axis])),
-                                  block(blocks_a, ka, axis, y)))
+                                  block(ra.blocks, ka, axis, y)))
     rows = [np.zeros((n_free, 0), dtype=complex)]
     for y in sorted(ka.keys() | kb.keys()):
         for axis, e in enumerate(steps):
             q = _add(y, e)
             if q not in ka and q not in kb:
                 continue
-            a = block(blocks_a, ka, axis, y)
-            b = block(blocks_b, kb, axis, y)
+            a = block(ra.blocks, ka, axis, y)
+            b = block(rb.blocks, kb, axis, y)
             rows.append(flat(right(t(q), a) - left(b, t(y))))
             rows.append(flat(right(t(y), a.conj().T) - left(b.conj().T, t(q))))
     kern = _kernel(np.hstack(rows).T, DEFAULT_TOL * (norm_a + norm_b))
@@ -426,46 +441,45 @@ def _graded_nullspace(pair_a, pair_b):
     # orthonormalise in the Frobenius norm over the block entries alone
     entries = np.hstack([flat(param[y]) for y in shared]).T
     ortho, _ = np.linalg.qr(entries @ kern)
-    out = np.zeros((kern.shape[1], pair_b.dim, pair_a.dim), dtype=complex)
+    out = np.zeros((kern.shape[1], rb.dim, ra.dim), dtype=complex)
     start = 0
     for y in shared:
         size = kb[y] * ka[y]
-        out[:, pair_b.block_slice(y), pair_a.block_slice(y)] = \
+        out[:, rb.cuts[y], ra.cuts[y]] = \
             ortho[start:start + size].T.reshape(-1, kb[y], ka[y])
         start += size
     return list(out), sorted(free)
 
 
-def _solve(ra: RepGens, rb: RepGens):
-    """Basis of {T : T X_a = X_b T pairwise}, and the sorted free points of
-    the graded solve (None for plain lists).
-
-    Labels must agree, and both lists must be of one kind: two lists read
-    from pairs take the graded solve, two plain lists the dense solver, and
-    the empty list gives every dim B x dim A matrix.
-    """
-    if ra.labels != rb.labels:
-        raise LabelMismatch(f"generator labels differ: {ra.labels} vs {rb.labels}")
+def _check_aligned(ra: RepGens, rb: RepGens):
+    """Refuse one list read from a pair and one not (ListKindMismatch), then
+    two lists with different steps (LabelMismatch)."""
     if (ra.pair is None) != (rb.pair is None):
         raise ListKindMismatch(
             "one generator list is read from a pair and the other is not")
+    if ra.steps != rb.steps:
+        raise LabelMismatch(f"lists of {len(ra.steps)} and {len(rb.steps)} "
+                            "generators are not aligned")
+
+
+def _solve(ra: RepGens, rb: RepGens):
+    """Basis of {T : T X_a = X_b T pairwise} and the sorted free points:
+    the graded solve for two pair lists, else the dense solver (the empty
+    list gives every dim B x dim A matrix) with the one free point ()."""
+    _check_aligned(ra, rb)
     if ra.pair is not None:
-        return _graded_nullspace(ra.pair, rb.pair)
+        return _graded_nullspace(ra, rb)
     if not ra.gens:
         units = np.eye(rb.dim * ra.dim, dtype=complex)
-        return list(units.reshape(-1, rb.dim, ra.dim)), None
-    return sylvester_nullspace(ra.gens, rb.gens), None
+        return list(units.reshape(-1, rb.dim, ra.dim)), [()]
+    return sylvester_nullspace(ra.gens, rb.gens), [()]
 
 
 def _commutant(rep: RepGens):
-    """Commutant basis and the coordinates of its free fibers (None for a
-    plain list)."""
+    """Commutant basis and the coordinates of its free points' blocks."""
     basis, free = _solve(rep, rep)
-    if free is None:
-        return basis, None
     coords = np.arange(rep.dim)
-    return basis, np.concatenate(
-        [coords[rep.pair.block_slice(y)] for y in free] + [coords[:0]])
+    return basis, np.concatenate([coords[rep.cuts[y]] for y in free] + [coords[:0]])
 
 
 def commutant_basis(rep: RepGens):
@@ -490,12 +504,7 @@ def check_central(elements, cbasis):
 
 
 def _restrict(elements, free):
-    """The blocks of n x n ``elements`` on the coordinates ``free``.
-
-    With ``free`` None the elements are returned whole, as one stack.
-    """
-    if free is None:
-        return np.stack(elements)
+    """The blocks of n x n ``elements`` on the coordinates ``free``, stacked."""
     return np.stack([e[free[:, None], free] for e in elements])
 
 
@@ -512,7 +521,7 @@ def _check_star_algebra(small, products):
             f"lies {worst:.2e} from its span")
 
 
-def center_basis(cbasis, free=None):
+def center_basis(cbasis, free):
     """Orthonormal basis of the centre of the commutant spanned by ``cbasis``.
 
     The centre is solved in commutant coordinates: Z = sum x_j C_j must
@@ -524,10 +533,10 @@ def center_basis(cbasis, free=None):
     within 1e-8 of the span (for generic G that closes it under products),
     or the basis, read near a kernel cutoff, is no *-algebra: CheckFailed.
 
-    ``free`` (from the graded solve) names coordinates whose blocks fix
-    every commutant element.  Restricting to them is then an injective
-    *-homomorphism of the commutant, so everything runs on the m x m
-    restrictions and the solution x is lifted onto the full basis.
+    ``free`` (from ``_commutant``) names the coordinates of the free points,
+    whose blocks fix every commutant element.  Restricting to them is then
+    an injective *-homomorphism of the commutant, so everything runs on the
+    m x m restrictions and the solution x is lifted onto the full basis.
     """
     c = len(cbasis)
     if c <= 1:
@@ -558,7 +567,7 @@ def summarize(rep: RepGens) -> AlgebraSummary:
 
 
 def intertwiners(ra: RepGens, rb: RepGens):
-    """Basis of {T : T X_a = X_b T pairwise}, generator lists label-aligned."""
+    """Basis of {T : T X_a = X_b T pairwise}, generator lists aligned."""
     return _solve(ra, rb)[0]
 
 
@@ -587,48 +596,37 @@ def unitarily_equivalent(ra: RepGens, rb: RepGens, seed: int = 20240405):
     ``pairs.intertwining_blocks`` puts every W_y* W_y - 1 and every block
     of W X_a - X_b W within 1e-8, absolute.
 
-    Lists read from pairs are inequivalent when the fiber sizes differ,
-    since the character unitaries then have different spectra; that is
-    decided before any solve, once the labels agree.  Otherwise every
-    intertwiner of such lists is block diagonal over the fibers, and so is
-    its polar factor: it is taken fiber by fiber, with one stacked SVD per
-    fiber size, and checked on the pairs' generator blocks.  A plain list
-    is one block.  The drawn element counts as invertible when its smallest
-    singular value over all blocks is at least 1e-6 times the largest.
+    The lists must be of one kind and aligned.  Lists with different
+    layouts are inequivalent before any solve (different fiber sizes give
+    the character unitaries different spectra).  Otherwise every
+    intertwiner is block diagonal over the layout's points, and so is its
+    polar factor: it is taken block by block, one stacked SVD per block
+    size, and checked on the two layouts' blocks.  The drawn element counts
+    as invertible when its smallest singular value over all blocks is at
+    least 1e-6 times the largest.
     """
-    if ra.dim != rb.dim:
-        return False, None
-    pa, pb = ra.pair, rb.pair
-    graded = pa is not None and pb is not None
-    # a label or kind mismatch is refused by the solve
-    if graded and ra.labels == rb.labels and pa.fibers != pb.fibers:
+    _check_aligned(ra, rb)
+    if ra.cuts != rb.cuts:
         return False, None
     basis = intertwiners(ra, rb)
     if not basis:
         return False, None
-    if graded:
-        steps = pa.window.generators()
-        cuts = {y: pa.block_slice(y) for y in pa.points}
-        blocks = [[p.graded_blocks(i) for i in range(len(steps))] for p in (pa, pb)]
-    else:
-        cuts, steps = {(): slice(0, ra.dim)}, [()] * len(ra.gens)
-        blocks = [[{(): g} for g in r.gens] for r in (ra, rb)]
     basis = np.stack(basis)
     rng = np.random.default_rng(seed)
     for _ in range(_DRAWS):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         t = np.tensordot(coeff, basis, axes=1)
-        factors, lo, hi = _polar_blocks([t[c, c] for c in cuts.values()])
+        factors, lo, hi = _polar_blocks([t[c, c] for c in ra.cuts.values()])
         if hi <= 0 or lo < 1e-6 * hi:
             continue
         witness = np.zeros_like(t)
-        for c, polar in zip(cuts.values(), factors):
+        for c, polar in zip(ra.cuts.values(), factors):
             witness[c, c] = polar
         trace = np.trace(witness)
         if abs(trace) > 1e-8:  # fix the free global phase deterministically
             witness = witness * (trace.conjugate() / abs(trace))
-        iso, res = intertwining_blocks(
-            {y: witness[c, c] for y, c in cuts.items()}, steps, *blocks)
+        iso, res = intertwining_blocks({y: witness[c, c] for y, c in ra.cuts.items()},
+                                       ra.steps, ra.blocks, rb.blocks)
         worst = _max_opnorm(iso + res, 1e-8)
         if worst <= 1e-8:
             return True, witness

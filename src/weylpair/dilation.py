@@ -210,7 +210,6 @@ class DilationBundle:
     dilated: WeylPair = field(repr=False)
     index: dict = field(repr=False)  # its sum_layout index, inside each block
     embed_blocks: dict = field(repr=False)
-    _maps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -228,27 +227,37 @@ class DilationBundle:
     def _block_table(self):
         """Every block (component, point) in coordinate order, as the
         point's offset from the extended window's corner and the component;
-        the block of each coordinate; and each support's window points."""
+        the block of each coordinate; the first coordinate of each block;
+        and the block of each component at every window point, -1 off its
+        support."""
         wext = self.window_ext
         blocks = sorted((p, r, ci) for (ci, p), r in self.index.items())
-        member = np.zeros((len(self.supports), wext.cardinality), dtype=bool)
-        for p, _, ci in blocks:
-            member[ci, wext._table.index[p]] = True
+        table = np.full((len(self.supports), wext.cardinality), -1)
+        for b, (p, _, ci) in enumerate(blocks):
+            table[ci, wext._table.index[p]] = b
         offsets = np.array([p for p, _, _ in blocks], dtype=int) - wext.lo
         comp = np.array([ci for _, _, ci in blocks], dtype=int)
-        owner = np.repeat(np.arange(len(blocks)),
-                          [self.components[ci][1] for _, _, ci in blocks])
-        return offsets, comp, owner, member
+        sizes = [self.components[ci][1] for _, _, ci in blocks]
+        owner = np.repeat(np.arange(len(blocks)), sizes)
+        start = np.cumsum([0] + sizes[:-1])
+        return offsets, comp, owner, start, table
+
+    def _targets(self, x) -> np.ndarray:
+        """The block each block lands on under the shift ``x`` inside its
+        component's support, or -1."""
+        offsets, comp, _, _, table = self._block_table
+        sides = self.window_ext.sides
+        q = offsets + np.asarray(x, dtype=int)
+        inside = np.all((q >= 0) & (q < sides), axis=1)
+        found = table[comp, np.ravel_multi_index(q.T, sides, mode="clip")]
+        return np.where(inside, found, -1)
 
     def safe_indices(self, shifts) -> np.ndarray:
         """Blocks that stay inside their component under all given shifts."""
-        offsets, comp, owner, member = self._block_table
-        sides = self.window_ext.sides
-        keep = np.ones(len(offsets), dtype=bool)
+        _, _, owner, start, _ = self._block_table
+        keep = np.ones(len(start), dtype=bool)
         for s in shifts:
-            q = offsets + np.asarray(s, dtype=int)
-            keep &= np.all((q >= 0) & (q < sides), axis=1)
-            keep &= member[comp, np.ravel_multi_index(q.T, sides, mode="clip")]
+            keep &= self._targets(s) >= 0
         return np.flatnonzero(keep[owner])
 
     @cached_property
@@ -265,7 +274,7 @@ class DilationBundle:
     @cached_property
     def _diagonals(self) -> dict:
         """The :func:`e_diagonal` of every shift of the budget box, by shift."""
-        _, comp, owner, _ = self._block_table
+        _, comp, owner, _, _ = self._block_table
         points, member = self._range_table
         sides = self.base.window.sides
         box = list(budget_box(self).points())
@@ -295,27 +304,15 @@ class DilationBundle:
         return xv
 
     def shift_map(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate map (rows, cols) of W_x, kept per shift: the block of
-        (component, y) goes identically onto the block of (component,
-        y + x) when both points lie in the support, so coordinate
-        ``cols[t]`` goes to ``rows[t]``; every other coordinate goes to
-        zero."""
+        """Coordinate map (rows, cols) of W_x: the block of (component, y)
+        goes identically onto the block of (component, y + x) when both
+        points lie in the support, so coordinate ``cols[t]`` goes to
+        ``rows[t]``; every other coordinate goes to zero."""
         xv = self._check_shift(x)
-        if xv not in self._maps:
-            offsets = self.dilated.offsets
-            rows: list[int] = []
-            cols: list[int] = []
-            for (ci, p), c in self.index.items():
-                q = _add(p, xv)
-                if (ci, q) in self.index:
-                    k = self.components[ci][1]
-                    r = offsets[q][0] + self.index[(ci, q)]
-                    c += offsets[p][0]
-                    rows += range(r, r + k)
-                    cols += range(c, c + k)
-            self._maps[xv] = (np.array(rows, dtype=int),
-                              np.array(cols, dtype=int))
-        return self._maps[xv]
+        _, _, owner, start, _ = self._block_table
+        target = self._targets(xv)[owner]
+        cols = np.flatnonzero(target >= 0)
+        return cols + start[target[cols]] - start[owner[cols]], cols
 
     def w(self, x) -> np.ndarray:
         """Dilated group element W_x as a dense clipped block shift."""

@@ -34,7 +34,7 @@ class DimensionGuard(WeylPairError):
 
 
 class LabelMismatch(WeylPairError):
-    """Two generator lists are not aligned label-by-label."""
+    """Two generator lists are not aligned generator by generator."""
 
 
 class ListKindMismatch(WeylPairError):

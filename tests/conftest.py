@@ -68,10 +68,8 @@ def position_diagonal(pair):
 
 def dense_rep(pair):
     """Oracle list of a pair's algebra with no pair behind it: the position
-    marker, then the dense generators, labelled as ``RepGens.from_pair``
-    labels them, so that the dense solver takes it."""
-    return RepGens(pair.dim, [position_diagonal(pair), *pair.gens],
-                   ["pos"] + [f"V{i}" for i in range(pair.window.dim)])
+    marker, then the dense generators, so that the dense solver takes it."""
+    return RepGens(pair.dim, [position_diagonal(pair), *pair.gens])
 
 
 def span_distance(basis, m) -> float:

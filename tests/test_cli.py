@@ -375,11 +375,17 @@ def test_parse_errors(tmp_path, capsys):
 
     # referenced pair and family files go through the scenario's loader
     missing = str(tmp_path / "absent.json")
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    folder = tmp_path / "folder"
+    folder.mkdir()
     pair = pair_to_json(build_pspace_pair(tail(LatticeWindow((0,), (3,)), 0), 1))
     for command, key in [("pair-check", "pair"), ("equiv", "pair_a"),
                          ("equiv", "pair_b"), ("counterexample", "family")]:
         for path, says in [(str(bad), "not valid JSON"),
-                           (missing, "does not exist")]:
+                           (missing, "does not exist"),
+                           (str(undecodable), "cannot be read"),
+                           (str(folder), "cannot be read")]:
             fields = {"pair_a": pair, "pair_b": pair, key: path}
             sc = write_scenario(tmp_path, "ref.json",
                                 dict(fields, command=command))
@@ -404,6 +410,11 @@ def test_parse_errors(tmp_path, capsys):
         ("counterexample", {"sub": "plateau", "nmax": -3}, "nmax"),
         ("counterexample", {"family": {"kind": "demo", "kappa": "six"}},
          "kappa"),
+        ("counterexample", {"family": {"kind": "demo", "kappa": -2}}, "kappa"),
+        # a basis of 3 vectors cannot be sliced into 5 parts
+        ("counterexample", {"family": {"kind": "random", "kappa": 3,
+                                       "parts_p": 5}}, "parts_p"),
+        ("dilate", {"pair": pair, "depth": -1}, "depth"),
     ]
     for i, (command, fields, name) in enumerate(cases):
         sc = write_scenario(tmp_path, f"field_{i}.json",

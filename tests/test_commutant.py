@@ -185,8 +185,8 @@ def test_intertwiners_position_only_vs_full(chain8):
     b, _ = translate_pset(a, (1,))
     pa = build_pspace_pair(a, 1)
     pb = build_pspace_pair(b, 1)
-    pos_only_a = RepGens(pa.dim, [position_diagonal(pa)], ["pos"])
-    pos_only_b = RepGens(pb.dim, [position_diagonal(pb)], ["pos"])
+    pos_only_a = RepGens(pa.dim, [position_diagonal(pa)])
+    pos_only_b = RepGens(pb.dim, [position_diagonal(pb)])
     assert len(intertwiners(pos_only_a, pos_only_b)) == 7
     assert len(intertwiners(RepGens.from_pair(pa), RepGens.from_pair(pb))) == 0
 
@@ -203,10 +203,14 @@ def test_intertwiners_multiplicity_two(chain8):
 
 
 def test_label_mismatch():
-    rep1 = RepGens(2, [np.eye(2)], ["a"])
-    rep2 = RepGens(2, [np.eye(2)], ["b"])
-    with pytest.raises(LabelMismatch):
-        intertwiners(rep1, rep2)
+    # plain lists align generator by generator: at any dims, one generator
+    # against two is refused
+    for dims in [(2, 2), (2, 3)]:
+        rep1 = RepGens(dims[0], [np.eye(dims[0])])
+        rep2 = RepGens(dims[1], [np.eye(dims[1])] * 2)
+        for call in (intertwiners, unitarily_equivalent):
+            with pytest.raises(LabelMismatch, match="not aligned"):
+                call(rep1, rep2)
 
 
 def test_dimension_guard(monkeypatch, chain8):
@@ -304,7 +308,7 @@ def test_equal_fibers_without_invertible_intertwiner():
 
 
 def test_different_fibers_are_inequivalent_before_any_solve(monkeypatch,
-                                                            chain8):
+                                                            chain8, square4):
     def refuse(*args, **kwargs):
         raise AssertionError("intertwiners solved for different fibers")
 
@@ -318,11 +322,14 @@ def test_different_fibers_are_inequivalent_before_any_solve(monkeypatch,
     monkeypatch.setattr(commutant, "_graded_nullspace", refuse)
     monkeypatch.setattr(commutant, "sylvester_nullspace", refuse)
     assert unitarily_equivalent(ra, rb) == (False, None)
-    # the label check still comes first
-    relabelled = RepGens.from_pair(pa)
-    relabelled.labels = ["pos", "W0"]
+    # the kind and alignment checks still come first, before the dims
+    plane = RepGens.from_pair(build_pspace_pair(upset_from(square4, [(3, 3)]), 1))
     with pytest.raises(LabelMismatch):
-        unitarily_equivalent(relabelled, rb)
+        unitarily_equivalent(plane, rb)
+    three = RepGens.from_pair(build_pspace_pair(tail(chain8, 5), 1))
+    assert three.dim == 3
+    with pytest.raises(ListKindMismatch):
+        unitarily_equivalent(three, RepGens(2, [np.eye(2)] * 2))
 
 
 def test_random_conjugate_recovered(chain8):
@@ -332,8 +339,7 @@ def test_random_conjugate_recovered(chain8):
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     q, _ = np.linalg.qr(g)
     conj = [q @ x @ q.conj().T for x in gens]
-    ok, witness = unitarily_equivalent(RepGens(8, gens, ["pos", "V0"]),
-                                       RepGens(8, conj, ["pos", "V0"]))
+    ok, witness = unitarily_equivalent(RepGens(8, gens), RepGens(8, conj))
     assert ok
     for x, y in zip(gens, conj):
         assert opnorm(witness @ x @ witness.conj().T - y) < 1e-8
@@ -398,7 +404,7 @@ def test_pairs_on_different_windows_take_the_graded_solve(monkeypatch):
 
     shifted = [_chain(0, 3, range(4)), _chain(1, 4, range(1, 5))]
     pa, pb = _chain(1, 4, range(1, 5)), _chain(0, 4, range(1, 5))
-    plain = RepGens(pa.dim, [np.eye(pa.dim)] * 2, ["pos", "V0"])
+    plain = RepGens(pa.dim, [np.eye(pa.dim)] * 2)
     monkeypatch.setattr(commutant, "sylvester_nullspace", refuse)
     monkeypatch.setattr(WeylPair, "gens", property(refuse))
 
@@ -489,7 +495,7 @@ def test_graded_inputs_solve_the_centre_on_the_free_fibers(monkeypatch, chain8):
     restrict = commutant._restrict
 
     def spy(elements, free):
-        seen.append(None if free is None else list(free))
+        seen.append(list(free))
         return restrict(elements, free)
 
     monkeypatch.setattr(commutant, "_restrict", spy)
@@ -506,11 +512,12 @@ def test_graded_inputs_solve_the_centre_on_the_free_fibers(monkeypatch, chain8):
     # fiber; decompose restricts nothing
     assert seen == [top]
 
-    # a generator list with no pair solves the centre in full space
+    # a generator list with no pair is the one block at (): the centre is
+    # solved in full space
     seen.clear()
     s = summarize(dense_rep(twin))
     assert s.center_dim == 2
-    assert seen == [None]
+    assert seen == [list(range(twin.dim))]
 
 
 def test_dense_solver_serves_every_other_input(monkeypatch, chain8):
@@ -667,3 +674,51 @@ def test_qr_first_kernel_decides_like_the_plain_svd_near_the_cutoff(m, r):
     assert subspace_gap(list(got.T), list(plain.T)) <= 1e-10
     # no singular value above the cutoff: the identity, not a rotated basis
     assert np.array_equal(commutant._kernel(a, 4.0), np.eye(r))
+
+
+@pytest.mark.parametrize("shape", [(40, 9), (5, 9), (9, 9)])
+def test_kernel_retries_an_svd_that_does_not_converge_on_the_adjoint(
+        monkeypatch, shape):
+    # tall, wide and square systems of rank 5; the adjoint has the same
+    # singular values, so the retry cuts the same kernel
+    rng = np.random.default_rng(sum(shape))
+    a = (rng.standard_normal((shape[0], 5)) + 1j * rng.standard_normal(
+        (shape[0], 5))) @ rng.standard_normal((5, shape[1]))
+    want = commutant._kernel(a, 1e-8)
+    svd, failures = np.linalg.svd, []
+
+    def flaky(*args, **kwargs):
+        if failures:
+            failures.pop()
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    failures[:] = [1]
+    got = commutant._kernel(a, 1e-8)
+    assert not failures and got.shape == want.shape == (shape[1], shape[1] - 5)
+    assert subspace_gap(list(got.T), list(want.T)) <= 1e-10
+    failures[:] = [1, 1]
+    with pytest.raises(CheckFailed, match=f"{shape[0]} x {shape[1]} kernel"):
+        commutant._kernel(a, 1e-8)
+
+
+def test_a_graded_solve_whose_kernel_svd_does_not_converge_is_still_read():
+    # a near-cutoff mixed sum on the 3x3 window: LAPACK's SVD of the R
+    # factor of its graded system can raise LinAlgError, that of the adjoint
+    # converges; both solvers and decompose read four components
+    w = LatticeWindow((0, 0), (2, 2))
+    sets = [(((1, 1), (1, 2), (2, 1), (2, 2)), 1),
+            (((0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)), 3),
+            (tuple(w.points()), 1),
+            (((0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)), 3)]
+    pair = direct_sum([build_pspace_pair(PSet(w, pts, SetKind.PSPACE), k)
+                       for pts, k in sets])
+    q = fiber_mixing_unitary(pair, np.random.default_rng(2012))
+    pair = scale_block(WeylPair(w, dict(pair.fibers),
+                                [q @ g @ q.conj().T for g in pair.gens]),
+                       1, (2, 0), 3.8978877470514295e-12)
+    assert [c.multiplicity for c in decompose(pair)] == [1, 3, 3, 1]
+    for rep in (RepGens.from_pair(pair), dense_rep(pair)):
+        s = summarize(rep)
+        assert (s.commutant_dim, s.center_dim) == (20, 4)

@@ -615,8 +615,7 @@ def test_restriction_isomorphism_dims(chain8):
         kside = RepGens(
             bundle.dim,
             dense_rep(bundle.dilated).gens
-            + [project_e(bundle, (0,) * pair.window.dim)],
-            labels=["pos", "W0", "E0"])
+            + [project_e(bundle, (0,) * pair.window.dim)])
         k_comm = commutant_basis(kside)
         assert len(k_comm) == len(base_comm)
         emb = bundle.embed

@@ -173,6 +173,27 @@ def test_near_cutoff_pairs_are_classified_or_refused_by_name(pair):
         assert graded == dense == want
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND in CHANGES.md: near the kernel cutoff the graded solve reads "
+    "(3, 3) and the dense solve (5, 2), silently, while decompose_full "
+    "refuses the pair"))
+def test_near_cutoff_solvers_disagree_silently_on_a_scaled_sum():
+    # the assertion of the near-cutoff property test, on a pair in the band
+    # its derandomized draws miss
+    pair = scale_block(direct_sum([_CHAIN2, build_pspace_pair(
+        tail(LatticeWindow((0,), (7,)), 1), 1)]), 0, (3,), 2e-8)
+    graded, dense = (_summary(r) for r in
+                     (RepGens.from_pair(pair), dense_rep(pair)))
+    try:
+        comps = decompose_full(pair).components
+    except WeylPairError:
+        assert graded == dense or isinstance(graded, type) \
+            or isinstance(dense, type)
+    else:
+        want = (sum(c.multiplicity ** 2 for c in comps), len(comps))
+        assert graded == dense == want
+
+
 DEFECT_POOLS = [enumerate_pspaces(LatticeWindow((0,), (7,))),
                 enumerate_pspaces(LatticeWindow((0, 0), (3, 3))),
                 enumerate_pspaces(LatticeWindow((0, 0, 0), (2, 2, 2)))]
